@@ -9,10 +9,10 @@ variant lives in `formula`.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import errors
-from .groups import GroupTable, validate_group
+from .groups import GroupTable, greedy_generators, validate_group
 
 DEFAULT_SEED = 1729
 
@@ -153,38 +153,10 @@ class TableBrace(SkewBrace):
         cached = self._cache.get("generators")
         if cached is not None:
             return cached
-        gens = _joint_generators(self.dot_group, self.circ_group)
+        # Generators of (A, .), extended until they generate (A, o) too.
+        gens = tuple(greedy_generators(self.circ_group, greedy_generators(self.dot_group)))
         self._cache["generators"] = gens
         return gens
-
-
-def _closure_under(table: GroupTable, gens: Iterable[int]) -> set[int]:
-    seen = {0}
-    gen_list = sorted(set(gens) | {0})
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for h in gen_list:
-                y = table.mul[x][h]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
-def _joint_generators(dot: GroupTable, circ: GroupTable) -> tuple[int, ...]:
-    """A set generating the carrier under both group operations."""
-    gens: list[int] = []
-    closed = {0}
-    for x in range(dot.order):
-        if x not in closed:
-            gens.append(x)
-            closed = _closure_under(dot, gens)
-    while len(closed_circ := _closure_under(circ, gens)) < circ.order:
-        gens.append(min(set(range(circ.order)) - closed_circ))
-    return tuple(gens)
 
 
 def validate_brace(dot: GroupTable | Sequence[Sequence[int]], circ: GroupTable | Sequence[Sequence[int]]) -> TableBrace:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from . import classify, errors, series
@@ -213,13 +212,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     failures: list[str] = []
-    if args.threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for result in pool.map(lambda n: suites[n](), names):
-                failures.extend(result)
-    else:
-        for n in names:
-            failures.extend(suites[n]())
+    for n in names:
+        failures.extend(suites[n]())
     report = {"suites": names, "failures": failures, "passed": not failures}
     _emit(args, report)
     return 0 if not failures else 2
@@ -295,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--samples", type=int, default=100_000, help="random triples for formula braces"
         )
         p.add_argument("--max-n", type=int, default=5, dest="max_n", help="series depth for sweeps")
-        p.add_argument("--threads", type=int, default=1, help="parallel suite execution")
 
     p_analyze = sub.add_parser("analyze", help="profile and all series of one brace")
     p_analyze.add_argument("file", help="brace spec JSON")

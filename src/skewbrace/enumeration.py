@@ -13,7 +13,7 @@ import itertools
 
 from . import errors
 from .braces import TableBrace, validate_brace
-from .groups import GroupTable, subgroup_closure, validate_group
+from .groups import GroupTable, greedy_generators, validate_group
 
 AUT_MAX_ORDER = 64
 ENUMERATE_MAX_ORDER = 12
@@ -31,16 +31,6 @@ def _element_orders(g: GroupTable) -> list[int]:
     return orders
 
 
-def _greedy_generators(g: GroupTable) -> list[int]:
-    gens: list[int] = []
-    closed = {0}
-    for x in g.elements():
-        if x not in closed:
-            gens.append(x)
-            closed = set(subgroup_closure(g, gens).members)
-    return gens
-
-
 def automorphism_group(g: GroupTable) -> list[tuple[int, ...]]:
     """All automorphisms as permutation tuples, by extension over generator
     images with order-based pruning."""
@@ -48,7 +38,7 @@ def automorphism_group(g: GroupTable) -> list[tuple[int, ...]]:
         raise errors.TooLarge(f"automorphism listing capped at order {AUT_MAX_ORDER}")
     if g.order == 1:
         return [(0,)]
-    gens = _greedy_generators(g)
+    gens = greedy_generators(g)
     orders = _element_orders(g)
     candidates = [
         [y for y in g.elements() if orders[y] == orders[gen]] for gen in gens

@@ -11,8 +11,11 @@ Im(psi_b - id) <= ker(phi) makes the two twisted products a skew brace:
 Every series on such a brace is computed on pairs of subspaces, so the
 order-p^8 instances stay tractable: set-level star products and commutators
 factor through the two components, and subgroup generation reduces to span
-plus closure under the phi action. The small-order regression tests compare
-all of these fast paths against the generic table machinery.
+plus closure under the phi action. This module supplies the chain steps on
+`PairSpace` terms; `series` runs them through `groups.run_chain`, the same
+driver the table steps use, and turns each term into an element set once at
+the end. The small-order regression tests compare all of these fast paths
+against the generic table machinery.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .fp import (
     vec_sub,
     zero_vec,
 )
-from .groups import ElementSet, SeriesChain
+from .groups import ElementSet
 
 SIZE_CAP = 20_000  # per-component enumeration bound p^d
 
@@ -57,8 +60,16 @@ class PairSpace:
         return self.b.size * self.c.size
 
     @property
+    def parent_order(self) -> int:
+        return self.b.p ** (self.b.dim + self.c.dim)
+
+    @property
     def is_trivial(self) -> bool:
         return self.b.rank == 0 and self.c.rank == 0
+
+    @property
+    def is_full(self) -> bool:
+        return self.b.rank == self.b.dim and self.c.rank == self.c.dim
 
     def contains(self, bvec: Vec, cvec: Vec) -> bool:
         return self.b.contains(bvec) and self.c.contains(cvec)
@@ -492,78 +503,26 @@ def _union_close(brace: BCBrace, parts: list[tuple[Subspace, Subspace]]) -> Pair
 
 
 # ---------------------------------------------------------------------------
-# Chains on product subspaces.
+# Chain steps on product subspaces. `series` runs them through
+# `groups.run_chain`; a step given `terms` maps the terms so far to the next,
+# one given `prev` reads only the last term.
 
 
-def _pair_chain(brace: BCBrace, start: PairSpace, step, cap: int) -> list[PairSpace]:
-    terms = [start]
-    if start.is_trivial:
-        return terms
-    for _ in range(cap):
-        nxt = step(terms)
-        terms.append(nxt)
-        if nxt == terms[-2] or nxt.is_trivial:
-            return terms
-    raise errors.AlgebraError("formula chain failed to stabilize")
+def bc_gamma_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
+    """Gamma_{n+1}, generated by Gamma_n * A, A * Gamma_n and [A, Gamma_n]."""
+    full, last = terms[0], terms[-1]
+    parts = [
+        star_span(brace, last, full),
+        star_span(brace, full, last),
+        (comm_dot_span(brace, full, last), Subspace.zero(brace.p, brace.d_c)),
+    ]
+    return _union_close(brace, parts)
 
 
-def _chain_cap(brace: BCBrace) -> int:
-    return 2 * (brace.d_b + brace.d_c) + 4
-
-
-def bc_left_chain(brace: BCBrace) -> list[PairSpace]:
-    full = brace.full_pair()
-    return _pair_chain(
-        brace,
-        full,
-        lambda terms: star_subgroup_pair(brace, full, terms[-1]),
-        _chain_cap(brace),
-    )
-
-
-def bc_right_chain(brace: BCBrace) -> list[PairSpace]:
-    full = brace.full_pair()
-    return _pair_chain(
-        brace,
-        full,
-        lambda terms: star_subgroup_pair(brace, terms[-1], full),
-        _chain_cap(brace),
-    )
-
-
-def bc_gamma_chain(brace: BCBrace) -> list[PairSpace]:
-    full = brace.full_pair()
-
-    def step(terms: list[PairSpace]) -> PairSpace:
-        last = terms[-1]
-        parts = [
-            star_span(brace, last, full),
-            star_span(brace, full, last),
-            (comm_dot_span(brace, full, last), Subspace.zero(brace.p, brace.d_c)),
-        ]
-        return _union_close(brace, parts)
-
-    return _pair_chain(brace, full, step, _chain_cap(brace))
-
-
-def bc_smoktunowicz_chain(brace: BCBrace) -> list[PairSpace]:
-    """Mixed-index chain; a plateau is confirmed with two extra terms since
-    the recursion looks at every earlier term, not just the last one."""
-    full = brace.full_pair()
-    terms = [full]
-    cap = _chain_cap(brace) + 2
-    for _ in range(cap):
-        n = len(terms)
-        parts = [
-            star_span(brace, terms[i], terms[n - 1 - i]) for i in range(n)
-        ]
-        nxt = _union_close(brace, parts)
-        terms.append(nxt)
-        if nxt.is_trivial:
-            return terms
-        if len(terms) >= 3 and terms[-1] == terms[-2] == terms[-3]:
-            return terms
-    raise errors.AlgebraError("smoktunowicz chain failed to stabilize")
+def bc_smoktunowicz_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
+    """A^[n+1], generated by the union of A^[i] * A^[n+1-i]."""
+    n = len(terms)
+    return _union_close(brace, [star_span(brace, terms[i], terms[n - 1 - i]) for i in range(n)])
 
 
 def bc_socle_step(brace: BCBrace, prev: PairSpace) -> PairSpace:
@@ -656,51 +615,14 @@ def bc_zeta_circ_step(brace: BCBrace, prev: PairSpace) -> PairSpace:
     return _pass_sets(brace, b_ok, c_ok)
 
 
-def bc_gamma_dot_chain(brace: BCBrace) -> list[PairSpace]:
-    full = brace.full_pair()
-
-    def step(terms: list[PairSpace]) -> PairSpace:
-        span = comm_dot_span(brace, full, terms[-1])
-        return PairSpace(span, Subspace.zero(brace.p, brace.d_c))
-
-    return _pair_chain(brace, full, step, _chain_cap(brace))
+def bc_gamma_dot_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
+    span = comm_dot_span(brace, terms[0], terms[-1])
+    return PairSpace(span, Subspace.zero(brace.p, brace.d_c))
 
 
-def bc_gamma_circ_chain(brace: BCBrace) -> list[PairSpace]:
-    full = brace.full_pair()
-
-    def step(terms: list[PairSpace]) -> PairSpace:
-        span = comm_circ_span(brace, full, terms[-1])
-        return PairSpace(Subspace.zero(brace.p, brace.d_b), span)
-
-    return _pair_chain(brace, full, step, _chain_cap(brace))
-
-
-def _ascending_chain(brace: BCBrace, step) -> list[PairSpace]:
-    terms = [brace.trivial_pair()]
-    full = brace.full_pair()
-    for _ in range(_chain_cap(brace)):
-        nxt = step(brace, terms[-1])
-        terms.append(nxt)
-        if nxt == terms[-2] or nxt == full:
-            return terms
-    raise errors.AlgebraError("ascending formula chain failed to stabilize")
-
-
-def bc_socle_chain(brace: BCBrace) -> list[PairSpace]:
-    return _ascending_chain(brace, bc_socle_step)
-
-
-def bc_annihilator_chain(brace: BCBrace) -> list[PairSpace]:
-    return _ascending_chain(brace, bc_annihilator_step)
-
-
-def bc_zeta_dot_chain(brace: BCBrace) -> list[PairSpace]:
-    return _ascending_chain(brace, bc_zeta_dot_step)
-
-
-def bc_zeta_circ_chain(brace: BCBrace) -> list[PairSpace]:
-    return _ascending_chain(brace, bc_zeta_circ_step)
+def bc_gamma_circ_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
+    span = comm_circ_span(brace, terms[0], terms[-1])
+    return PairSpace(Subspace.zero(brace.p, brace.d_b), span)
 
 
 def _pass_sets(brace: BCBrace, b_ok, c_ok) -> PairSpace:
@@ -712,16 +634,6 @@ def _pass_sets(brace: BCBrace, b_ok, c_ok) -> PairSpace:
     if b_space.size != len(b_pass) or c_space.size != len(c_pass):
         raise errors.AlgebraError("internal: lifted predicate set is not a subspace")
     return PairSpace(b_space, c_space)
-
-
-def pairs_to_chain(brace: BCBrace, kind: str, pairs: list[PairSpace], start_index: int, terminal_full: bool) -> SeriesChain:
-    terms = [brace.pair_to_set(p) for p in pairs]
-    last = terms[-1]
-    first_stable = len(terms) - 1
-    while first_stable > 0 and terms[first_stable - 1] == last:
-        first_stable -= 1
-    reached = last.is_full if terminal_full else last.is_trivial
-    return SeriesChain(kind, tuple(terms), start_index, start_index + first_stable, reached)
 
 
 # ---------------------------------------------------------------------------

@@ -63,27 +63,6 @@ def mat_mul(a: Mat, b: Mat, p: int) -> Mat:
     )
 
 
-def mat_pow(m: Mat, e: int, p: int) -> Mat:
-    result = mat_identity(len(m))
-    base = m
-    e = e % _mat_order_bound(m, p) if e < 0 else e
-    while e:
-        if e & 1:
-            result = mat_mul(result, base, p)
-        base = mat_mul(base, base, p)
-        e >>= 1
-    return result
-
-
-def _mat_order_bound(m: Mat, p: int) -> int:
-    # Multiplicative order of an invertible matrix divides |GL_d(F_p)|.
-    d = len(m)
-    order = 1
-    for i in range(d):
-        order *= p**d - p**i
-    return order
-
-
 def mat_sub(a: Mat, b: Mat, p: int) -> Mat:
     return tuple(tuple((x - y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -136,10 +115,6 @@ class Subspace:
 
     def contains(self, v: Vec) -> bool:
         return not any(_residue(list(self.basis), list(v), self.p))
-
-    def residue(self, v: Vec) -> Vec:
-        """Canonical coset representative of v modulo this subspace."""
-        return tuple(_residue(list(self.basis), list(v), self.p))
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)

@@ -194,17 +194,13 @@ class SeriesChain:
         raise AssertionError("unreachable")
 
 
-def _finish_chain(kind: str, terms: list[ElementSet], start: int, terminal_full: bool) -> SeriesChain:
-    last = terms[-1]
-    first_stable = len(terms) - 1
-    while first_stable > 0 and terms[first_stable - 1] == last:
-        first_stable -= 1
-    reached = last.is_full if terminal_full else last.is_trivial
-    return SeriesChain(kind, tuple(terms), start, start + first_stable, reached)
-
-
 def subgroup_closure(g: GroupTable, gens: Iterable[int] | ElementSet) -> ElementSet:
-    """Smallest subgroup containing the generators (BFS over right products)."""
+    """Smallest subgroup containing the generators (BFS over right products).
+
+    Only `g.order` and `g.mul` are read, one row `g.mul[x]` per visited
+    element, indexed by each generator. Besides a GroupTable, `g` may be a
+    view that builds those rows on demand (see `substructures`).
+    """
     seen = {0}
     gen_list = sorted(set(gens) | {0})
     frontier = [0]
@@ -212,13 +208,26 @@ def subgroup_closure(g: GroupTable, gens: Iterable[int] | ElementSet) -> Element
     while frontier:
         nxt = []
         for x in frontier:
+            row = mul[x]
             for h in gen_list:
-                y = mul[x][h]
+                y = row[h]
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
     return make_set(seen, g.order)
+
+
+def greedy_generators(g: GroupTable, gens: Iterable[int] = ()) -> list[int]:
+    """Extend `gens` by the least element outside their closure until they
+    generate all of g."""
+    gens = list(gens)
+    closed = subgroup_closure(g, gens).members
+    for x in g.elements():
+        if x not in closed:
+            gens.append(x)
+            closed = subgroup_closure(g, gens).members
+    return gens
 
 
 def is_subgroup(g: GroupTable, s: ElementSet) -> bool:
@@ -280,56 +289,60 @@ def commutator_set(g: GroupTable, x: ElementSet, y: ElementSet) -> ElementSet:
     return subgroup_closure(g, gens)
 
 
-def run_chain(kind: str, start: ElementSet, step, start_index: int, terminal_full: bool, cap: int) -> SeriesChain:
-    """Drive a single-step recursion until the terminal set or a repeat.
+def run_chain(kind: str, start, step, ascending: bool = False, plateau: int = 2) -> SeriesChain:
+    """The one chain driver: apply `step` to the terms so far until the
+    terminal term appears or the last `plateau` terms are equal.
 
-    Sound for monotone chains: equality of consecutive terms means the
-    recursion has reached its fixpoint. The repeated term is kept so the
-    stabilization is visible; the terminal appears once (it is absorbing).
+    Terms are ElementSets or formula `PairSpace`s; the driver reads only
+    `parent_order`, `is_trivial`, `is_full` and equality. Descending chains
+    are numbered from 1 and end at the trivial set, ascending ones from 0 and
+    end at the full set. For monotone chains whose step reads only the last
+    term, two equal terms mean the fixpoint; a step that reads every earlier
+    term (the mixed-index chain) asks for a longer plateau. The repeated
+    terms are kept so the stabilization is visible.
     """
+    is_terminal = (lambda s: s.is_full) if ascending else (lambda s: s.is_trivial)
+    # A strictly monotone chain of subgroups of a group of order N has at
+    # most log2 N + 1 distinct terms, each held for fewer than `plateau`.
+    cap = (plateau - 1) * start.parent_order.bit_length()
     terms = [start]
-    is_terminal = (lambda s: s.is_full) if terminal_full else (lambda s: s.is_trivial)
-    if is_terminal(start):
-        return _finish_chain(kind, terms, start_index, terminal_full)
-    for _ in range(cap):
-        nxt = step(terms[-1])
-        terms.append(nxt)
-        if nxt == terms[-2] or is_terminal(nxt):
-            return _finish_chain(kind, terms, start_index, terminal_full)
-    raise AssertionError(f"{kind} chain failed to stabilize within {cap} steps")
+    while not is_terminal(terms[-1]) and terms[-plateau:] != [terms[-1]] * plateau:
+        if len(terms) > cap:
+            raise errors.AlgebraError(f"{kind} chain failed to stabilize within {cap} steps")
+        terms.append(step(terms))
+    first_stable = len(terms) - 1
+    while first_stable > 0 and terms[first_stable - 1] == terms[-1]:
+        first_stable -= 1
+    start_index = 0 if ascending else 1
+    return SeriesChain(
+        kind, tuple(terms), start_index, start_index + first_stable, is_terminal(terms[-1])
+    )
 
 
 def lower_central_series(g: GroupTable) -> SeriesChain:
     """gamma_1 = G, gamma_{n+1} = [G, gamma_n], computed until it repeats."""
-    whole = full_set(g.order)
     return run_chain(
-        "group_lower",
-        whole,
-        lambda prev: commutator_set(g, whole, prev),
-        start_index=1,
-        terminal_full=False,
-        cap=g.order + 1,
+        "group_lower", full_set(g.order), lambda terms: commutator_set(g, terms[0], terms[-1])
+    )
+
+
+def upper_central_step(g: GroupTable, prev: ElementSet) -> ElementSet:
+    """The lifted predicate x in zeta_{n+1} iff all [x, a] land in zeta_n;
+    quotients are never materialized."""
+    inside = prev.members
+    return make_set(
+        (x for x in g.elements() if all(g.comm(x, a) in inside for a in g.elements())),
+        g.order,
     )
 
 
 def upper_central_series(g: GroupTable) -> SeriesChain:
-    """zeta_0 = 1 and the lifted predicate x in zeta_{n+1} iff all [x, a] land
-    in zeta_n; quotients are never materialized."""
-
-    def step(prev: ElementSet) -> ElementSet:
-        inside = prev.members
-        return make_set(
-            (x for x in g.elements() if all(g.comm(x, a) in inside for a in g.elements())),
-            g.order,
-        )
-
+    """zeta_0 = 1, zeta_{n+1} from `upper_central_step`."""
     return run_chain(
         "group_upper",
         trivial_set(g.order),
-        step,
-        start_index=0,
-        terminal_full=True,
-        cap=g.order + 1,
+        lambda terms: upper_central_step(g, terms[-1]),
+        ascending=True,
     )
 
 

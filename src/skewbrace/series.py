@@ -1,11 +1,18 @@
-"""The six series of a skew brace plus the quotient-based socle variant.
+"""The six series of a skew brace, the group series of its two groups, and
+the quotient-based socle variant.
 
-Descending chains stop when a term repeats or hits {1}; ascending chains use
-lifted elementwise predicates so no quotient is ever materialized. Formula
-braces route through the product-subspace machinery in `formula`.
+Every chain runs through `groups.run_chain`, and each series below only
+declares its step on both backings. Formula braces run the `formula` step on
+`PairSpace` terms and turn each term into an element set once at the end;
+table braces run the step here on element sets. `_cached` is the one place
+that memoizes on the brace and picks the backing. Descending chains stop
+when a term repeats or hits {1}; ascending chains use lifted elementwise
+predicates so no quotient is ever materialized.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from . import errors, formula
 from .braces import SkewBrace, TableBrace
@@ -13,11 +20,12 @@ from .formula import BCBrace
 from .groups import (
     ElementSet,
     SeriesChain,
+    commutator_set,
     full_set,
-    lower_central_series,
     make_set,
+    run_chain,
     trivial_set,
-    upper_central_series,
+    upper_central_step,
 )
 from .substructures import (
     dot_subgroup_closure,
@@ -28,59 +36,59 @@ from .substructures import (
 )
 
 
-def _descending(kind: str, brace: SkewBrace, step) -> SeriesChain:
-    terms = [full_set(brace.order)]
-    if terms[0].is_trivial:
-        return SeriesChain(kind, tuple(terms), 1, 1, True)
-    for _ in range(brace.order + 1):
-        nxt = step(terms)
-        terms.append(nxt)
-        if nxt == terms[-2] or nxt.is_trivial:
-            break
-    else:
-        raise AssertionError(f"{kind} series failed to stabilize")
-    return _wrap(kind, terms, 1, terminal_full=False)
+def _cached(brace: SkewBrace, key: str, on_pairs, on_sets):
+    """Memoize under `key`: formula braces compute `on_pairs()`, the rest `on_sets()`."""
+    value = brace._cache.get(key)
+    if value is None:
+        value = brace._cache[key] = on_pairs() if isinstance(brace, BCBrace) else on_sets()
+    return value
 
 
-def _wrap(kind: str, terms: list[ElementSet], start: int, terminal_full: bool) -> SeriesChain:
-    last = terms[-1]
-    first_stable = len(terms) - 1
-    while first_stable > 0 and terms[first_stable - 1] == last:
-        first_stable -= 1
-    reached = last.is_full if terminal_full else last.is_trivial
-    return SeriesChain(kind, tuple(terms), start, start + first_stable, reached)
+def _series(
+    brace: SkewBrace,
+    kind: str,
+    pair_step,
+    set_step,
+    ascending: bool = False,
+    plateau: int = 2,
+    key: str | None = None,
+) -> SeriesChain:
+    """The chain of `kind`, cached under `key` (default `<kind>_series`).
+
+    Both steps map the terms so far to the next one: `pair_step` on the
+    PairSpace terms of a formula brace, `set_step` on element sets.
+    """
+
+    def on_pairs() -> SeriesChain:
+        start = brace.trivial_pair() if ascending else brace.full_pair()
+        chain = run_chain(kind, start, pair_step, ascending, plateau)
+        return replace(chain, terms=tuple(brace.pair_to_set(t) for t in chain.terms))
+
+    def on_sets() -> SeriesChain:
+        start = trivial_set(brace.order) if ascending else full_set(brace.order)
+        return run_chain(kind, start, set_step, ascending, plateau)
+
+    return _cached(brace, key or f"{kind}_series", on_pairs, on_sets)
 
 
 def left_series(brace: SkewBrace) -> SeriesChain:
     """A^1 = A, A^{n+1} = A * A^n."""
-    cached = brace._cache.get("left_series")
-    if cached is not None:
-        return cached
-    if isinstance(brace, BCBrace):
-        chain = formula.pairs_to_chain(brace, "left", formula.bc_left_chain(brace), 1, False)
-    else:
-        whole = full_set(brace.order)
-        chain = _descending(
-            "left", brace, lambda terms: star_subgroup(brace, whole, terms[-1])
-        )
-    brace._cache["left_series"] = chain
-    return chain
+    return _series(
+        brace,
+        "left",
+        lambda terms: formula.star_subgroup_pair(brace, terms[0], terms[-1]),
+        lambda terms: star_subgroup(brace, terms[0], terms[-1]),
+    )
 
 
 def right_series(brace: SkewBrace) -> SeriesChain:
     """A^(1) = A, A^(n+1) = A^(n) * A."""
-    cached = brace._cache.get("right_series")
-    if cached is not None:
-        return cached
-    if isinstance(brace, BCBrace):
-        chain = formula.pairs_to_chain(brace, "right", formula.bc_right_chain(brace), 1, False)
-    else:
-        whole = full_set(brace.order)
-        chain = _descending(
-            "right", brace, lambda terms: star_subgroup(brace, terms[-1], whole)
-        )
-    brace._cache["right_series"] = chain
-    return chain
+    return _series(
+        brace,
+        "right",
+        lambda terms: formula.star_subgroup_pair(brace, terms[-1], terms[0]),
+        lambda terms: star_subgroup(brace, terms[-1], terms[0]),
+    )
 
 
 def smoktunowicz_series(brace: SkewBrace) -> SeriesChain:
@@ -89,50 +97,45 @@ def smoktunowicz_series(brace: SkewBrace) -> SeriesChain:
     Because each term looks at every earlier one, a plateau is confirmed by
     two additional equal terms before the chain is declared stable.
     """
-    cached = brace._cache.get("smoktunowicz_series")
-    if cached is not None:
-        return cached
-    if isinstance(brace, BCBrace):
-        chain = formula.pairs_to_chain(
-            brace, "smoktunowicz", formula.bc_smoktunowicz_chain(brace), 1, False
-        )
-        brace._cache["smoktunowicz_series"] = chain
-        return chain
-    terms = [full_set(brace.order)]
-    if not terms[0].is_trivial:
-        for _ in range(brace.order + 2):
-            n = len(terms)
-            union: set[int] = set()
-            for i in range(n):
-                union |= star_subgroup(brace, terms[i], terms[n - 1 - i]).members
-            nxt = dot_subgroup_closure(brace, union)
-            terms.append(nxt)
-            if nxt.is_trivial:
-                break
-            if len(terms) >= 3 and terms[-1] == terms[-2] == terms[-3]:
-                break
-        else:
-            raise AssertionError("smoktunowicz series failed to stabilize")
-    chain = _wrap("smoktunowicz", terms, 1, terminal_full=False)
-    brace._cache["smoktunowicz_series"] = chain
-    return chain
+
+    def set_step(terms: list[ElementSet]) -> ElementSet:
+        n = len(terms)
+        union: set[int] = set()
+        for i in range(n):
+            union |= star_subgroup(brace, terms[i], terms[n - 1 - i]).members
+        return dot_subgroup_closure(brace, union)
+
+    return _series(
+        brace,
+        "smoktunowicz",
+        lambda terms: formula.bc_smoktunowicz_step(brace, terms),
+        set_step,
+        plateau=3,
+    )
 
 
 def socle(brace: SkewBrace) -> ElementSet:
     """Soc(A) = ker(lambda) intersect Z(A, .)."""
-    if isinstance(brace, BCBrace):
-        return brace.pair_to_set(formula.bc_socle_step(brace, brace.trivial_pair()))
-    return _socle_step_table(brace, trivial_set(brace.order))
+    return _cached(
+        brace,
+        "socle",
+        lambda: brace.pair_to_set(formula.bc_socle_step(brace, brace.trivial_pair())),
+        lambda: _socle_step_table(brace, trivial_set(brace.order)),
+    )
 
 
 def annihilator(brace: SkewBrace) -> ElementSet:
     """Ann(A) = Soc(A) intersect Z(A, o)."""
-    if isinstance(brace, BCBrace):
-        return brace.pair_to_set(formula.bc_annihilator_step(brace, brace.trivial_pair()))
-    return _annihilator_step_table(brace, trivial_set(brace.order))
+    return _cached(
+        brace,
+        "annihilator",
+        lambda: brace.pair_to_set(formula.bc_annihilator_step(brace, brace.trivial_pair())),
+        lambda: _annihilator_step_table(brace, trivial_set(brace.order)),
+    )
 
 
-def _socle_step_table(brace: SkewBrace, prev: ElementSet) -> ElementSet:
+def _socle_step_table(brace: TableBrace, prev: ElementSet) -> ElementSet:
+    brace.warm_tables()
     inside = prev.members
     keep = []
     for x in brace.elements():
@@ -146,7 +149,8 @@ def _socle_step_table(brace: SkewBrace, prev: ElementSet) -> ElementSet:
     return make_set(keep, brace.order)
 
 
-def _annihilator_step_table(brace: SkewBrace, prev: ElementSet) -> ElementSet:
+def _annihilator_step_table(brace: TableBrace, prev: ElementSet) -> ElementSet:
+    brace.warm_tables()
     inside = prev.members
     keep = []
     for x in brace.elements():
@@ -164,52 +168,26 @@ def _annihilator_step_table(brace: SkewBrace, prev: ElementSet) -> ElementSet:
     return make_set(keep, brace.order)
 
 
-def _ascending(kind: str, brace: SkewBrace, step) -> SeriesChain:
-    terms = [trivial_set(brace.order)]
-    if terms[0].is_full:
-        return SeriesChain(kind, tuple(terms), 0, 0, True)
-    for _ in range(brace.order + 1):
-        nxt = step(terms[-1])
-        terms.append(nxt)
-        if nxt == terms[-2] or nxt.is_full:
-            break
-    else:
-        raise AssertionError(f"{kind} series failed to stabilize")
-    return _wrap(kind, terms, 0, terminal_full=True)
-
-
 def socle_series(brace: SkewBrace) -> SeriesChain:
     """Soc_0 = 1 and the lifted predicate x in Soc_{n+1} iff every x*a and
     every [x, a] lands in Soc_n."""
-    cached = brace._cache.get("socle_series")
-    if cached is not None:
-        return cached
-    if isinstance(brace, BCBrace):
-        chain = formula.pairs_to_chain(brace, "socle", formula.bc_socle_chain(brace), 0, True)
-    else:
-        if isinstance(brace, TableBrace):
-            brace.warm_tables()
-        chain = _ascending("socle", brace, lambda prev: _socle_step_table(brace, prev))
-    brace._cache["socle_series"] = chain
-    return chain
+    return _series(
+        brace,
+        "socle",
+        lambda terms: formula.bc_socle_step(brace, terms[-1]),
+        lambda terms: _socle_step_table(brace, terms[-1]),
+        ascending=True,
+    )
 
 
 def annihilator_series(brace: SkewBrace) -> SeriesChain:
-    cached = brace._cache.get("annihilator_series")
-    if cached is not None:
-        return cached
-    if isinstance(brace, BCBrace):
-        chain = formula.pairs_to_chain(
-            brace, "annihilator", formula.bc_annihilator_chain(brace), 0, True
-        )
-    else:
-        if isinstance(brace, TableBrace):
-            brace.warm_tables()
-        chain = _ascending(
-            "annihilator", brace, lambda prev: _annihilator_step_table(brace, prev)
-        )
-    brace._cache["annihilator_series"] = chain
-    return chain
+    return _series(
+        brace,
+        "annihilator",
+        lambda terms: formula.bc_annihilator_step(brace, terms[-1]),
+        lambda terms: _annihilator_step_table(brace, terms[-1]),
+        ascending=True,
+    )
 
 
 def socle_quotient_tower(brace: SkewBrace) -> list[TableBrace]:
@@ -233,41 +211,24 @@ def socle_quotient_tower(brace: SkewBrace) -> list[TableBrace]:
 
 def gamma_series(brace: SkewBrace) -> SeriesChain:
     """Gamma_1 = A, Gamma_{n+1} generated by Gamma_n*A, A*Gamma_n, [A, Gamma_n]."""
-    cached = brace._cache.get("gamma_series")
-    if cached is not None:
-        return cached
-    if isinstance(brace, BCBrace):
-        chain = formula.pairs_to_chain(brace, "gamma", formula.bc_gamma_chain(brace), 1, False)
-    else:
-        whole = full_set(brace.order)
 
-        def step(terms: list[ElementSet]) -> ElementSet:
-            last = terms[-1]
-            gens = set(star_subgroup(brace, last, whole).members)
-            gens |= star_subgroup(brace, whole, last).members
-            gens |= {
-                brace.comm_dot(a, x) for a in brace.elements() for x in last.members
-            }
-            return dot_subgroup_closure(brace, gens)
+    def set_step(terms: list[ElementSet]) -> ElementSet:
+        whole, last = terms[0], terms[-1]
+        gens = set(star_subgroup(brace, last, whole).members)
+        gens |= star_subgroup(brace, whole, last).members
+        gens |= {brace.comm_dot(a, x) for a in brace.elements() for x in last.members}
+        return dot_subgroup_closure(brace, gens)
 
-        chain = _descending("gamma", brace, step)
-    brace._cache["gamma_series"] = chain
-    return chain
+    return _series(brace, "gamma", lambda terms: formula.bc_gamma_step(brace, terms), set_step)
 
 
 def gamma_prime_series(brace: SkewBrace) -> SeriesChain:
     """Gamma'_1 = A, Gamma'_{n+1} = [A, Gamma'_n]^A via the ideal commutator."""
     if not isinstance(brace, TableBrace):
         raise errors.TooLarge("the commutator-based series needs a table brace")
-    cached = brace._cache.get("gamma_prime_series")
-    if cached is not None:
-        return cached
-    whole = full_set(brace.order)
-    chain = _descending(
-        "gamma_prime", brace, lambda terms: huq_commutator(brace, whole, terms[-1])
+    return _series(
+        brace, "gamma_prime", None, lambda terms: huq_commutator(brace, terms[0], terms[-1])
     )
-    brace._cache["gamma_prime_series"] = chain
-    return chain
 
 
 def relative_gamma_series(brace: SkewBrace, ideal: ElementSet) -> SeriesChain:
@@ -276,73 +237,53 @@ def relative_gamma_series(brace: SkewBrace, ideal: ElementSet) -> SeriesChain:
         raise errors.TooLarge("the relative series needs a table brace")
     if not is_ideal(brace, ideal):
         raise errors.NotAnIdeal("relative series of a non-ideal")
-    terms = [ideal]
-    if not terms[0].is_trivial:
-        for _ in range(brace.order + 1):
-            nxt = huq_commutator(brace, ideal, terms[-1])
-            terms.append(nxt)
-            if nxt == terms[-2] or nxt.is_trivial:
-                break
-        else:
-            raise AssertionError("relative series failed to stabilize")
-    return _wrap("relative_gamma", terms, 1, terminal_full=False)
+    return run_chain(
+        "relative_gamma", ideal, lambda terms: huq_commutator(brace, terms[0], terms[-1])
+    )
 
 
 def zeta_dot_series(brace: SkewBrace) -> SeriesChain:
     """Upper central series of (A, .), on either backing."""
-    cached = brace._cache.get("zeta_dot")
-    if cached is not None:
-        return cached
-    if isinstance(brace, BCBrace):
-        chain = formula.pairs_to_chain(
-            brace, "group_upper", formula.bc_zeta_dot_chain(brace), 0, True
-        )
-    else:
-        chain = upper_central_series(brace.dot_group)
-    brace._cache["zeta_dot"] = chain
-    return chain
+    return _series(
+        brace,
+        "group_upper",
+        lambda terms: formula.bc_zeta_dot_step(brace, terms[-1]),
+        lambda terms: upper_central_step(brace.dot_group, terms[-1]),
+        ascending=True,
+        key="zeta_dot",
+    )
 
 
 def zeta_circ_series(brace: SkewBrace) -> SeriesChain:
-    cached = brace._cache.get("zeta_circ")
-    if cached is not None:
-        return cached
-    if isinstance(brace, BCBrace):
-        chain = formula.pairs_to_chain(
-            brace, "group_upper", formula.bc_zeta_circ_chain(brace), 0, True
-        )
-    else:
-        chain = upper_central_series(brace.circ_group)
-    brace._cache["zeta_circ"] = chain
-    return chain
+    return _series(
+        brace,
+        "group_upper",
+        lambda terms: formula.bc_zeta_circ_step(brace, terms[-1]),
+        lambda terms: upper_central_step(brace.circ_group, terms[-1]),
+        ascending=True,
+        key="zeta_circ",
+    )
 
 
 def gamma_dot_series(brace: SkewBrace) -> SeriesChain:
-    cached = brace._cache.get("gamma_dot")
-    if cached is not None:
-        return cached
-    if isinstance(brace, BCBrace):
-        chain = formula.pairs_to_chain(
-            brace, "group_lower", formula.bc_gamma_dot_chain(brace), 1, False
-        )
-    else:
-        chain = lower_central_series(brace.dot_group)
-    brace._cache["gamma_dot"] = chain
-    return chain
+    """Lower central series of (A, .), on either backing."""
+    return _series(
+        brace,
+        "group_lower",
+        lambda terms: formula.bc_gamma_dot_step(brace, terms),
+        lambda terms: commutator_set(brace.dot_group, terms[0], terms[-1]),
+        key="gamma_dot",
+    )
 
 
 def gamma_circ_series(brace: SkewBrace) -> SeriesChain:
-    cached = brace._cache.get("gamma_circ")
-    if cached is not None:
-        return cached
-    if isinstance(brace, BCBrace):
-        chain = formula.pairs_to_chain(
-            brace, "group_lower", formula.bc_gamma_circ_chain(brace), 1, False
-        )
-    else:
-        chain = lower_central_series(brace.circ_group)
-    brace._cache["gamma_circ"] = chain
-    return chain
+    return _series(
+        brace,
+        "group_lower",
+        lambda terms: formula.bc_gamma_circ_step(brace, terms),
+        lambda terms: commutator_set(brace.circ_group, terms[0], terms[-1]),
+        key="gamma_circ",
+    )
 
 
 ALL_SERIES = {

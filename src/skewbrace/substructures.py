@@ -31,23 +31,26 @@ def _pair_of(brace: SkewBrace, s: ElementSet) -> PairSpace | None:
     return None
 
 
+class _DotRows:
+    """A dot table stand-in for `subgroup_closure` on braces without tables:
+    row x maps each generator h to x . h, built when x is visited."""
+
+    def __init__(self, brace: SkewBrace, gens: set[int]):
+        self.order = brace.order
+        self.mul = self
+        self._dot = brace.dot
+        self._gens = gens
+
+    def __getitem__(self, x: int) -> dict[int, int]:
+        return {h: self._dot(x, h) for h in self._gens}
+
+
 def dot_subgroup_closure(brace: SkewBrace, gens: Iterable[int]) -> ElementSet:
     """Closure under the dot product, via the table when one is present."""
     if isinstance(brace, TableBrace):
         return subgroup_closure(brace.dot_group, gens)
-    seen = {0}
-    gen_list = sorted(set(gens) | {0})
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for h in gen_list:
-                y = brace.dot(x, h)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return make_set(seen, brace.order)
+    gens = set(gens) | {0}
+    return subgroup_closure(_DotRows(brace, gens), gens)
 
 
 def _is_dot_subgroup(brace: SkewBrace, members: frozenset[int]) -> bool:
@@ -120,10 +123,6 @@ def star_subgroup(brace: SkewBrace, x: ElementSet, y: ElementSet) -> ElementSet:
         raise errors.TooLarge("star subgroup needs product structure at this size")
     values = {brace.star(a, b) for a in xm for b in ym}
     return dot_subgroup_closure(brace, values)
-
-
-def generating_set(brace: SkewBrace) -> tuple[int, ...]:
-    return brace.generators()
 
 
 def ideal_closure(brace: SkewBrace, seed: Iterable[int] | ElementSet) -> ElementSet:

@@ -81,7 +81,7 @@ def test_verify_all_suites_pass(tmp_path, capsys):
 
 def test_verify_threaded(tmp_path, capsys):
     path = write_spec(tmp_path, PQ_SPEC)
-    code, report = run_json(capsys, ["verify", path, "--json", "--threads", "4"])
+    code, report = run_json(capsys, ["verify", path, "--json", "--suite", "all"])
     assert code == 0 and report["passed"]
 
 

@@ -184,6 +184,27 @@ def test_series_match_materialized_tables(make):
 
 
 @pytest.mark.parametrize("make", [bc16, bc81])
+def test_star_subgroup_without_pairs_matches_tables(make):
+    """Sets stripped of their PairSpace take the generic star path, whose dot
+    closure builds each visited row from `dot` instead of reading a table."""
+    brace = make()
+    table = sb.materialize_table_brace(brace)
+    terms = {
+        sb.groups.make_set(term.members, brace.order)
+        for fn in (sb.left_series, sb.right_series, sb.socle_series, sb.gamma_series)
+        for term in fn(brace).terms
+    }
+    assert len(terms) >= 3
+    grown = 0
+    for x in terms:
+        for y in terms:
+            fast = sb.star_subgroup(brace, x, y)
+            assert fast == sb.star_subgroup(table, x, y)
+            grown += len(fast) > 1
+    assert grown > 0
+
+
+@pytest.mark.parametrize("make", [bc16, bc81])
 def test_ideal_predicates_match_tables(make):
     brace = make()
     table = sb.materialize_table_brace(brace)

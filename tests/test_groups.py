@@ -250,3 +250,39 @@ def test_builtin_group_names():
     assert not sb.builtin_group("Q8").is_abelian()
     with pytest.raises(errors.ParseError):
         sb.builtin_group("nope")
+
+
+@pytest.mark.parametrize("ascending", [False, True])
+def test_run_chain_raises_algebra_error_when_steps_alternate(ascending):
+    a = sb.groups.make_set({0, 1}, 4)
+    b = sb.groups.make_set({0, 2}, 4)
+    with pytest.raises(errors.AlgebraError, match="failed to stabilize"):
+        sb.groups.run_chain("flip", a, lambda terms: b if terms[-1] == a else a, ascending)
+
+
+@pytest.mark.parametrize("ascending", [False, True])
+def test_run_chain_terminal_start_takes_no_step(ascending):
+    def step(terms):
+        raise AssertionError("a terminal start needs no step")
+
+    one = sb.groups.full_set(1)
+    chain = sb.groups.run_chain("k", one, step, ascending)
+    start = 0 if ascending else 1
+    assert chain.terms == (one,)
+    assert (chain.start_index, chain.stabilized_at, chain.reaches_terminal) == (start, start, True)
+
+
+def test_order_one_chains_are_terminal_at_the_start():
+    brace = sb.build_trivial(sb.cyclic(1))
+    chains = [
+        (sb.lower_central_series(sb.cyclic(1)), 1),
+        (sb.upper_central_series(sb.cyclic(1)), 0),
+        (sb.left_series(brace), 1),
+        (sb.smoktunowicz_series(brace), 1),
+        (sb.socle_series(brace), 0),
+        (sb.annihilator_series(brace), 0),
+    ]
+    for chain, start in chains:
+        assert len(chain) == 1 and chain.reaches_terminal, chain.kind
+        assert chain.start_index == chain.stabilized_at == start, chain.kind
+        assert chain.terminal_class() == start, chain.kind
