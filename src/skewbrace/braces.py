@@ -15,6 +15,7 @@ from . import errors
 from .groups import GroupTable, greedy_generators, validate_group
 
 DEFAULT_SEED = 1729
+WARM_TABLES_MAX_ORDER = 256  # largest brace whose lambda and star tables are kept
 
 
 class SkewBrace:
@@ -129,9 +130,9 @@ class TableBrace(SkewBrace):
             return self._star_table[a][b]
         return self.dot_group.mul[self.lam(a, b)][self.dot_group.inv[b]]
 
-    def warm_tables(self, limit: int = 256) -> None:
+    def warm_tables(self) -> None:
         """Materialize lambda and star tables for repeated sweeps."""
-        if self.order > limit or self._star_table is not None:
+        if self.order > WARM_TABLES_MAX_ORDER or self._star_table is not None:
             return
         n = self.order
         self._lam_table = tuple(

@@ -139,6 +139,8 @@ def brace_from_spec(spec: dict) -> SkewBrace:
             return make_counterexample_F(spec["p"])
     except KeyError as exc:
         raise errors.ParseError(f"brace spec of kind {kind!r} misses field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise errors.ParseError(f"brace spec of kind {kind!r} has a malformed field: {exc}") from exc
     raise errors.ParseError(f"unknown brace kind {kind!r}")
 
 

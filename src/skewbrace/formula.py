@@ -46,6 +46,7 @@ from .fp import (
 from .groups import ElementSet
 
 SIZE_CAP = 20_000  # per-component enumeration bound p^d
+MATERIALIZE_MAX_ORDER = 256  # largest formula brace expanded into tables
 
 
 @dataclass(frozen=True)
@@ -394,10 +395,10 @@ def validate_formula_brace(brace: BCBrace, samples: int = 100_000, seed: int = D
     return {"passed": True, "checked": checked, "seed": seed}
 
 
-def materialize_table_brace(brace: BCBrace, limit: int = 256) -> TableBrace:
+def materialize_table_brace(brace: BCBrace) -> TableBrace:
     """Expand a small formula brace into fully validated Cayley tables."""
-    if brace.order > limit:
-        raise errors.TooLarge(f"table materialization capped at order {limit}")
+    if brace.order > MATERIALIZE_MAX_ORDER:
+        raise errors.TooLarge(f"table materialization capped at order {MATERIALIZE_MAX_ORDER}")
     n = brace.order
     pairs = [brace.decode(i) for i in range(n)]
     dot_rows = [

@@ -14,6 +14,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from . import errors
 
 Table = tuple[tuple[int, ...], ...]
+SUBGROUPS_MAX_ORDER = 64  # largest group whose subgroups are enumerated
 
 
 @dataclass(frozen=True)
@@ -326,22 +327,23 @@ def lower_central_series(g: GroupTable) -> SeriesChain:
     )
 
 
-def upper_central_step(g: GroupTable, prev: ElementSet) -> ElementSet:
-    """The lifted predicate x in zeta_{n+1} iff all [x, a] land in zeta_n;
-    quotients are never materialized."""
+def lifted_step(order: int, maps, prev: ElementSet) -> ElementSet:
+    """Keep x iff every f(x, a) lands in `prev`, dropping x at its first
+    escaping value: an ascending series step that builds no quotient."""
     inside = prev.members
+    carrier = range(order)
     return make_set(
-        (x for x in g.elements() if all(g.comm(x, a) in inside for a in g.elements())),
-        g.order,
+        (x for x in carrier if all(f(x, a) in inside for a in carrier for f in maps)),
+        order,
     )
 
 
 def upper_central_series(g: GroupTable) -> SeriesChain:
-    """zeta_0 = 1, zeta_{n+1} from `upper_central_step`."""
+    """zeta_0 = 1, zeta_{n+1} = {x : every [x, a] lies in zeta_n}."""
     return run_chain(
         "group_upper",
         trivial_set(g.order),
-        lambda terms: upper_central_step(g, terms[-1]),
+        lambda terms: lifted_step(g.order, (g.comm,), terms[-1]),
         ascending=True,
     )
 
@@ -370,10 +372,10 @@ def check_group_central_inclusion(g: GroupTable, n: int, k: int) -> dict:
     return {"holds": True, "witness": None}
 
 
-def all_subgroups(g: GroupTable, max_order: int = 64) -> list[ElementSet]:
+def all_subgroups(g: GroupTable) -> list[ElementSet]:
     """Every subgroup, by closure of extensions; gated to small groups."""
-    if g.order > max_order:
-        raise errors.TooLarge(f"subgroup enumeration capped at order {max_order}")
+    if g.order > SUBGROUPS_MAX_ORDER:
+        raise errors.TooLarge(f"subgroup enumeration capped at order {SUBGROUPS_MAX_ORDER}")
     found: dict[frozenset[int], ElementSet] = {}
     start = subgroup_closure(g, ())
     queue = [start]

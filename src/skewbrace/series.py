@@ -22,14 +22,13 @@ from .groups import (
     SeriesChain,
     commutator_set,
     full_set,
-    make_set,
+    lifted_step,
     run_chain,
     trivial_set,
-    upper_central_step,
 )
 from .substructures import (
+    _commutator,
     dot_subgroup_closure,
-    huq_commutator,
     is_ideal,
     quotient_brace,
     star_subgroup,
@@ -120,7 +119,7 @@ def socle(brace: SkewBrace) -> ElementSet:
         brace,
         "socle",
         lambda: brace.pair_to_set(formula.bc_socle_step(brace, brace.trivial_pair())),
-        lambda: _socle_step_table(brace, trivial_set(brace.order)),
+        lambda: _table_lifted_step(brace, trivial_set(brace.order), brace.star, brace.comm_dot),
     )
 
 
@@ -130,42 +129,16 @@ def annihilator(brace: SkewBrace) -> ElementSet:
         brace,
         "annihilator",
         lambda: brace.pair_to_set(formula.bc_annihilator_step(brace, brace.trivial_pair())),
-        lambda: _annihilator_step_table(brace, trivial_set(brace.order)),
+        lambda: _table_lifted_step(
+            brace, trivial_set(brace.order), brace.star, brace.comm_dot, brace.comm_circ
+        ),
     )
 
 
-def _socle_step_table(brace: TableBrace, prev: ElementSet) -> ElementSet:
+def _table_lifted_step(brace: TableBrace, prev: ElementSet, *maps) -> ElementSet:
+    """`groups.lifted_step` over the carrier, with the star and lambda tables warm."""
     brace.warm_tables()
-    inside = prev.members
-    keep = []
-    for x in brace.elements():
-        ok = True
-        for a in brace.elements():
-            if brace.star(x, a) not in inside or brace.comm_dot(x, a) not in inside:
-                ok = False
-                break
-        if ok:
-            keep.append(x)
-    return make_set(keep, brace.order)
-
-
-def _annihilator_step_table(brace: TableBrace, prev: ElementSet) -> ElementSet:
-    brace.warm_tables()
-    inside = prev.members
-    keep = []
-    for x in brace.elements():
-        ok = True
-        for a in brace.elements():
-            if (
-                brace.star(x, a) not in inside
-                or brace.comm_dot(x, a) not in inside
-                or brace.comm_circ(x, a) not in inside
-            ):
-                ok = False
-                break
-        if ok:
-            keep.append(x)
-    return make_set(keep, brace.order)
+    return lifted_step(brace.order, maps, prev)
 
 
 def socle_series(brace: SkewBrace) -> SeriesChain:
@@ -175,7 +148,7 @@ def socle_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "socle",
         lambda terms: formula.bc_socle_step(brace, terms[-1]),
-        lambda terms: _socle_step_table(brace, terms[-1]),
+        lambda terms: _table_lifted_step(brace, terms[-1], brace.star, brace.comm_dot),
         ascending=True,
     )
 
@@ -185,7 +158,9 @@ def annihilator_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "annihilator",
         lambda terms: formula.bc_annihilator_step(brace, terms[-1]),
-        lambda terms: _annihilator_step_table(brace, terms[-1]),
+        lambda terms: _table_lifted_step(
+            brace, terms[-1], brace.star, brace.comm_dot, brace.comm_circ
+        ),
         ascending=True,
     )
 
@@ -227,18 +202,19 @@ def gamma_prime_series(brace: SkewBrace) -> SeriesChain:
     if not isinstance(brace, TableBrace):
         raise errors.TooLarge("the commutator-based series needs a table brace")
     return _series(
-        brace, "gamma_prime", None, lambda terms: huq_commutator(brace, terms[0], terms[-1])
+        brace, "gamma_prime", None, lambda terms: _commutator(brace, terms[0], terms[-1])
     )
 
 
 def relative_gamma_series(brace: SkewBrace, ideal: ElementSet) -> SeriesChain:
-    """Gamma_1(I)^A = I, Gamma_{n+1}(I)^A = [I, Gamma_n(I)^A]^A."""
+    """Gamma_1(I)^A = I, Gamma_{n+1}(I)^A = [I, Gamma_n(I)^A]^A; I is checked
+    here, each later term is an ideal closure."""
     if not isinstance(brace, TableBrace):
         raise errors.TooLarge("the relative series needs a table brace")
     if not is_ideal(brace, ideal):
         raise errors.NotAnIdeal("relative series of a non-ideal")
     return run_chain(
-        "relative_gamma", ideal, lambda terms: huq_commutator(brace, terms[0], terms[-1])
+        "relative_gamma", ideal, lambda terms: _commutator(brace, terms[0], terms[-1])
     )
 
 
@@ -248,7 +224,7 @@ def zeta_dot_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "group_upper",
         lambda terms: formula.bc_zeta_dot_step(brace, terms[-1]),
-        lambda terms: upper_central_step(brace.dot_group, terms[-1]),
+        lambda terms: lifted_step(brace.order, (brace.dot_group.comm,), terms[-1]),
         ascending=True,
         key="zeta_dot",
     )
@@ -259,7 +235,7 @@ def zeta_circ_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "group_upper",
         lambda terms: formula.bc_zeta_circ_step(brace, terms[-1]),
-        lambda terms: upper_central_step(brace.circ_group, terms[-1]),
+        lambda terms: lifted_step(brace.order, (brace.circ_group.comm,), terms[-1]),
         ascending=True,
         key="zeta_circ",
     )

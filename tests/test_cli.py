@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 import skewbrace as sb
 from skewbrace.cli import main
 
@@ -55,6 +57,22 @@ def test_analyze_with_inclusion_checks(tmp_path, capsys):
 
 def test_analyze_missing_file_is_parse_error(capsys):
     assert main(["analyze", "/nonexistent.json"]) == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "pq", "p": "x", "q": 2, "k": 2, "variant": "i"},
+        {"kind": "tables", "dot": 5, "circ": 5},
+        {"kind": "tables", "dot": [[0, 1], [1, "a"]], "circ": [[0, 1], [1, 0]]},
+    ],
+    ids=["pq_str_prime", "tables_int", "tables_str_entry"],
+)
+def test_analyze_malformed_field_is_parse_error(tmp_path, capsys, spec):
+    assert main(["analyze", write_spec(tmp_path, spec)]) == 1
+    err = capsys.readouterr().err
+    assert "parse error" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_invalid_table_exits_2(tmp_path, capsys):

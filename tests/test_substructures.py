@@ -132,17 +132,38 @@ def test_huq_commutator_rejects_non_ideal(groups):
         sb.huq_commutator(brace, two_element_subgroup(groups["S3"]), sb.groups.full_set(6))
 
 
-def test_huq_commutator_symmetry_across_ideal_pairs(catalog):
-    """Both presentations and the swap agree; checked inside the call."""
-    for name, brace in catalog:
-        if brace.order > 10 or brace.backing != "table":
-            continue
+def test_huq_commutator_symmetry_across_ideal_pairs(catalog, corpus8):
+    """The presentation via [I,J], I*J, J*I and the swapped arguments agree
+    with huq_commutator on every ideal pair; the library computes only one."""
+    tables = [(name, b) for name, b in catalog if b.backing == "table"]
+    for name, brace in tables + corpus8:
         ideals = sb.enumerate_ideals(brace)
         for i in ideals:
             for j in ideals:
                 left = sb.huq_commutator(brace, i, j)
                 right = sb.huq_commutator(brace, j, i)
                 assert left.members == right.members, name
+                alt = set()
+                for x in i.members:
+                    for y in j.members:
+                        alt |= {brace.comm_dot(x, y), brace.star(x, y), brace.star(y, x)}
+                assert sb.ideal_closure(brace, alt) == left, name
+
+
+def test_ideal_predicates_match_whole_carrier(corpus8):
+    """Quantifying over generators agrees with quantifying over every element."""
+    for name, brace in corpus8:
+        carrier = brace.elements()
+        for s in sb.groups.all_subgroups(brace.dot_group):
+            m = s.members
+            left = all(brace.lam(a, x) in m for a in carrier for x in m)
+            ideal = left and all(
+                brace.conj_dot(a, x) in m and brace.conj_circ(a, x) in m
+                for a in carrier
+                for x in m
+            )
+            assert sb.is_left_ideal(brace, s) == left, name
+            assert sb.is_ideal(brace, s) == ideal, name
 
 
 def test_quotient_brace_pq_by_socle():
