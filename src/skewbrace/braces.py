@@ -207,11 +207,6 @@ def validate_brace(dot: GroupTable | Sequence[Sequence[int]], circ: GroupTable |
     return TableBrace(dot_g, circ_g)
 
 
-def table_brace_trusted(dot_g: GroupTable, circ_g: GroupTable) -> TableBrace:
-    """Wrap two tables known to form a brace (quotients, relabelings)."""
-    return TableBrace(dot_g, circ_g)
-
-
 def build_trivial(g: GroupTable) -> TableBrace:
     """The brace with circ equal to dot."""
     return TableBrace(g, g)
@@ -311,15 +306,14 @@ def check_identities(brace: SkewBrace, samples: int = 100_000, seed: int = DEFAU
     Table braces are checked on all triples; formula braces on `samples`
     seeded random triples plus every triple from the generating set.
     """
-    if brace.backing == "table":
+    if isinstance(brace, TableBrace):
+        brace.warm_tables()
         triples = (
             (a, x, y)
             for a in brace.elements()
             for x in brace.elements()
             for y in brace.elements()
         )
-        if isinstance(brace, TableBrace):
-            brace.warm_tables()
         return _run_identity_suite(brace, triples)
 
     gens = brace.generators()

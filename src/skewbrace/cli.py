@@ -339,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except (errors.TooLarge, errors.QuotientTooLarge) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return 3
     except errors.AlgebraError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,12 @@ factor through the two components, and subgroup generation reduces to span
 plus closure under the phi action. This module supplies the chain steps on
 `PairSpace` terms; `series` runs them through `groups.run_chain`, the same
 driver the table steps use, and turns each term into an element set once at
-the end. The small-order regression tests compare all of these fast paths
-against the generic table machinery.
+the end. The four ascending chains (socle, annihilator and both upper central
+series) share one lifted step, `bc_lifted_step`, the pair-space form of
+`groups.lifted_step`. Every condition on a product subspace is either "a
+subspace is invariant under these matrices" (`_invariant`) or "the columns of
+a matrix lie in a subspace" (`_cols_in`). The small-order regression tests
+compare all of these fast paths against the generic table machinery.
 """
 
 from __future__ import annotations
@@ -303,49 +307,38 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     """
     if not is_prime(p):
         raise errors.BadPrime(f"{p} is not prime")
-    phi_basis = tuple(tuple(tuple(int(x) % p for x in row) for row in m) for m in phi_basis)
-    psi_basis = tuple(tuple(tuple(int(x) % p for x in row) for row in m) for m in psi_basis)
+    phi_basis, psi_basis = (
+        tuple(tuple(tuple(int(x) % p for x in row) for row in m) for m in family)
+        for family in (phi_basis, psi_basis)
+    )
     d_c, d_b = len(phi_basis), len(psi_basis)
     if d_b < 1 or d_c < 1:
         raise errors.BadParameters("both factors need dimension >= 1")
     if p**d_b > SIZE_CAP or p**d_c > SIZE_CAP:
         raise errors.TooLarge(f"component enumeration capped at {SIZE_CAP} elements")
-    for m in phi_basis:
-        if len(m) != d_b or any(len(row) != d_b for row in m):
-            raise errors.ParseError("phi matrices must be d_b x d_b")
-        if not mat_is_invertible(m, p):
-            raise errors.NotInvertible("a phi basis matrix is singular")
-        if _pow_small(m, p, p) != mat_identity(d_b):
-            raise errors.BadParameters(
-                "a phi basis matrix has order not dividing p, so the action "
-                "is not a homomorphism from the exponent-p group"
-            )
-    for m in psi_basis:
-        if len(m) != d_c or any(len(row) != d_c for row in m):
-            raise errors.ParseError("psi matrices must be d_c x d_c")
-        if not mat_is_invertible(m, p):
-            raise errors.NotInvertible("a psi basis matrix is singular")
-        if _pow_small(m, p, p) != mat_identity(d_c):
-            raise errors.BadParameters(
-                "a psi basis matrix has order not dividing p, so the action "
-                "is not a homomorphism from the exponent-p group"
-            )
-    for a, b in itertools.combinations(phi_basis, 2):
-        if not mats_commute(a, b, p):
-            raise errors.NonCommutingFamily("phi basis matrices do not commute")
-    for a, b in itertools.combinations(psi_basis, 2):
-        if not mats_commute(a, b, p):
-            raise errors.NonCommutingFamily("psi basis matrices do not commute")
+    families = (("phi", phi_basis, d_b, "d_b"), ("psi", psi_basis, d_c, "d_c"))
+    for name, family, dim, label in families:
+        for m in family:
+            if len(m) != dim or any(len(row) != dim for row in m):
+                raise errors.ParseError(f"{name} matrices must be {label} x {label}")
+            if not mat_is_invertible(m, p):
+                raise errors.NotInvertible(f"a {name} basis matrix is singular")
+            if _pow_small(m, p, p) != mat_identity(dim):
+                raise errors.BadParameters(
+                    f"a {name} basis matrix has order not dividing p, so the action "
+                    "is not a homomorphism from the exponent-p group"
+                )
+    for name, family, _, _ in families:
+        for a, b in itertools.combinations(family, 2):
+            if not mats_commute(a, b, p):
+                raise errors.NonCommutingFamily(f"{name} basis matrices do not commute")
 
     brace = BCBrace(p, phi_basis, psi_basis)
     kernel = brace.ker_phi()
     ident = mat_identity(d_c)
     for i, m in enumerate(psi_basis):
-        diff = mat_sub(m, ident, p)
-        image_cols = [tuple(row[j] for row in diff) for j in range(d_c)]
-        for col in image_cols:
-            if not kernel.contains(col):
-                raise errors.ConditionViolated(i, "Im(psi_b - id) escapes ker(phi)")
+        if not _cols_in(mat_sub(m, ident, p), kernel):
+            raise errors.ConditionViolated(i, "Im(psi_b - id) escapes ker(phi)")
     return brace
 
 
@@ -416,13 +409,14 @@ def materialize_table_brace(brace: BCBrace) -> TableBrace:
 # Set-level operations on product subspaces.
 
 
-def _assert_invariant(space: Subspace, mats: list[Mat], what: str) -> None:
-    for m in mats:
-        for v in space.basis:
-            if not space.contains(mat_vec(m, v, space.p)):
-                raise errors.AlgebraError(
-                    f"internal: {what} expected to be action-invariant"
-                )
+def _invariant(space: Subspace, mats) -> bool:
+    """m(space) <= space for every m in `mats`, tested on the basis."""
+    return all(space.contains(mat_vec(m, v, space.p)) for m in mats for v in space.basis)
+
+
+def _cols_in(m: Mat, space: Subspace) -> bool:
+    """Every column of m lies in `space`, so Im(m) <= space."""
+    return all(space.contains(col) for col in zip(*m))
 
 
 def close_pair(brace: BCBrace, b_span: Subspace, c_span: Subspace) -> PairSpace:
@@ -526,94 +520,56 @@ def bc_smoktunowicz_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
     return _union_close(brace, [star_span(brace, terms[i], terms[n - 1 - i]) for i in range(n)])
 
 
-def bc_socle_step(brace: BCBrace, prev: PairSpace) -> PairSpace:
-    """Lifted socle predicate on one step, exploiting the product structure."""
+def bc_lifted_step(brace: BCBrace, prev: PairSpace, maps) -> PairSpace:
+    """Pair-space form of `groups.lifted_step`: keep x iff every f(x, a)
+    lies in `prev`, for f named in `maps` (a subset of "star", "comm_dot",
+    "comm_circ").
+
+    The kept set is a product, so (b, 0) and (0, c) are tested apart and each
+    map adds its conditions on either component once. The commutator
+    conditions quantify over generators, which needs `prev.b` phi-invariant
+    for "comm_dot" and `prev.c` psi-invariant for "comm_circ"; the terms of
+    these chains are normal in the group concerned, so a failure is internal.
+    """
     p = brace.p
-    _assert_invariant(prev.b, [brace.phi(unit_vec(brace.d_c, j)) for j in range(brace.d_c)], "socle B part")
-    ident_b = mat_identity(brace.d_b)
-    ident_c = mat_identity(brace.d_c)
-    phi_diffs = [
-        mat_sub(ident_b, brace.phi(unit_vec(brace.d_c, j)), p)
-        for j in range(brace.d_c)
-    ]
+    ident_b, ident_c = mat_identity(brace.d_b), mat_identity(brace.d_c)
+    b_tests, c_tests = [], []
+    if "star" in maps or "comm_circ" in maps:
+        # (b, 0) * (u, v) and [(b, 0), (u, v)]_o are (0, (psi_b - id) v).
+        b_tests.append(lambda b: _cols_in(mat_sub(brace.psi(b), ident_c, p), prev.c))
+    if "comm_dot" in maps:
+        if not _invariant(prev.b, brace.phi_basis):
+            raise errors.AlgebraError("internal: lifted B part expected to be phi-invariant")
+        # [(b, 0), (u, e_j)] = ((id - phi_{e_j}) b, 0); [(0, c), (u, v)] = ((phi_c - id) u, 0).
+        dot_diffs = [mat_sub(ident_b, m, p) for m in brace.phi_basis]
+        b_tests.append(lambda b: all(prev.b.contains(mat_vec(d, b, p)) for d in dot_diffs))
+        c_tests.append(lambda c: _cols_in(mat_sub(brace.phi(c), ident_b, p), prev.b))
+    if "star" in maps:
+        # (0, c) * (u, v) = ((phi_{-c} - id) u, 0).
+        c_tests.append(lambda c: _cols_in(mat_sub(brace.phi(vec_neg(c, p)), ident_b, p), prev.b))
+    if "comm_circ" in maps:
+        if not _invariant(prev.c, brace.psi_basis):
+            raise errors.AlgebraError("internal: lifted C part expected to be psi-invariant")
+        # [(0, c), (e_i, v)]_o = (0, -(psi_{e_i} - id) c).
+        circ_diffs = [mat_sub(m, ident_c, p) for m in brace.psi_basis]
+        c_tests.append(lambda c: all(prev.c.contains(mat_vec(d, c, p)) for d in circ_diffs))
+    return _pass_sets(brace, b_tests, c_tests)
 
-    def b_ok(b: Vec) -> bool:
-        diff = mat_sub(brace.psi(b), ident_c, p)
-        for j in range(brace.d_c):
-            col = tuple(row[j] for row in diff)
-            if not prev.c.contains(col):
-                return False
-        return all(prev.b.contains(mat_vec(d, b, p)) for d in phi_diffs)
 
-    def c_ok(c: Vec) -> bool:
-        for cc in (c, vec_neg(c, p)):
-            diff = mat_sub(brace.phi(cc), ident_b, p)
-            for j in range(brace.d_b):
-                col = tuple(row[j] for row in diff)
-                if not prev.b.contains(col):
-                    return False
-        return True
-
-    return _pass_sets(brace, b_ok, c_ok)
+def bc_socle_step(brace: BCBrace, prev: PairSpace) -> PairSpace:
+    return bc_lifted_step(brace, prev, {"star", "comm_dot"})
 
 
 def bc_annihilator_step(brace: BCBrace, prev: PairSpace) -> PairSpace:
-    """Lifted annihilator predicate: socle conditions plus circ-centrality."""
-    p = brace.p
-    _assert_invariant(prev.c, [brace.psi(unit_vec(brace.d_b, i)) for i in range(brace.d_b)], "annihilator C part")
-    socle = bc_socle_step(brace, prev)
-    ident_c = mat_identity(brace.d_c)
-    psi_diffs = [
-        mat_sub(brace.psi(unit_vec(brace.d_b, i)), ident_c, p)
-        for i in range(brace.d_b)
-    ]
-
-    def c_ok(c: Vec) -> bool:
-        return socle.c.contains(c) and all(
-            prev.c.contains(mat_vec(d, c, p)) for d in psi_diffs
-        )
-
-    return _pass_sets(brace, socle.b.contains, c_ok)
+    return bc_lifted_step(brace, prev, {"star", "comm_dot", "comm_circ"})
 
 
 def bc_zeta_dot_step(brace: BCBrace, prev: PairSpace) -> PairSpace:
-    p = brace.p
-    ident_b = mat_identity(brace.d_b)
-    phi_diffs = [
-        mat_sub(ident_b, brace.phi(unit_vec(brace.d_c, j)), p)
-        for j in range(brace.d_c)
-    ]
-
-    def b_ok(b: Vec) -> bool:
-        return all(prev.b.contains(mat_vec(d, b, p)) for d in phi_diffs)
-
-    def c_ok(c: Vec) -> bool:
-        diff = mat_sub(brace.phi(c), ident_b, p)
-        return all(
-            prev.b.contains(tuple(row[j] for row in diff)) for j in range(brace.d_b)
-        )
-
-    return _pass_sets(brace, b_ok, c_ok)
+    return bc_lifted_step(brace, prev, {"comm_dot"})
 
 
 def bc_zeta_circ_step(brace: BCBrace, prev: PairSpace) -> PairSpace:
-    p = brace.p
-    ident_c = mat_identity(brace.d_c)
-    psi_diffs = [
-        mat_sub(brace.psi(unit_vec(brace.d_b, i)), ident_c, p)
-        for i in range(brace.d_b)
-    ]
-
-    def b_ok(b: Vec) -> bool:
-        diff = mat_sub(brace.psi(b), ident_c, p)
-        return all(
-            prev.c.contains(tuple(row[j] for row in diff)) for j in range(brace.d_c)
-        )
-
-    def c_ok(c: Vec) -> bool:
-        return all(prev.c.contains(mat_vec(d, c, p)) for d in psi_diffs)
-
-    return _pass_sets(brace, b_ok, c_ok)
+    return bc_lifted_step(brace, prev, {"comm_circ"})
 
 
 def bc_gamma_dot_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
@@ -626,10 +582,10 @@ def bc_gamma_circ_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
     return PairSpace(Subspace.zero(brace.p, brace.d_b), span)
 
 
-def _pass_sets(brace: BCBrace, b_ok, c_ok) -> PairSpace:
+def _pass_sets(brace: BCBrace, b_tests, c_tests) -> PairSpace:
     p = brace.p
-    b_pass = [b for b in _all_vecs(p, brace.d_b) if b_ok(b)]
-    c_pass = [c for c in _all_vecs(p, brace.d_c) if c_ok(c)]
+    b_pass = [b for b in _all_vecs(p, brace.d_b) if all(t(b) for t in b_tests)]
+    c_pass = [c for c in _all_vecs(p, brace.d_c) if all(t(c) for t in c_tests)]
     b_space = Subspace.from_vectors(p, brace.d_b, b_pass)
     c_space = Subspace.from_vectors(p, brace.d_c, c_pass)
     if b_space.size != len(b_pass) or c_space.size != len(c_pass):
@@ -642,59 +598,32 @@ def _pass_sets(brace: BCBrace, b_ok, c_ok) -> PairSpace:
 
 
 def bc_is_dot_subgroup(brace: BCBrace, pair: PairSpace) -> bool:
-    p = brace.p
-    return all(
-        pair.b.contains(mat_vec(brace.phi(v), u, p))
-        for v in pair.c.basis
-        for u in pair.b.basis
-    )
+    return _invariant(pair.b, [brace.phi(v) for v in pair.c.basis])
 
 
 def bc_is_subbrace(brace: BCBrace, pair: PairSpace) -> bool:
-    p = brace.p
-    if not bc_is_dot_subgroup(brace, pair):
-        return False
-    return all(
-        pair.c.contains(mat_vec(brace.psi(u), v, p))
-        for u in pair.b.basis
-        for v in pair.c.basis
+    return bc_is_dot_subgroup(brace, pair) and _invariant(
+        pair.c, [brace.psi(u) for u in pair.b.basis]
     )
 
 
 def bc_is_left_ideal(brace: BCBrace, pair: PairSpace) -> bool:
-    p = brace.p
-    if not bc_is_dot_subgroup(brace, pair):
-        return False
-    for j in range(brace.d_c):
-        m = brace.phi(unit_vec(brace.d_c, j))
-        if not all(pair.b.contains(mat_vec(m, u, p)) for u in pair.b.basis):
-            return False
-    for i in range(brace.d_b):
-        m = brace.psi(unit_vec(brace.d_b, i))
-        if not all(pair.c.contains(mat_vec(m, v, p)) for v in pair.c.basis):
-            return False
-    return True
+    """Stable under every lambda_(b, c) = (phi_{-c}, psi_b), which also makes
+    U x V a dot subgroup."""
+    return _invariant(pair.b, brace.phi_basis) and _invariant(pair.c, brace.psi_basis)
 
 
 def bc_is_ideal(brace: BCBrace, pair: PairSpace) -> bool:
+    """Left ideal normal in both groups: conjugating (0, v) by (u, 0) in
+    (A, .) adds ((id - phi_v) u, 0), and (u, 0) by (0, v) in (A, o) adds
+    (0, (id - psi_u) v)."""
     p = brace.p
-    if not bc_is_left_ideal(brace, pair):
-        return False
-    ident_b = mat_identity(brace.d_b)
-    ident_c = mat_identity(brace.d_c)
-    # Normality in (A, .): conjugating (0, v) by (e_i, 0) adds (id - phi_v)(e_i).
-    for v in pair.c.basis:
-        diff = mat_sub(ident_b, brace.phi(v), p)
-        for i in range(brace.d_b):
-            if not pair.b.contains(mat_vec(diff, unit_vec(brace.d_b, i), p)):
-                return False
-    # Normality in (A, o): conjugating (u, 0) by (0, e_j) adds (id - psi_u)(e_j).
-    for u in pair.b.basis:
-        diff = mat_sub(ident_c, brace.psi(u), p)
-        for j in range(brace.d_c):
-            if not pair.c.contains(mat_vec(diff, unit_vec(brace.d_c, j), p)):
-                return False
-    return True
+    ident_b, ident_c = mat_identity(brace.d_b), mat_identity(brace.d_c)
+    return (
+        bc_is_left_ideal(brace, pair)
+        and all(_cols_in(mat_sub(ident_b, brace.phi(v), p), pair.b) for v in pair.c.basis)
+        and all(_cols_in(mat_sub(ident_c, brace.psi(u), p), pair.c) for u in pair.b.basis)
+    )
 
 
 def find_star_witness(brace: BCBrace, x: PairSpace, y: PairSpace, rhs: PairSpace):

@@ -255,6 +255,11 @@ def quotient_group(g: GroupTable, n: ElementSet) -> tuple[GroupTable, tuple[int,
     """
     if not is_normal(g, n):
         raise errors.NotNormal("quotient by a non-normal subgroup")
+    return _coset_table(g, n)
+
+
+def _coset_table(g: GroupTable, n: ElementSet) -> tuple[GroupTable, tuple[int, ...]]:
+    """`quotient_group` for an `n` already known to be normal."""
     mul = g.mul
     members = sorted(n.members)
     rep_of: dict[int, int] = {}
@@ -346,13 +351,6 @@ def upper_central_series(g: GroupTable) -> SeriesChain:
         lambda terms: lifted_step(g.order, (g.comm,), terms[-1]),
         ascending=True,
     )
-
-
-def group_nilpotency_class(g: GroupTable) -> int | None:
-    """Least c with gamma_{c+1} = 1, or None when G is not nilpotent."""
-    chain = lower_central_series(g)
-    cls = chain.terminal_class()
-    return None if cls is None else cls - 1
 
 
 def check_group_central_inclusion(g: GroupTable, n: int, k: int) -> dict:

@@ -4,7 +4,7 @@ the quotient-based socle variant.
 Every chain runs through `groups.run_chain`, and each series below only
 declares its step on both backings. Formula braces run the `formula` step on
 `PairSpace` terms and turn each term into an element set once at the end;
-table braces run the step here on element sets. `_cached` is the one place
+table braces run the step here on element sets. `_series` is the one place
 that memoizes on the brace and picks the backing. Descending chains stop
 when a term repeats or hits {1}; ascending chains use lifted elementwise
 predicates so no quotient is ever materialized.
@@ -35,14 +35,6 @@ from .substructures import (
 )
 
 
-def _cached(brace: SkewBrace, key: str, on_pairs, on_sets):
-    """Memoize under `key`: formula braces compute `on_pairs()`, the rest `on_sets()`."""
-    value = brace._cache.get(key)
-    if value is None:
-        value = brace._cache[key] = on_pairs() if isinstance(brace, BCBrace) else on_sets()
-    return value
-
-
 def _series(
     brace: SkewBrace,
     kind: str,
@@ -58,16 +50,18 @@ def _series(
     PairSpace terms of a formula brace, `set_step` on element sets.
     """
 
-    def on_pairs() -> SeriesChain:
-        start = brace.trivial_pair() if ascending else brace.full_pair()
-        chain = run_chain(kind, start, pair_step, ascending, plateau)
-        return replace(chain, terms=tuple(brace.pair_to_set(t) for t in chain.terms))
-
-    def on_sets() -> SeriesChain:
-        start = trivial_set(brace.order) if ascending else full_set(brace.order)
-        return run_chain(kind, start, set_step, ascending, plateau)
-
-    return _cached(brace, key or f"{kind}_series", on_pairs, on_sets)
+    key = key or f"{kind}_series"
+    chain = brace._cache.get(key)
+    if chain is None:
+        if isinstance(brace, BCBrace):
+            start = brace.trivial_pair() if ascending else brace.full_pair()
+            chain = run_chain(kind, start, pair_step, ascending, plateau)
+            chain = replace(chain, terms=tuple(brace.pair_to_set(t) for t in chain.terms))
+        else:
+            start = trivial_set(brace.order) if ascending else full_set(brace.order)
+            chain = run_chain(kind, start, set_step, ascending, plateau)
+        brace._cache[key] = chain
+    return chain
 
 
 def left_series(brace: SkewBrace) -> SeriesChain:
@@ -114,25 +108,13 @@ def smoktunowicz_series(brace: SkewBrace) -> SeriesChain:
 
 
 def socle(brace: SkewBrace) -> ElementSet:
-    """Soc(A) = ker(lambda) intersect Z(A, .)."""
-    return _cached(
-        brace,
-        "socle",
-        lambda: brace.pair_to_set(formula.bc_socle_step(brace, brace.trivial_pair())),
-        lambda: _table_lifted_step(brace, trivial_set(brace.order), brace.star, brace.comm_dot),
-    )
+    """Soc(A) = ker(lambda) intersect Z(A, .), the first socle term."""
+    return socle_series(brace).at(1)
 
 
 def annihilator(brace: SkewBrace) -> ElementSet:
-    """Ann(A) = Soc(A) intersect Z(A, o)."""
-    return _cached(
-        brace,
-        "annihilator",
-        lambda: brace.pair_to_set(formula.bc_annihilator_step(brace, brace.trivial_pair())),
-        lambda: _table_lifted_step(
-            brace, trivial_set(brace.order), brace.star, brace.comm_dot, brace.comm_circ
-        ),
-    )
+    """Ann(A) = Soc(A) intersect Z(A, o), the first annihilator term."""
+    return annihilator_series(brace).at(1)
 
 
 def _table_lifted_step(brace: TableBrace, prev: ElementSet, *maps) -> ElementSet:

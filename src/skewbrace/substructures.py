@@ -6,13 +6,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import errors, formula
-from .braces import SkewBrace, TableBrace, table_brace_trusted
+from .braces import SkewBrace, TableBrace
 from .formula import BCBrace, PairSpace
 from .groups import (
     ElementSet,
     GroupTable,
+    _coset_table,
     make_set,
-    quotient_group,
     subgroup_closure,
 )
 
@@ -184,7 +184,8 @@ def quotient_brace(brace: SkewBrace, ideal: ElementSet) -> tuple[TableBrace, tup
         raise errors.NotAnIdeal("quotient by a non-ideal")
     if brace.order // max(len(ideal), 1) > QUOTIENT_CAP:
         raise errors.QuotientTooLarge(f"quotient order exceeds {QUOTIENT_CAP}")
-    dot_q, proj = quotient_group(brace.dot_group, ideal)
+    # An ideal is normal in (A, .), so the cosets need no second check.
+    dot_q, proj = _coset_table(brace.dot_group, ideal)
     # The circ cosets coincide with the dot cosets, so reuse the projection.
     rep_by_class: list[int | None] = [None] * dot_q.order
     for x in brace.elements():
@@ -196,7 +197,7 @@ def quotient_brace(brace: SkewBrace, ideal: ElementSet) -> tuple[TableBrace, tup
         tuple(proj[brace.circ(a, b)] for b in reps) for a in reps
     )
     circ_q = GroupTable.from_trusted(circ_rows)
-    return table_brace_trusted(dot_q, circ_q), proj
+    return TableBrace(dot_q, circ_q), proj
 
 
 def product_of_ideals(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet:

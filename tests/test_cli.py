@@ -7,6 +7,7 @@ import json
 import pytest
 
 import skewbrace as sb
+from skewbrace import classify
 from skewbrace.cli import main
 
 PQ_SPEC = {"kind": "pq", "p": 3, "q": 2, "k": 2, "variant": "i"}
@@ -178,3 +179,14 @@ def test_counterexample_subcommand(capsys):
 
 def test_counterexample_bad_prime(capsys):
     assert main(["counterexample", "4", "--json"]) == 2
+
+
+def test_memory_error_is_resource_limit(monkeypatch, capsys):
+    def exhausted(p):
+        raise MemoryError
+
+    monkeypatch.setattr(classify, "verify_counterexample_F", exhausted)
+    assert main(["counterexample", "11", "--json"]) == 3
+    err = capsys.readouterr().err
+    assert "resource limit" in err
+    assert "Traceback" not in err

@@ -3,6 +3,7 @@ generic definitions, and the subspace fast paths against full tables."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import skewbrace as sb
 from skewbrace import errors, series
 from skewbrace.formula import PairSpace, span_of_units
+from skewbrace.fp import Subspace
 from tests.conftest import I2, UNI2, bc16, bc81
 
 SINGULAR = ((1, 1), (1, 1))
@@ -204,20 +206,30 @@ def test_star_subgroup_without_pairs_matches_tables(make):
     assert grown > 0
 
 
+def _subspaces(p: int, dim: int) -> set[Subspace]:
+    vecs = list(itertools.product(range(p), repeat=dim))
+    return {
+        Subspace.from_vectors(p, dim, combo)
+        for r in range(dim + 1)
+        for combo in itertools.combinations(vecs, r)
+    }
+
+
 @pytest.mark.parametrize("make", [bc16, bc81])
 def test_ideal_predicates_match_tables(make):
+    """Every U x V, series terms among them; most are not ideals."""
     brace = make()
     table = sb.materialize_table_brace(brace)
-    seen = set()
-    for fn in (sb.left_series, sb.right_series, sb.socle_series, sb.annihilator_series, sb.gamma_series):
-        for term in fn(brace).terms:
-            if term.members in seen:
-                continue
-            seen.add(term.members)
+    outcomes = {pred: set() for pred in (sb.is_subbrace, sb.is_left_ideal, sb.is_ideal)}
+    for u in _subspaces(brace.p, brace.d_b):
+        for v in _subspaces(brace.p, brace.d_c):
+            term = brace.pair_to_set(PairSpace(u, v))
             plain = sb.groups.make_set(term.members, table.order)
-            assert sb.is_left_ideal(brace, term) == sb.is_left_ideal(table, plain)
-            assert sb.is_ideal(brace, term) == sb.is_ideal(table, plain)
-            assert sb.is_subbrace(brace, term) == sb.is_subbrace(table, plain)
+            for pred, seen in outcomes.items():
+                fast = pred(brace, term)
+                assert fast == pred(table, plain), (pred.__name__, u.basis, v.basis)
+                seen.add(fast)
+    assert all(seen == {False, True} for seen in outcomes.values())
 
 
 def test_star_closed_form_matches_generic_definition(f5):
