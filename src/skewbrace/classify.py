@@ -159,7 +159,7 @@ def _inclusion_parts(brace: SkewBrace, label: str, n: int, k: int):
 def check_inclusion(brace: SkewBrace, label: str, n: int, k: int) -> dict:
     """Evaluate one of the eight inclusion relations at indices (n, k)."""
     label = label.upper()
-    if label not in INCLUSION_LABELS:
+    if len(label) != 1 or label not in INCLUSION_LABELS:
         raise errors.BadIndices(f"unknown inclusion label {label!r}")
     if n < 1 or k < 0 or k > n - 1:
         raise errors.BadIndices(f"need n >= 1 and 0 <= k <= n-1, got ({n}, {k})")

@@ -9,17 +9,19 @@ Im(psi_b - id) <= ker(phi) makes the two twisted products a skew brace:
     (b, c) o (x, y) = (b + x, c + psi_b(y))
 
 Every series on such a brace is computed on pairs of subspaces, so the
-order-p^8 instances stay tractable: set-level star products and commutators
-factor through the two components, and subgroup generation reduces to span
-plus closure under the phi action. This module supplies the chain steps on
-`PairSpace` terms; `series` runs them through `groups.run_chain`, the same
-driver the table steps use, and turns each term into an element set once at
-the end. The four ascending chains (socle, annihilator and both upper central
-series) share one lifted step, `bc_lifted_step`, the pair-space form of
-`groups.lifted_step`. Every condition on a product subspace is either "a
-subspace is invariant under these matrices" (`_invariant`) or "the columns of
-a matrix lie in a subspace" (`_cols_in`). The small-order regression tests
-compare all of these fast paths against the generic table machinery.
+order-p^8 instances stay tractable: every set-level star product, commutator,
+lifted condition and ideal test reads one of the two difference maps
+`BCBrace.dphi(c)` = phi_c - id and `BCBrace.dpsi(b)` = psi_b - id, and
+subgroup generation reduces to span plus closure under the phi action. This
+module supplies the chain steps on `PairSpace` terms; `series` runs them
+through `groups.run_chain`, the same driver the table steps use, and turns
+each term into an element set once at the end. The four ascending chains
+(socle, annihilator and both upper central series) share one lifted step,
+`bc_lifted_step`, the pair-space form of `groups.lifted_step`. Every condition
+on a product subspace is either "a subspace is invariant under these
+matrices" (`_invariant`) or "the columns of a matrix lie in a subspace"
+(`_cols_in`). The small-order regression tests compare all of these fast
+paths against the generic table machinery.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .groups import ElementSet
 
 SIZE_CAP = 20_000  # per-component enumeration bound p^d
 MATERIALIZE_MAX_ORDER = 256  # largest formula brace expanded into tables
+PAIR_SET_CAP = 2**23  # largest element set pair_to_set builds (7^8 fits, 11^8 not)
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class BCBrace(SkewBrace):
         self.order = p ** (self.d_b + self.d_c)
         self._phi: dict[Vec, Mat] = {}
         self._psi: dict[Vec, Mat] = {}
+        self._ident_b = mat_identity(self.d_b)
+        self._ident_c = mat_identity(self.d_c)
         self._phi_pows = [_power_row(m, p) for m in phi_basis]
         self._psi_pows = [_power_row(m, p) for m in psi_basis]
         self._sets: dict[tuple, ElementSet] = {}
@@ -117,6 +122,14 @@ class BCBrace(SkewBrace):
             m = _family_product(self._psi_pows, b, self.p, self.d_c)
             self._psi[b] = m
         return m
+
+    def dphi(self, c: Vec) -> Mat:
+        """phi_c - id; (0, c) * (u, 0) = (dphi(-c) u, 0)."""
+        return mat_sub(self.phi(c), self._ident_b, self.p)
+
+    def dpsi(self, b: Vec) -> Mat:
+        """psi_b - id; (b, 0) * (0, v) = (0, dpsi(b) v)."""
+        return mat_sub(self.psi(b), self._ident_c, self.p)
 
     def vdot(self, x: tuple[Vec, Vec], y: tuple[Vec, Vec]) -> tuple[Vec, Vec]:
         (b, c), (u, v) = x, y
@@ -227,35 +240,28 @@ class BCBrace(SkewBrace):
         return PairSpace(Subspace.zero(self.p, self.d_b), Subspace.zero(self.p, self.d_c))
 
     def ker_phi(self) -> Subspace:
-        cached = self._cache.get("ker_phi")
-        if cached is None:
-            ident = mat_identity(self.d_b)
-            cached = Subspace.from_vectors(
-                self.p,
-                self.d_c,
-                (c for c in _all_vecs(self.p, self.d_c) if self.phi(c) == ident),
-            )
-            self._cache["ker_phi"] = cached
-        return cached
+        return self._kernel("ker_phi", self.phi, self.d_c, self._ident_b)
 
     def ker_psi(self) -> Subspace:
-        cached = self._cache.get("ker_psi")
+        return self._kernel("ker_psi", self.psi, self.d_b, self._ident_c)
+
+    def _kernel(self, key: str, action, dim: int, ident: Mat) -> Subspace:
+        cached = self._cache.get(key)
         if cached is None:
-            ident = mat_identity(self.d_c)
-            cached = Subspace.from_vectors(
-                self.p,
-                self.d_b,
-                (b for b in _all_vecs(self.p, self.d_b) if self.psi(b) == ident),
-            )
-            self._cache["ker_psi"] = cached
+            kept = (v for v in _all_vecs(self.p, dim) if action(v) == ident)
+            cached = Subspace.from_vectors(self.p, dim, kept)
+            self._cache[key] = cached
         return cached
 
     def pair_to_set(self, pair: PairSpace) -> ElementSet:
-        """Materialize a product subspace, sharing carrier-sized sets."""
+        """Materialize a product subspace, sharing carrier-sized sets and
+        refusing one above PAIR_SET_CAP elements before it is allocated."""
         key = (pair.b.basis, pair.c.basis)
         cached = self._sets.get(key)
         if cached is not None:
             return cached
+        if pair.size > PAIR_SET_CAP:
+            raise errors.TooLarge(f"element sets capped at {PAIR_SET_CAP}, got {pair.size}")
         if pair.size == self.order:
             members = frozenset(range(self.order))
         else:
@@ -267,13 +273,6 @@ class BCBrace(SkewBrace):
         out = ElementSet(members, self.order, pair)
         self._sets[key] = out
         return out
-
-
-def _pow_small(m: Mat, e: int, p: int) -> Mat:
-    out = mat_identity(len(m))
-    for _ in range(e):
-        out = mat_mul(out, m, p)
-    return out
 
 
 def _power_row(m: Mat, p: int) -> list[Mat]:
@@ -292,8 +291,7 @@ def _family_product(pow_rows: list[list[Mat]], coeffs: Vec, p: int, dim: int) ->
 
 
 def _all_vecs(p: int, dim: int):
-    for tup in itertools.product(range(p), repeat=dim):
-        yield tup
+    return itertools.product(range(p), repeat=dim)
 
 
 def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
@@ -323,7 +321,7 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
                 raise errors.ParseError(f"{name} matrices must be {label} x {label}")
             if not mat_is_invertible(m, p):
                 raise errors.NotInvertible(f"a {name} basis matrix is singular")
-            if _pow_small(m, p, p) != mat_identity(dim):
+            if mat_mul(_power_row(m, p)[-1], m, p) != mat_identity(dim):
                 raise errors.BadParameters(
                     f"a {name} basis matrix has order not dividing p, so the action "
                     "is not a homomorphism from the exponent-p group"
@@ -335,9 +333,8 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
 
     brace = BCBrace(p, phi_basis, psi_basis)
     kernel = brace.ker_phi()
-    ident = mat_identity(d_c)
-    for i, m in enumerate(psi_basis):
-        if not _cols_in(mat_sub(m, ident, p), kernel):
+    for i in range(d_b):
+        if not _cols_in(brace.dpsi(unit_vec(d_b, i)), kernel):
             raise errors.ConditionViolated(i, "Im(psi_b - id) escapes ker(phi)")
     return brace
 
@@ -419,67 +416,51 @@ def _cols_in(m: Mat, space: Subspace) -> bool:
     return all(space.contains(col) for col in zip(*m))
 
 
+def _images(mats, vecs, p: int) -> list[Vec]:
+    """m(v) for every m in `mats` (read once each) and v in `vecs`."""
+    return [mat_vec(m, v, p) for m in mats for v in vecs]
+
+
 def close_pair(brace: BCBrace, b_span: Subspace, c_span: Subspace) -> PairSpace:
     """Subgroup of (A, .) generated by the product set b_span x c_span.
 
     Equals (phi-closure of the B part under the action of the C part) times
     the C part itself.
     """
-    p = brace.p
     acting = [brace.phi(v) for v in c_span.basis]
     w = b_span
     while True:
-        images = [mat_vec(m, v, p) for m in acting for v in w.basis]
-        grown = w.extended(images)
+        grown = w.extended(_images(acting, w.basis, brace.p))
         if grown.rank == w.rank:
             return PairSpace(grown, c_span)
         w = grown
 
 
 def star_span(brace: BCBrace, x: PairSpace, y: PairSpace) -> tuple[Subspace, Subspace]:
-    """Componentwise span of {a * b : a in X, b in Y} (a product set)."""
+    """Componentwise span of {a * b : a in X, b in Y} (a product set).
+
+    The B part takes dphi(c) where the product has dphi(-c): -c runs over X.c
+    exactly when c does.
+    """
     p = brace.p
-    ident_b = mat_identity(brace.d_b)
-    ident_c = mat_identity(brace.d_c)
-    first: list[Vec] = []
-    for c in x.c.elements():
-        diff = mat_sub(brace.phi(vec_neg(c, p)), ident_b, p)
-        first.extend(mat_vec(diff, u, p) for u in y.b.basis)
-    second: list[Vec] = []
-    for b in x.b.elements():
-        diff = mat_sub(brace.psi(b), ident_c, p)
-        second.extend(mat_vec(diff, v, p) for v in y.c.basis)
-    return (
-        Subspace.from_vectors(p, brace.d_b, first),
-        Subspace.from_vectors(p, brace.d_c, second),
-    )
+    first = _images(map(brace.dphi, x.c.elements()), y.b.basis, p)
+    second = _images(map(brace.dpsi, x.b.elements()), y.c.basis, p)
+    return Subspace.from_vectors(p, brace.d_b, first), Subspace.from_vectors(p, brace.d_c, second)
 
 
 def comm_dot_span(brace: BCBrace, x: PairSpace, y: PairSpace) -> Subspace:
     """Span of the B components of [X, Y] in (A, .); the C components vanish."""
     p = brace.p
-    ident = mat_identity(brace.d_b)
-    vecs: list[Vec] = []
-    for v in y.c.elements():
-        diff = mat_sub(ident, brace.phi(v), p)
-        vecs.extend(mat_vec(diff, u, p) for u in x.b.basis)
-    for c in x.c.elements():
-        diff = mat_sub(brace.phi(c), ident, p)
-        vecs.extend(mat_vec(diff, w, p) for w in y.b.basis)
+    vecs = _images(map(brace.dphi, y.c.elements()), x.b.basis, p)
+    vecs += _images(map(brace.dphi, x.c.elements()), y.b.basis, p)
     return Subspace.from_vectors(p, brace.d_b, vecs)
 
 
 def comm_circ_span(brace: BCBrace, x: PairSpace, y: PairSpace) -> Subspace:
     """Span of the C components of the circ commutators [X, Y]_o."""
     p = brace.p
-    ident = mat_identity(brace.d_c)
-    vecs: list[Vec] = []
-    for b in x.b.elements():
-        diff = mat_sub(brace.psi(b), ident, p)
-        vecs.extend(mat_vec(diff, v, p) for v in y.c.basis)
-    for u in y.b.elements():
-        diff = mat_sub(brace.psi(u), ident, p)
-        vecs.extend(mat_vec(diff, w, p) for w in x.c.basis)
+    vecs = _images(map(brace.dpsi, x.b.elements()), y.c.basis, p)
+    vecs += _images(map(brace.dpsi, y.b.elements()), x.c.basis, p)
     return Subspace.from_vectors(p, brace.d_c, vecs)
 
 
@@ -532,26 +513,25 @@ def bc_lifted_step(brace: BCBrace, prev: PairSpace, maps) -> PairSpace:
     these chains are normal in the group concerned, so a failure is internal.
     """
     p = brace.p
-    ident_b, ident_c = mat_identity(brace.d_b), mat_identity(brace.d_c)
     b_tests, c_tests = [], []
     if "star" in maps or "comm_circ" in maps:
         # (b, 0) * (u, v) and [(b, 0), (u, v)]_o are (0, (psi_b - id) v).
-        b_tests.append(lambda b: _cols_in(mat_sub(brace.psi(b), ident_c, p), prev.c))
+        b_tests.append(lambda b: _cols_in(brace.dpsi(b), prev.c))
     if "comm_dot" in maps:
         if not _invariant(prev.b, brace.phi_basis):
             raise errors.AlgebraError("internal: lifted B part expected to be phi-invariant")
         # [(b, 0), (u, e_j)] = ((id - phi_{e_j}) b, 0); [(0, c), (u, v)] = ((phi_c - id) u, 0).
-        dot_diffs = [mat_sub(ident_b, m, p) for m in brace.phi_basis]
+        dot_diffs = [brace.dphi(unit_vec(brace.d_c, j)) for j in range(brace.d_c)]
         b_tests.append(lambda b: all(prev.b.contains(mat_vec(d, b, p)) for d in dot_diffs))
-        c_tests.append(lambda c: _cols_in(mat_sub(brace.phi(c), ident_b, p), prev.b))
+        c_tests.append(lambda c: _cols_in(brace.dphi(c), prev.b))
     if "star" in maps:
         # (0, c) * (u, v) = ((phi_{-c} - id) u, 0).
-        c_tests.append(lambda c: _cols_in(mat_sub(brace.phi(vec_neg(c, p)), ident_b, p), prev.b))
+        c_tests.append(lambda c: _cols_in(brace.dphi(vec_neg(c, p)), prev.b))
     if "comm_circ" in maps:
         if not _invariant(prev.c, brace.psi_basis):
             raise errors.AlgebraError("internal: lifted C part expected to be psi-invariant")
         # [(0, c), (e_i, v)]_o = (0, -(psi_{e_i} - id) c).
-        circ_diffs = [mat_sub(m, ident_c, p) for m in brace.psi_basis]
+        circ_diffs = [brace.dpsi(unit_vec(brace.d_b, i)) for i in range(brace.d_b)]
         c_tests.append(lambda c: all(prev.c.contains(mat_vec(d, c, p)) for d in circ_diffs))
     return _pass_sets(brace, b_tests, c_tests)
 
@@ -617,12 +597,10 @@ def bc_is_ideal(brace: BCBrace, pair: PairSpace) -> bool:
     """Left ideal normal in both groups: conjugating (0, v) by (u, 0) in
     (A, .) adds ((id - phi_v) u, 0), and (u, 0) by (0, v) in (A, o) adds
     (0, (id - psi_u) v)."""
-    p = brace.p
-    ident_b, ident_c = mat_identity(brace.d_b), mat_identity(brace.d_c)
     return (
         bc_is_left_ideal(brace, pair)
-        and all(_cols_in(mat_sub(ident_b, brace.phi(v), p), pair.b) for v in pair.c.basis)
-        and all(_cols_in(mat_sub(ident_c, brace.psi(u), p), pair.c) for u in pair.b.basis)
+        and all(_cols_in(brace.dphi(v), pair.b) for v in pair.c.basis)
+        and all(_cols_in(brace.dpsi(u), pair.c) for u in pair.b.basis)
     )
 
 
@@ -633,29 +611,18 @@ def find_star_witness(brace: BCBrace, x: PairSpace, y: PairSpace, rhs: PairSpace
     witnesses live), then falls back to the factored sweeps
     that are guaranteed to find an escape when one exists.
     """
-    p = brace.p
     zero_b, zero_c = zero_vec(brace.d_b), zero_vec(brace.d_c)
     x_gens = [(u, zero_c) for u in x.b.basis] + [(zero_b, w) for w in x.c.basis]
     y_gens = [(u, zero_c) for u in y.b.basis] + [(zero_b, w) for w in y.c.basis]
-    for a in x_gens:
-        for b in y_gens:
-            val = brace.vstar(a, b)
-            if not rhs.contains(*val):
-                return a, b, val
-    for c in x.c.elements():
-        for u in y.b.elements():
-            a = (zero_b, c)
-            b = (u, zero_c)
-            val = brace.vstar(a, b)
-            if not rhs.contains(*val):
-                return a, b, val
-    for bb in x.b.elements():
-        for v in y.c.elements():
-            a = (bb, zero_c)
-            b = (zero_b, v)
-            val = brace.vstar(a, b)
-            if not rhs.contains(*val):
-                return a, b, val
+    candidates = itertools.chain(
+        itertools.product(x_gens, y_gens),
+        (((zero_b, c), (u, zero_c)) for c in x.c.elements() for u in y.b.elements()),
+        (((b, zero_c), (zero_b, v)) for b in x.b.elements() for v in y.c.elements()),
+    )
+    for a, b in candidates:
+        val = brace.vstar(a, b)
+        if not rhs.contains(*val):
+            return a, b, val
     return None
 
 

@@ -86,6 +86,13 @@ def test_inclusion_bad_inputs(pq_i):
         sb.check_inclusion(pq_i, "X", 2, 0)
 
 
+def test_inclusion_label_is_one_letter(pq_i):
+    """Multi-letter and empty labels are refused, not matched as substrings."""
+    for label in ("AB", "EFGH", ""):
+        with pytest.raises(errors.BadIndices):
+            sb.check_inclusion(pq_i, label, 2, 0)
+
+
 def test_inclusion_counterexamples_pq(pq_i):
     for label, n, k in (("A", 2, 0), ("B", 2, 0), ("C", 1, 0), ("D", 1, 0)):
         report = sb.check_inclusion(pq_i, label, n, k)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import skewbrace as sb
-from skewbrace import classify
+from skewbrace import classify, formula
 from skewbrace.cli import main
 
 PQ_SPEC = {"kind": "pq", "p": 3, "q": 2, "k": 2, "variant": "i"}
@@ -76,6 +76,24 @@ def test_analyze_malformed_field_is_parse_error(tmp_path, capsys, spec):
     assert "Traceback" not in err
 
 
+def test_usage_errors_exit_1(tmp_path, capsys):
+    """argparse's own exit 2 would read as a failed verification."""
+    path = write_spec(tmp_path, PQ_SPEC)
+    for argv in (
+        ["analyze"],
+        ["counterexample", "x"],
+        ["series", path, "--bogus"],
+        ["series", path, "--seed", "1"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "parse error:" in err
+        assert "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "-h"])
+    assert exc.value.code == 0
+
+
 def test_analyze_invalid_table_exits_2(tmp_path, capsys):
     bad = [[0, 1, 2], [1, 1, 0], [2, 0, 1]]
     path = write_spec(tmp_path, {"kind": "tables", "dot": bad, "circ": bad})
@@ -96,12 +114,6 @@ def test_verify_all_suites_pass(tmp_path, capsys):
     assert code == 0
     assert report["passed"]
     assert set(report["suites"]) == {"identities", "ideals", "inclusions", "theorems"}
-
-
-def test_verify_threaded(tmp_path, capsys):
-    path = write_spec(tmp_path, PQ_SPEC)
-    code, report = run_json(capsys, ["verify", path, "--json", "--suite", "all"])
-    assert code == 0 and report["passed"]
 
 
 def test_verify_single_suite(tmp_path, capsys):
@@ -189,4 +201,12 @@ def test_memory_error_is_resource_limit(monkeypatch, capsys):
     assert main(["counterexample", "11", "--json"]) == 3
     err = capsys.readouterr().err
     assert "resource limit" in err
+    assert "Traceback" not in err
+
+
+def test_oversized_element_set_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(formula, "PAIR_SET_CAP", 5**8 - 1)
+    assert main(["counterexample", "5", "--json"]) == 3
+    err = capsys.readouterr().err
+    assert "resource limit: element sets capped" in err
     assert "Traceback" not in err
