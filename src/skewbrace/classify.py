@@ -156,10 +156,15 @@ def _inclusion_parts(brace: SkewBrace, label: str, n: int, k: int):
     return lhs, target.at(k)
 
 
+def is_inclusion_label(label: str) -> bool:
+    """One of the letters A..H, in either case."""
+    return len(label) == 1 and label.upper() in INCLUSION_LABELS
+
+
 def check_inclusion(brace: SkewBrace, label: str, n: int, k: int) -> dict:
     """Evaluate one of the eight inclusion relations at indices (n, k)."""
     label = label.upper()
-    if len(label) != 1 or label not in INCLUSION_LABELS:
+    if not is_inclusion_label(label):
         raise errors.BadIndices(f"unknown inclusion label {label!r}")
     if n < 1 or k < 0 or k > n - 1:
         raise errors.BadIndices(f"need n >= 1 and 0 <= k <= n-1, got ({n}, {k})")

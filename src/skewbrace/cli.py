@@ -65,6 +65,9 @@ def _all_chains(brace: SkewBrace) -> dict[str, SeriesChain]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    labels = [x.strip() for x in args.checks.split(",") if x.strip()]
+    if not all(map(classify.is_inclusion_label, labels)):
+        raise errors.ParseError(f"--checks takes letters A..H, got {args.checks!r}")
     brace = brace_from_spec(_load_spec(args.file))
     profile = classify.nilpotency_profile(brace)
     chains = _all_chains(brace)
@@ -77,7 +80,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "annihilator": set_to_json(brace, series.annihilator(brace)),
     }
     if args.checks:
-        labels = [x.strip() for x in args.checks.split(",") if x.strip()]
         report["checks"] = [
             {**r, "lhs": set_to_json(brace, r["lhs"])}
             for r in classify.check_inclusion_sweep(brace, labels, max_n=args.max_n)

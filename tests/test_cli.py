@@ -84,6 +84,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["counterexample", "x"],
         ["series", path, "--bogus"],
         ["series", path, "--seed", "1"],
+        ["analyze", path, "--checks", "Z"],
+        ["analyze", path, "--checks", "AB"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

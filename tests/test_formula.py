@@ -9,9 +9,9 @@ import random
 import pytest
 
 import skewbrace as sb
-from skewbrace import errors, series
+from skewbrace import errors, formula, series
 from skewbrace.formula import PairSpace, span_of_units
-from skewbrace.fp import Subspace
+from skewbrace.fp import Subspace, mat_identity
 from tests.conftest import I2, UNI2, bc16, bc81
 
 SINGULAR = ((1, 1), (1, 1))
@@ -159,6 +159,169 @@ def test_ops_match_materialized_tables(make):
             assert brace.lam(a, b) == table.lam(a, b)
             assert brace.comm_dot(a, b) == table.comm_dot(a, b)
             assert brace.comm_circ(a, b) == table.comm_circ(a, b)
+
+
+def tuple_forms(brace):
+    """The closed forms on digit pairs (b, c), with phi_c and psi_b applied as
+    products of basis-matrix powers: independent of the brace's element path.
+    Returns the index <-> pair maps and the eight forms."""
+    p, d_b, d_c = brace.p, brace.d_b, brace.d_c
+
+    def mat_vec(m, vec):
+        return tuple(sum(r * x for r, x in zip(row, vec)) % p for row in m)
+
+    def powers(m):
+        out = [None, m]
+        for _ in range(p - 2):
+            out.append(tuple(zip(*(mat_vec(m, col) for col in zip(*out[-1])))))
+        return out
+
+    phi_pows = [powers(m) for m in brace.phi_basis]
+    psi_pows = [powers(m) for m in brace.psi_basis]
+
+    def act(pows, coeffs, vec):
+        for row, t in zip(pows, coeffs):
+            if t:
+                vec = mat_vec(row[t], vec)
+        return vec
+
+    def phi(c, x):
+        return act(phi_pows, c, x)
+
+    def psi(b, y):
+        return act(psi_pows, b, y)
+
+    def add(*vecs):
+        return tuple(sum(t) % p for t in zip(*vecs))
+
+    def neg(vec):
+        return tuple(-t % p for t in vec)
+
+    def split(idx):
+        digits = [idx // p**i % p for i in range(d_b + d_c)]
+        return tuple(digits[:d_b]), tuple(digits[d_b:])
+
+    def join(b, c):
+        return sum(t * p**i for i, t in enumerate(b + c))
+
+    zb, zc = (0,) * d_b, (0,) * d_c
+    forms = {
+        "dot": lambda b, c, u, v: (add(b, phi(c, u)), add(c, v)),
+        "circ": lambda b, c, u, v: (add(b, u), add(c, psi(b, v))),
+        "lam": lambda b, c, u, v: (phi(neg(c), u), psi(b, v)),
+        "star": lambda b, c, u, v: (add(phi(neg(c), u), neg(u)), add(psi(b, v), neg(v))),
+        "comm_dot": lambda b, c, u, v: (add(b, neg(phi(v, b)), phi(c, u), neg(u)), zc),
+        "comm_circ": lambda b, c, u, v: (zb, add(psi(b, v), neg(v), neg(psi(u, c)), c)),
+        "inv": lambda b, c: (phi(neg(c), neg(b)), neg(c)),
+        "bar": lambda b, c: (neg(b), neg(psi(neg(b), c))),
+    }
+    return split, join, forms
+
+
+def assert_ops_match_tuple_forms(brace, pairs):
+    split, join, forms = tuple_forms(brace)
+    for a, y in pairs:
+        (b, c), (u, v) = split(a), split(y)
+        for name, form in forms.items():
+            if name in ("inv", "bar"):
+                assert getattr(brace, name)(a) == join(*form(b, c)), (name, a)
+            else:
+                assert getattr(brace, name)(a, y) == join(*form(b, c, u, v)), (name, a, y)
+
+
+def _square_zero(rng, p, dim, allowed):
+    """x y^T with y.x = 0 and `allowed(x)`, the zero matrix when no try finds one."""
+    for _ in range(200):
+        x = tuple(rng.randrange(p) for _ in range(dim))
+        y = tuple(rng.randrange(p) for _ in range(dim))
+        if any(x) and any(y) and sum(s * t for s, t in zip(x, y)) % p == 0 and allowed(x):
+            return tuple(tuple(s * t % p for t in y) for s in x)
+    return ((0,) * dim,) * dim
+
+
+def random_bc(rng, p, d_b, d_c):
+    """A valid bc brace with phi_{e_j} = id + a_j N and psi_{e_i} = id + s_i M,
+    N and M square-zero of rank one and Im(M) inside ker(phi) = {c : a.c = 0}
+    (all of C when N = 0); non-identity where the dimensions allow."""
+    a = [rng.randrange(1, p) for _ in range(d_c)]
+    big_n = _square_zero(rng, p, d_b, lambda x: True)
+    phi_killed = not any(map(any, big_n))
+    big_m = _square_zero(
+        rng, p, d_c, lambda x: phi_killed or sum(s * t for s, t in zip(a, x)) % p == 0
+    )
+
+    def family(dim, mat, coeffs):
+        return [
+            [[(int(i == j) + s * mat[i][j]) % p for j in range(dim)] for i in range(dim)]
+            for s in coeffs
+        ]
+
+    psi_coeffs = [rng.randrange(1, p) for _ in range(d_b)]
+    return sb.make_bc_brace(p, d_b, d_c, family(d_b, big_n, a), family(d_c, big_m, psi_coeffs))
+
+
+# (p, d_b, d_c): one-digit factors, an empty top block (d = 2), three full
+# blocks (d = 3), a short top block (d = 5, 14), unequal dimensions.
+RANDOM_SHAPES = [(2, 1, 3), (3, 3, 1), (5, 3, 2), (13, 3, 1), (13, 1, 3), (7, 5, 1), (2, 14, 1)]
+
+
+def test_index_ops_match_tuple_forms(f5):
+    for make in (bc16, bc81):
+        brace = make()
+        n = brace.order
+        assert_ops_match_tuple_forms(brace, [(a, b) for a in range(n) for b in range(n)])
+    rng = random.Random(sb.DEFAULT_SEED)
+
+    def random_pairs(n, count):
+        return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+
+    for brace in (f5, sb.make_counterexample_F(7)):
+        assert_ops_match_tuple_forms(brace, random_pairs(brace.order, 2000))
+    for shape in RANDOM_SHAPES:
+        for _ in range(2):
+            brace = random_bc(rng, *shape)
+            assert any(m != mat_identity(brace.d_b) for m in brace.phi_basis) or any(
+                m != mat_identity(brace.d_c) for m in brace.psi_basis
+            )
+            assert_ops_match_tuple_forms(brace, random_pairs(brace.order, 300))
+
+
+def test_f5_group_laws(f5):
+    rng = random.Random(sb.DEFAULT_SEED + 2)
+    n = f5.order
+    for _ in range(2000):
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        assert f5.dot(f5.dot(a, b), c) == f5.dot(a, f5.dot(b, c))
+        assert f5.circ(f5.circ(a, b), c) == f5.circ(a, f5.circ(b, c))
+        assert f5.dot(a, 0) == f5.dot(0, a) == f5.circ(a, 0) == f5.circ(0, a) == a
+        assert f5.dot(a, f5.inv(a)) == 0 == f5.circ(a, f5.bar(a))
+        assert f5.circ(a, f5.dot(b, c)) == f5.dot(f5.dot(f5.circ(a, b), f5.inv(a)), f5.circ(a, c))
+
+
+def test_element_tables_are_lazy_and_capped():
+    rng = random.Random(sb.DEFAULT_SEED + 3)
+    one = (((1,),),)
+    corners = [random_bc(rng, 2, 14, 1), random_bc(rng, 7, 5, 1)]
+    corners.append(sb.make_bc_brace(19997, 1, 1, one, one))
+    small = bc81()
+    sb.right_series(small)
+    sb.socle_series(small)
+    assert small._elem is None
+    for brace in corners:
+        assert brace._elem is None
+        n = brace.order
+        pairs = [(n - 2, n // 3)] + [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]
+        for a, y in pairs:
+            for name in ("dot", "circ", "lam", "star", "comm_dot", "comm_circ"):
+                getattr(brace, name)(a, y)
+            brace.inv(a)
+            brace.bar(a)
+        for part in brace._elem:
+            # a one-digit factor caches one scalar per acting index
+            built = [[m] if isinstance(m, int) else m for m in part.maps if m is not None]
+            sizes = [sum(map(len, part.table)), len(part.neg), len(part.maps)]
+            assert max(sizes + [len(m) for m in built]) <= formula.SIZE_CAP
+            assert sum(map(len, built)) <= formula.SIZE_CAP
 
 
 @pytest.mark.parametrize("make", [bc16, bc81])
