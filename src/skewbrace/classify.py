@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from . import errors, formula
 from .braces import SkewBrace, TableBrace
 from .formula import BCBrace, PairSpace
-from .groups import ElementSet, all_subgroups
+from .groups import SUBGROUPS_MAX_ORDER, ElementSet, all_subgroups
 from .series import (
     annihilator_series,
     gamma_circ_series,
@@ -23,8 +23,6 @@ from .series import (
     socle_series,
 )
 from .substructures import ideal_closure, is_ideal, product_of_ideals, star_subgroup
-
-IDEALS_MAX_ORDER = 64  # largest brace whose ideals are enumerated
 
 
 @dataclass(frozen=True)
@@ -283,9 +281,9 @@ def fitting_ideal(brace: SkewBrace) -> ElementSet:
 
 
 def enumerate_ideals(brace: TableBrace) -> list[ElementSet]:
-    if brace.order > IDEALS_MAX_ORDER:
+    if brace.order > SUBGROUPS_MAX_ORDER:
         raise errors.TooLargeForIdealEnumeration(
-            f"ideal enumeration capped at order {IDEALS_MAX_ORDER}"
+            f"ideal enumeration capped at order {SUBGROUPS_MAX_ORDER}"
         )
     return [s for s in all_subgroups(brace.dot_group) if is_ideal(brace, s)]
 

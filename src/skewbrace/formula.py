@@ -11,17 +11,19 @@ Im(psi_b - id) <= ker(phi) makes the two twisted products a skew brace:
 Every series on such a brace is computed on pairs of subspaces, so the
 order-p^8 instances stay tractable: every set-level star product, commutator,
 lifted condition and ideal test reads one of the two difference maps
-`BCBrace.dphi(c)` = phi_c - id and `BCBrace.dpsi(b)` = psi_b - id, and
-subgroup generation reduces to span plus closure under the phi action. This
-module supplies the chain steps on `PairSpace` terms; `series` runs them
-through `groups.run_chain`, the same driver the table steps use, and turns
-each term into an element set once at the end. The four ascending chains
-(socle, annihilator and both upper central series) share one lifted step,
+`BCBrace.dphi(c)` = phi_c - id and `BCBrace.dpsi(b)` = psi_b - id. One
+invariant-subspace closure (`_closure`) generates subgroups and builds the
+star and commutator spans from basis differences (`_diff_span` says why that
+is enough), so no span sweeps the elements of a subspace. This module supplies
+the chain steps on `PairSpace` terms; `series` runs them through
+`groups.run_chain`, the same driver the table steps use, and turns each term
+into an element set once at the end. The four ascending chains (socle,
+annihilator and both upper central series) share one lifted step,
 `bc_lifted_step`, the pair-space form of `groups.lifted_step`. Every condition
-on a product subspace is either "a subspace is invariant under these
-matrices" (`_invariant`) or "the columns of a matrix lie in a subspace"
-(`_cols_in`). The small-order regression tests compare all of these fast
-paths against the generic table machinery.
+on a product subspace is either "a subspace is invariant under these matrices"
+(`_invariant`) or "the columns of a matrix lie in a subspace" (`_cols_in`).
+The tests compare these fast paths against the generic table machinery, and
+the spans against element sweeps.
 
 Element operations work on indices b + p^d_b * c, split by one divmod. Each
 factor (`_Component`) adds on two or three digit blocks through one table of
@@ -242,11 +244,9 @@ class BCBrace(SkewBrace):
         if pair.size == self.order:
             members = frozenset(range(self.order))
         else:
-            members = frozenset(
-                self.encode(b, c)
-                for b in pair.b.elements()
-                for c in pair.c.elements()
-            )
+            b_idx = [_index(b, self.p) for b in pair.b.elements()]
+            c_offsets = [self.p**self.d_b * _index(c, self.p) for c in pair.c.elements()]
+            members = frozenset(ib + oc for oc in c_offsets for ib in b_idx)
         out = ElementSet(members, self.order, pair)
         self._sets[key] = out
         return out
@@ -454,57 +454,58 @@ def _images(mats, vecs, p: int) -> list[Vec]:
     return [mat_vec(m, v, p) for m in mats for v in vecs]
 
 
-def close_pair(brace: BCBrace, b_span: Subspace, c_span: Subspace) -> PairSpace:
-    """Subgroup of (A, .) generated by the product set b_span x c_span.
-
-    Equals (phi-closure of the B part under the action of the C part) times
-    the C part itself.
-    """
-    acting = [brace.phi(v) for v in c_span.basis]
-    w = b_span
+def _closure(start: Subspace, mats) -> Subspace:
+    """Least subspace containing `start` that every m in `mats` maps into itself."""
     while True:
-        grown = w.extended(_images(acting, w.basis, brace.p))
-        if grown.rank == w.rank:
-            return PairSpace(grown, c_span)
-        w = grown
+        grown = start.extended(_images(mats, start.basis, start.p))
+        if grown.rank == start.rank:
+            return start
+        start = grown
+
+
+def _diff_span(diff, acting: Subspace, moved: Subspace) -> Subspace:
+    """Span of diff(c) u over c in `acting` and u in `moved` (diff is dphi or
+    dpsi). With D_c = diff(c), phi_{c+c'} = phi_c phi_{c'} gives
+    D_{c+c'} = D_c D_{c'} + D_c + D_{c'} (psi likewise). So the span is
+    invariant under each D_g, and the closure of {D_g u} (g, u over bases)
+    under the D_g, invariant under every phi_c, holds D_{c+g} u once it holds
+    D_c u: the two agree."""
+    diffs = [diff(g) for g in acting.basis]
+    start = Subspace.from_vectors(moved.p, moved.dim, _images(diffs, moved.basis, moved.p))
+    return _closure(start, diffs)
+
+
+def close_pair(brace: BCBrace, b_span: Subspace, c_span: Subspace) -> PairSpace:
+    """Subgroup of (A, .) generated by the product set b_span x c_span: the
+    phi-closure of the B part under the C part, times the C part."""
+    return PairSpace(_closure(b_span, [brace.phi(v) for v in c_span.basis]), c_span)
 
 
 def star_span(brace: BCBrace, x: PairSpace, y: PairSpace) -> tuple[Subspace, Subspace]:
-    """Componentwise span of {a * b : a in X, b in Y} (a product set).
-
-    The B part takes dphi(c) where the product has dphi(-c): -c runs over X.c
-    exactly when c does.
-    """
-    p = brace.p
-    first = _images(map(brace.dphi, x.c.elements()), y.b.basis, p)
-    second = _images(map(brace.dpsi, x.b.elements()), y.c.basis, p)
-    return Subspace.from_vectors(p, brace.d_b, first), Subspace.from_vectors(p, brace.d_c, second)
+    """Componentwise span of {a * b : a in X, b in Y} (a product set), two
+    closures of basis differences. The B part takes dphi(c) where the product
+    has dphi(-c): -c runs over X.c exactly when c does."""
+    return _diff_span(brace.dphi, x.c, y.b), _diff_span(brace.dpsi, x.b, y.c)
 
 
 def comm_dot_span(brace: BCBrace, x: PairSpace, y: PairSpace) -> Subspace:
-    """Span of the B components of [X, Y] in (A, .); the C components vanish."""
-    p = brace.p
-    vecs = _images(map(brace.dphi, y.c.elements()), x.b.basis, p)
-    vecs += _images(map(brace.dphi, x.c.elements()), y.b.basis, p)
-    return Subspace.from_vectors(p, brace.d_b, vecs)
+    """Span of the B components of [X, Y] in (A, .); the C components vanish.
+    It is the union of two closures of basis differences (`_diff_span`)."""
+    return _diff_span(brace.dphi, y.c, x.b).union_span(_diff_span(brace.dphi, x.c, y.b))
 
 
 def comm_circ_span(brace: BCBrace, x: PairSpace, y: PairSpace) -> Subspace:
-    """Span of the C components of the circ commutators [X, Y]_o."""
-    p = brace.p
-    vecs = _images(map(brace.dpsi, x.b.elements()), y.c.basis, p)
-    vecs += _images(map(brace.dpsi, y.b.elements()), x.c.basis, p)
-    return Subspace.from_vectors(p, brace.d_c, vecs)
+    """Span of the C components of the circ commutators [X, Y]_o, the union
+    of two closures of basis differences (`_diff_span`)."""
+    return _diff_span(brace.dpsi, x.b, y.c).union_span(_diff_span(brace.dpsi, y.b, x.c))
 
 
 def star_subgroup_pair(brace: BCBrace, x: PairSpace, y: PairSpace) -> PairSpace:
-    b_span, c_span = star_span(brace, x, y)
-    return close_pair(brace, b_span, c_span)
+    return close_pair(brace, *star_span(brace, x, y))
 
 
 def _union_close(brace: BCBrace, parts: list[tuple[Subspace, Subspace]]) -> PairSpace:
-    b_total = parts[0][0]
-    c_total = parts[0][1]
+    b_total, c_total = parts[0]
     for b_span, c_span in parts[1:]:
         b_total = b_total.union_span(b_span)
         c_total = c_total.union_span(c_span)

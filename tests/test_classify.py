@@ -177,6 +177,14 @@ def test_rel_ann_implies_standalone(pq_i):
         assert sb.nilpotency_profile(standalone).annihilator is not None
 
 
+def test_ideal_enumeration_capped_at_subgroup_bound():
+    """Order 65 is one past groups.SUBGROUPS_MAX_ORDER, the bound
+    `all_subgroups` enforces; ideal enumeration refuses it as such."""
+    assert sb.groups.SUBGROUPS_MAX_ORDER == 64
+    with pytest.raises(errors.TooLargeForIdealEnumeration):
+        sb.enumerate_ideals(sb.build_trivial(sb.cyclic(65)))
+
+
 def test_fitting_ideal_pq(pq_i):
     fit = sb.fitting_ideal(pq_i)
     assert fit.sorted() == [0, 1, 2]

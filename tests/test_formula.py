@@ -11,7 +11,7 @@ import pytest
 import skewbrace as sb
 from skewbrace import errors, formula, series
 from skewbrace.formula import PairSpace, span_of_units
-from skewbrace.fp import Subspace, mat_identity
+from skewbrace.fp import Subspace, mat_identity, mat_vec
 from tests.conftest import I2, UNI2, bc16, bc81
 
 SINGULAR = ((1, 1), (1, 1))
@@ -393,6 +393,71 @@ def test_ideal_predicates_match_tables(make):
                 assert fast == pred(table, plain), (pred.__name__, u.basis, v.basis)
                 seen.add(fast)
     assert all(seen == {False, True} for seen in outcomes.values())
+
+
+def sweep_spans(brace, x, y):
+    """Element sweeps as an oracle: dphi(c) or dpsi(b) for every element of
+    the acting subspace, on a basis of the moved one. Returns the star span,
+    both commutator spans and the dot subgroup generated by the star span
+    (B part closed under phi_c for every c of the C part)."""
+    p = brace.p
+
+    def sweep(mats, moved):
+        vecs = (mat_vec(m, u, p) for m in mats for u in moved.basis)
+        return Subspace.from_vectors(p, moved.dim, vecs)
+
+    dphi_x, dphi_y = ([brace.dphi(c) for c in s.c.elements()] for s in (x, y))
+    dpsi_x, dpsi_y = ([brace.dpsi(b) for b in s.b.elements()] for s in (x, y))
+    star = (sweep(dphi_x, y.b), sweep(dpsi_x, y.c))
+    comm_dot = sweep(dphi_y, x.b).union_span(star[0])
+    comm_circ = star[1].union_span(sweep(dpsi_y, x.c))
+    closed = star[0]
+    while True:
+        grown = closed.extended(
+            mat_vec(brace.phi(c), u, p) for c in star[1].elements() for u in closed.basis
+        )
+        if grown == closed:
+            return star, comm_dot, comm_circ, PairSpace(closed, star[1])
+        closed = grown
+
+
+def _random_pair(rng, brace):
+    def subspace(dim):
+        count = rng.randrange(dim + 1)
+        vecs = [tuple(rng.randrange(brace.p) for _ in range(dim)) for _ in range(count)]
+        return Subspace.from_vectors(brace.p, dim, vecs)
+
+    return PairSpace(subspace(brace.d_b), subspace(brace.d_c))
+
+
+def test_set_spans_match_element_sweeps(f5):
+    """Star and commutator spans, closures of basis differences, against the
+    sweeps over every element: on every pair of product subspaces of bc16 and
+    bc81, and on seeded random pairs of F5 and F7. Of these braces only F5
+    and F7 have (phi_g - id)(phi_h - id) != 0, so only they need the closure
+    step."""
+
+    def check(brace, x, y):
+        star, comm_dot, comm_circ, star_pair = sweep_spans(brace, x, y)
+        assert formula.star_span(brace, x, y) == star, (x, y)
+        assert formula.comm_dot_span(brace, x, y) == comm_dot, (x, y)
+        assert formula.comm_circ_span(brace, x, y) == comm_circ, (x, y)
+        assert formula.star_subgroup_pair(brace, x, y) == star_pair, (x, y)
+
+    for make in (bc16, bc81):
+        brace = make()
+        pairs = [
+            PairSpace(u, v)
+            for u in _subspaces(brace.p, brace.d_b)
+            for v in _subspaces(brace.p, brace.d_c)
+        ]
+        for x in pairs:
+            for y in pairs:
+                check(brace, x, y)
+    rng = random.Random(sb.DEFAULT_SEED + 4)
+    for brace, count in ((f5, 100), (sb.make_counterexample_F(7), 20)):
+        for _ in range(count):
+            check(brace, _random_pair(rng, brace), _random_pair(rng, brace))
 
 
 def test_star_closed_form_matches_generic_definition(f5):
