@@ -268,6 +268,18 @@ class _Parser(argparse.ArgumentParser):
         raise errors.ParseError(message)
 
 
+def _at_least(low: int):
+    """argparse type for a count: an int below `low` would let a check pass vacuously."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="skewbrace",
@@ -280,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
         if sampling:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
             p.add_argument(
-                "--samples", type=int, default=100_000, help="random triples for formula braces"
+                "--samples", type=_at_least(0), default=100_000, help="random triples for formula braces"
             )
         if max_n:
-            p.add_argument("--max-n", type=int, default=5, dest="max_n", help="series depth for sweeps")
+            p.add_argument("--max-n", type=_at_least(1), default=5, help="series depth for sweeps")
 
     p_analyze = sub.add_parser("analyze", help="profile and all series of one brace")
     p_analyze.add_argument("file", help="brace spec JSON")

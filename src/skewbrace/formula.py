@@ -10,20 +10,15 @@ Im(psi_b - id) <= ker(phi) makes the two twisted products a skew brace:
 
 Every series on such a brace is computed on pairs of subspaces, so the
 order-p^8 instances stay tractable: every set-level star product, commutator,
-lifted condition and ideal test reads one of the two difference maps
-`BCBrace.dphi(c)` = phi_c - id and `BCBrace.dpsi(b)` = psi_b - id. One
-invariant-subspace closure (`_closure`) generates subgroups and builds the
-star and commutator spans from basis differences (`_diff_span` says why that
-is enough), so no span sweeps the elements of a subspace. This module supplies
-the chain steps on `PairSpace` terms; `series` runs them through
-`groups.run_chain`, the same driver the table steps use, and turns each term
-into an element set once at the end. The four ascending chains (socle,
-annihilator and both upper central series) share one lifted step,
-`bc_lifted_step`, the pair-space form of `groups.lifted_step`. Every condition
-on a product subspace is either "a subspace is invariant under these matrices"
-(`_invariant`) or "the columns of a matrix lie in a subspace" (`_cols_in`).
-The tests compare these fast paths against the generic table machinery, and
-the spans against element sweeps.
+lifted condition and ideal test reads the difference maps `BCBrace.dphi(c)` =
+phi_c - id and `BCBrace.dpsi(b)` = psi_b - id on basis vectors only. Spans
+and generated subgroups are invariant-subspace closures of basis differences
+(`_closure`, `_diff_span`); the lifted step of the four ascending chains
+(`bc_lifted_step`) and the kernels of phi and psi are kernels of linear maps
+given by basis images (`_lift`, `_fixers`), so none sweeps a factor's vectors.
+`series` runs the chain steps through `groups.run_chain` on `PairSpace` terms
+and turns each term into an element set once at the end. The tests check
+these paths against the table machinery and against element sweeps.
 
 Element operations work on indices b + p^d_b * c, split by one divmod. Each
 factor (`_Component`) adds on two or three digit blocks through one table of
@@ -50,14 +45,12 @@ from .fp import (
     mat_mul,
     mat_sub,
     mat_vec,
-    mats_commute,
     unit_vec,
     vec_add,
     vec_neg,
-    vec_sub,
     zero_vec,
 )
-from .groups import ElementSet
+from .groups import ElementSet, as_int
 
 SIZE_CAP = 20_000  # per-component enumeration bound p^d
 MATERIALIZE_MAX_ORDER = 256  # largest formula brace expanded into tables
@@ -142,9 +135,7 @@ class BCBrace(SkewBrace):
 
     def vstar(self, x: tuple[Vec, Vec], y: tuple[Vec, Vec]) -> tuple[Vec, Vec]:
         (b, c), (u, v) = x, y
-        first = vec_sub(mat_vec(self.phi(vec_neg(c, self.p)), u, self.p), u, self.p)
-        second = vec_sub(mat_vec(self.psi(b), v, self.p), v, self.p)
-        return first, second
+        return mat_vec(self.dphi(vec_neg(c, self.p)), u, self.p), mat_vec(self.dpsi(b), v, self.p)
 
     # -- index encoding --------------------------------------------------------
 
@@ -219,18 +210,10 @@ class BCBrace(SkewBrace):
         return PairSpace(Subspace.zero(self.p, self.d_b), Subspace.zero(self.p, self.d_c))
 
     def ker_phi(self) -> Subspace:
-        return self._kernel("ker_phi", self.phi, self.d_c, self._ident_b)
+        return _fixers(self.dphi, Subspace.zero(self.p, self.d_b), _units(self.dphi, self.d_c))
 
     def ker_psi(self) -> Subspace:
-        return self._kernel("ker_psi", self.psi, self.d_b, self._ident_c)
-
-    def _kernel(self, key: str, action, dim: int, ident: Mat) -> Subspace:
-        cached = self._cache.get(key)
-        if cached is None:
-            kept = (v for v in _all_vecs(self.p, dim) if action(v) == ident)
-            cached = Subspace.from_vectors(self.p, dim, kept)
-            self._cache[key] = cached
-        return cached
+        return _fixers(self.dpsi, Subspace.zero(self.p, self.d_c), _units(self.dpsi, self.d_b))
 
     def pair_to_set(self, pair: PairSpace) -> ElementSet:
         """Materialize a product subspace, sharing carrier-sized sets and
@@ -260,15 +243,12 @@ def _power_row(m: Mat, p: int) -> list[Mat]:
 
 
 def _family_product(pow_rows: list[list[Mat]], coeffs: Vec, p: int, dim: int) -> Mat:
-    out = mat_identity(dim)
-    for i, t in enumerate(coeffs):
-        if t:
-            out = mat_mul(out, pow_rows[i][t % p], p)
+    """The product of the factors pow_rows[i][coeffs[i]] that are not the identity."""
+    out = ident = mat_identity(dim)
+    for row, t in zip(pow_rows, coeffs):
+        if row[t % p] != ident:
+            out = row[t % p] if out is ident else mat_mul(out, row[t % p], p)
     return out
-
-
-def _all_vecs(p: int, dim: int):
-    return itertools.product(range(p), repeat=dim)
 
 
 def _index(vec: Vec, p: int) -> int:
@@ -362,7 +342,7 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     if not is_prime(p):
         raise errors.BadPrime(f"{p} is not prime")
     phi_basis, psi_basis = (
-        tuple(tuple(tuple(int(x) % p for x in row) for row in m) for m in family)
+        tuple(tuple(tuple(as_int(x) % p for x in row) for row in m) for m in family)
         for family in (phi_basis, psi_basis)
     )
     d_c, d_b = len(phi_basis), len(psi_basis)
@@ -384,7 +364,7 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
                 )
     for name, family, _, _ in families:
         for a, b in itertools.combinations(family, 2):
-            if not mats_commute(a, b, p):
+            if mat_mul(a, b, p) != mat_mul(b, a, p):
                 raise errors.NonCommutingFamily(f"{name} basis matrices do not commute")
 
     brace = BCBrace(p, phi_basis, psi_basis)
@@ -452,6 +432,41 @@ def _cols_in(m: Mat, space: Subspace) -> bool:
 def _images(mats, vecs, p: int) -> list[Vec]:
     """m(v) for every m in `mats` (read once each) and v in `vecs`."""
     return [mat_vec(m, v, p) for m in mats for v in vecs]
+
+
+def _mod(space: Subspace, vecs) -> Vec:
+    """The residues of `vecs` modulo `space`, concatenated: zero iff all lie in it."""
+    return tuple(x for v in vecs for x in space.residue(v))
+
+
+def _units(diff, dim: int) -> list[Mat]:
+    """diff(e_i) for the unit vectors e_i of F_p^dim (diff is dphi or dpsi)."""
+    return [diff(unit_vec(dim, i)) for i in range(dim)]
+
+
+def _lift(domain: Subspace, space: Subspace, units) -> Subspace:
+    """{v in domain : d v in space for every d in `units`}, a kernel on the basis."""
+    return domain.kernel([_mod(space, _images(units, [v], space.p)) for v in domain.basis])
+
+
+def _fixers(diff, space: Subspace, units: list[Mat]) -> Subspace:
+    """{g : Im diff(g) <= space}, g over the whole acting factor, for diff =
+    dphi or dpsi with `units` = `_units(diff, ...)` and `space` invariant
+    under the action (else AlgebraError).
+
+    Not linear in g (J and J^-1, J a 3 x 3 Jordan block, acting on one factor
+    show it), so solved level by level. If `space` is everything, so is the
+    answer. Else W+ = `_lift` of `space` is invariant and strictly larger (a
+    p-group fixes a nonzero vector of V / space), each fixer of `space` fixes
+    W+, and D = diff maps W+ into `space`. So on the fixers of W+, D_{g+h} =
+    D_g D_h + D_g + D_h makes g -> D_g mod `space` additive: take its kernel.
+    """
+    if not _invariant(space, units):
+        raise errors.AlgebraError("internal: lifted part expected to be invariant")
+    if space.rank == space.dim:
+        return Subspace.full(space.p, len(units))
+    kept = _fixers(diff, _lift(Subspace.full(space.p, space.dim), space, units), units)
+    return kept.kernel([_mod(space, zip(*diff(g))) for g in kept.basis])
 
 
 def _closure(start: Subspace, mats) -> Subspace:
@@ -540,34 +555,27 @@ def bc_lifted_step(brace: BCBrace, prev: PairSpace, maps) -> PairSpace:
     lies in `prev`, for f named in `maps` (a subset of "star", "comm_dot",
     "comm_circ").
 
-    The kept set is a product, so (b, 0) and (0, c) are tested apart and each
-    map adds its conditions on either component once. The commutator
-    conditions quantify over generators, which needs `prev.b` phi-invariant
-    for "comm_dot" and `prev.c` psi-invariant for "comm_circ"; the terms of
-    these chains are normal in the group concerned, so a failure is internal.
+    The kept set is a product, so (b, 0) and (0, c) are tested apart, each
+    part the kernel of fixer (`_fixers`) and unit-difference (`_lift`) maps.
+    These need `prev.b` phi- and `prev.c` psi-invariant; the chain terms are
+    normal in the group concerned, so a failure is internal.
     """
-    p = brace.p
-    b_tests, c_tests = [], []
+    dphi_units, dpsi_units = _units(brace.dphi, brace.d_c), _units(brace.dpsi, brace.d_b)
+    b_kept, c_kept = Subspace.full(brace.p, brace.d_b), Subspace.full(brace.p, brace.d_c)
     if "star" in maps or "comm_circ" in maps:
         # (b, 0) * (u, v) and [(b, 0), (u, v)]_o are (0, (psi_b - id) v).
-        b_tests.append(lambda b: _cols_in(brace.dpsi(b), prev.c))
+        b_kept = _fixers(brace.dpsi, prev.c, dpsi_units)
+    if "star" in maps or "comm_dot" in maps:
+        # (0, c) * (u, v) = ((phi_{-c} - id) u, 0) and [(0, c), (u, v)] =
+        # ((phi_c - id) u, 0); the fixers form a subgroup, closed under c -> -c.
+        c_kept = _fixers(brace.dphi, prev.b, dphi_units)
     if "comm_dot" in maps:
-        if not _invariant(prev.b, brace.phi_basis):
-            raise errors.AlgebraError("internal: lifted B part expected to be phi-invariant")
-        # [(b, 0), (u, e_j)] = ((id - phi_{e_j}) b, 0); [(0, c), (u, v)] = ((phi_c - id) u, 0).
-        dot_diffs = [brace.dphi(unit_vec(brace.d_c, j)) for j in range(brace.d_c)]
-        b_tests.append(lambda b: all(prev.b.contains(mat_vec(d, b, p)) for d in dot_diffs))
-        c_tests.append(lambda c: _cols_in(brace.dphi(c), prev.b))
-    if "star" in maps:
-        # (0, c) * (u, v) = ((phi_{-c} - id) u, 0).
-        c_tests.append(lambda c: _cols_in(brace.dphi(vec_neg(c, p)), prev.b))
+        # [(b, 0), (u, e_j)] = ((id - phi_{e_j}) b, 0).
+        b_kept = _lift(b_kept, prev.b, dphi_units)
     if "comm_circ" in maps:
-        if not _invariant(prev.c, brace.psi_basis):
-            raise errors.AlgebraError("internal: lifted C part expected to be psi-invariant")
         # [(0, c), (e_i, v)]_o = (0, -(psi_{e_i} - id) c).
-        circ_diffs = [brace.dpsi(unit_vec(brace.d_b, i)) for i in range(brace.d_b)]
-        c_tests.append(lambda c: all(prev.c.contains(mat_vec(d, c, p)) for d in circ_diffs))
-    return _pass_sets(brace, b_tests, c_tests)
+        c_kept = _lift(c_kept, prev.c, dpsi_units)
+    return PairSpace(b_kept, c_kept)
 
 
 def bc_socle_step(brace: BCBrace, prev: PairSpace) -> PairSpace:
@@ -596,27 +604,12 @@ def bc_gamma_circ_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
     return PairSpace(Subspace.zero(brace.p, brace.d_b), span)
 
 
-def _pass_sets(brace: BCBrace, b_tests, c_tests) -> PairSpace:
-    p = brace.p
-    b_pass = [b for b in _all_vecs(p, brace.d_b) if all(t(b) for t in b_tests)]
-    c_pass = [c for c in _all_vecs(p, brace.d_c) if all(t(c) for t in c_tests)]
-    b_space = Subspace.from_vectors(p, brace.d_b, b_pass)
-    c_space = Subspace.from_vectors(p, brace.d_c, c_pass)
-    if b_space.size != len(b_pass) or c_space.size != len(c_pass):
-        raise errors.AlgebraError("internal: lifted predicate set is not a subspace")
-    return PairSpace(b_space, c_space)
-
-
 # ---------------------------------------------------------------------------
 # Substructure predicates on product subspaces.
 
 
-def bc_is_dot_subgroup(brace: BCBrace, pair: PairSpace) -> bool:
-    return _invariant(pair.b, [brace.phi(v) for v in pair.c.basis])
-
-
 def bc_is_subbrace(brace: BCBrace, pair: PairSpace) -> bool:
-    return bc_is_dot_subgroup(brace, pair) and _invariant(
+    return _invariant(pair.b, [brace.phi(v) for v in pair.c.basis]) and _invariant(
         pair.c, [brace.psi(u) for u in pair.b.basis]
     )
 

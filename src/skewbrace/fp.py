@@ -30,10 +30,6 @@ def vec_add(u: Vec, v: Vec, p: int) -> Vec:
     return tuple((a + b) % p for a, b in zip(u, v))
 
 
-def vec_sub(u: Vec, v: Vec, p: int) -> Vec:
-    return tuple((a - b) % p for a, b in zip(u, v))
-
-
 def vec_neg(u: Vec, p: int) -> Vec:
     return tuple((-a) % p for a in u)
 
@@ -55,28 +51,16 @@ def mat_vec(m: Mat, v: Vec, p: int) -> Vec:
 
 
 def mat_mul(a: Mat, b: Mat, p: int) -> Mat:
-    n = len(a)
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in cols)
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols) for row in a)
 
 
 def mat_sub(a: Mat, b: Mat, p: int) -> Mat:
     return tuple(tuple((x - y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mats_commute(a: Mat, b: Mat, p: int) -> bool:
-    return mat_mul(a, b, p) == mat_mul(b, a, p)
-
-
-def mat_rank(m: Mat, p: int) -> int:
-    return Subspace.from_vectors(p, len(m[0]), list(m)).rank
-
-
 def mat_is_invertible(m: Mat, p: int) -> bool:
-    return len(m) == len(m[0]) and mat_rank(m, p) == len(m)
+    return len(m) == len(m[0]) and Subspace.from_vectors(p, len(m), m).rank == len(m)
 
 
 @dataclass(frozen=True)
@@ -113,6 +97,10 @@ class Subspace:
     def size(self) -> int:
         return self.p**self.rank
 
+    def residue(self, v: Vec) -> Vec:
+        """The canonical representative of v modulo this subspace."""
+        return tuple(_residue(list(self.basis), list(v), self.p))
+
     def contains(self, v: Vec) -> bool:
         return not any(_residue(list(self.basis), list(v), self.p))
 
@@ -127,6 +115,16 @@ class Subspace:
 
     def union_span(self, other: "Subspace") -> "Subspace":
         return self.extended(other.basis)
+
+    def kernel(self, images) -> "Subspace":
+        """Members sent to 0 by the linear map taking basis[k] to images[k]: the
+        basis parts of the rows [images[k] | basis[k]] whose image part reduces to 0."""
+        rows: list[list[int]] = []
+        for image, v in zip(images, self.basis):
+            _reduce_into(rows, [*image, *v], self.p)
+        width = len(rows[0]) - self.dim if rows else 0
+        kept = [r[width:] for r in rows if _pivot(r) >= width]  # echelon, unit pivots
+        return Subspace(self.p, self.dim, _canonical(kept, self.p))
 
     def elements(self):
         """Iterate all members, the zero vector first."""

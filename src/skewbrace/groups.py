@@ -69,6 +69,13 @@ def _inverse_row(table: Table, n: int) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def as_int(x) -> int:
+    """A table or matrix entry, which must be an int (int() would truncate 0.5, accept True)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise errors.ParseError(f"entries must be integers, got {x!r}")
+    return x
+
+
 def validate_group(mul: Sequence[Sequence[int]]) -> GroupTable:
     """Check the full group axioms and return a table with identity at 0.
 
@@ -81,7 +88,7 @@ def validate_group(mul: Sequence[Sequence[int]]) -> GroupTable:
         raise errors.ParseError("empty multiplication table")
     rows = []
     for i, row in enumerate(mul):
-        row = tuple(int(x) for x in row)
+        row = tuple(as_int(x) for x in row)
         if len(row) != n:
             raise errors.ParseError(f"row {i} has length {len(row)}, expected {n}")
         if any(x < 0 or x >= n for x in row):

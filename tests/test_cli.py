@@ -66,8 +66,23 @@ def test_analyze_missing_file_is_parse_error(capsys):
         {"kind": "pq", "p": "x", "q": 2, "k": 2, "variant": "i"},
         {"kind": "tables", "dot": 5, "circ": 5},
         {"kind": "tables", "dot": [[0, 1], [1, "a"]], "circ": [[0, 1], [1, 0]]},
+        # int() would truncate 0.5 to 0 (analysed as Z2) and 1.5 to 1 (exit 0)
+        {"kind": "tables", "dot": [[0, 1], [1, 0.5]], "circ": [[0, 1], [1, 0]]},
+        {"kind": "tables", "dot": [[0, True], [True, 0]], "circ": [[0, 1], [1, 0]]},
+        {"kind": "radical_ring", "add": [[0, 1], [1, 0]], "mult": [[0, 0], [0, 0.5]]},
+        {"kind": "bc", "p": 3, "d_b": 1, "d_c": 1, "phi": [[[1.5]]], "psi": [[[1]]]},
+        {"kind": "bc", "p": 3, "d_b": 1, "d_c": 1, "phi": [[[1]]], "psi": [[[True]]]},
     ],
-    ids=["pq_str_prime", "tables_int", "tables_str_entry"],
+    ids=[
+        "pq_str_prime",
+        "tables_int",
+        "tables_str_entry",
+        "tables_float_entry",
+        "tables_bool_entry",
+        "radical_ring_float_entry",
+        "bc_float_entry",
+        "bc_bool_entry",
+    ],
 )
 def test_analyze_malformed_field_is_parse_error(tmp_path, capsys, spec):
     assert main(["analyze", write_spec(tmp_path, spec)]) == 1
@@ -86,6 +101,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["series", path, "--seed", "1"],
         ["analyze", path, "--checks", "Z"],
         ["analyze", path, "--checks", "AB"],
+        # counts below their floor would let a check pass vacuously
+        ["verify", path, "--suite", "all", "--max-n", "-1"],
+        ["analyze", path, "--checks", "E", "--max-n", "0"],
+        ["counterexample", "5", "--validate", "--samples", "-4"],
+        ["verify", path, "--samples", "many"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

@@ -9,9 +9,9 @@ import random
 import pytest
 
 import skewbrace as sb
-from skewbrace import errors, formula, series
+from skewbrace import errors, formula, groups, series
 from skewbrace.formula import PairSpace, span_of_units
-from skewbrace.fp import Subspace, mat_identity, mat_vec
+from skewbrace.fp import Subspace, mat_identity, mat_vec, unit_vec
 from tests.conftest import I2, UNI2, bc16, bc81
 
 SINGULAR = ((1, 1), (1, 1))
@@ -324,23 +324,43 @@ def test_element_tables_are_lazy_and_capped():
             assert sum(map(len, built)) <= formula.SIZE_CAP
 
 
-@pytest.mark.parametrize("make", [bc16, bc81])
+ALL_CHAINS = [
+    sb.left_series,
+    sb.right_series,
+    sb.smoktunowicz_series,
+    sb.socle_series,
+    sb.annihilator_series,
+    sb.gamma_series,
+    series.zeta_dot_series,
+    series.zeta_circ_series,
+    series.gamma_dot_series,
+    series.gamma_circ_series,
+]
+
+# A 3 x 3 Jordan block over F_3 and its inverse.
+J3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+J3_INV = ((1, 2, 1), (0, 1, 2), (0, 0, 1))
+
+
+def psi_jordan_pair():
+    """Order 3^5: psi_{e_1}, psi_{e_2} = J, J^-1 on C = F_3^3, phi trivial.
+    b -> psi_b - id is not linear here: ker(psi) = span((1, 1)) although
+    no combination of the two unit differences vanishes."""
+    return sb.make_bc_brace(3, 2, 3, (I2, I2, I2), (J3, J3_INV))
+
+
+def phi_jordan_pair():
+    """The mirror: phi = J, J^-1 on B = F_3^3, psi trivial."""
+    return sb.make_bc_brace(3, 3, 2, (J3, J3_INV), (I2, I2, I2))
+
+
+@pytest.mark.parametrize("make", [bc16, bc81, psi_jordan_pair, phi_jordan_pair])
 def test_series_match_materialized_tables(make):
+    """All ten chains against the tables; on the Jordan-pair braces (order
+    243) the fixer sets need more than one level."""
     brace = make()
     table = sb.materialize_table_brace(brace)
-    chain_fns = [
-        sb.left_series,
-        sb.right_series,
-        sb.smoktunowicz_series,
-        sb.socle_series,
-        sb.annihilator_series,
-        sb.gamma_series,
-        series.zeta_dot_series,
-        series.zeta_circ_series,
-        series.gamma_dot_series,
-        series.gamma_circ_series,
-    ]
-    for fn in chain_fns:
+    for fn in ALL_CHAINS:
         fast = fn(brace)
         slow = fn(table)
         assert [t.sorted() for t in fast.terms] == [t.sorted() for t in slow.terms], fn.__name__
@@ -460,6 +480,85 @@ def test_set_spans_match_element_sweeps(f5):
             check(brace, _random_pair(rng, brace), _random_pair(rng, brace))
 
 
+MAP_SETS = [{"star", "comm_dot"}, {"star", "comm_dot", "comm_circ"}, {"comm_dot"}, {"comm_circ"}]
+
+
+def _kept(p, dim, tests):
+    """The vectors of F_p^dim passing every test, checked to form a subspace."""
+    vecs = [v for v in itertools.product(range(p), repeat=dim) if all(t(v) for t in tests)]
+    space = Subspace.from_vectors(p, dim, vecs)
+    assert space.size == len(vecs), "lifted predicate set is not a subspace"
+    return space
+
+
+def sweep_lifted_step(brace, prev, maps):
+    """The per-vector sweep as an oracle: one dphi(c) or dpsi(b) matrix for
+    every vector of a factor, tested against the conditions of `maps`."""
+    p = brace.p
+
+    def cols_in(m, space):
+        return all(space.contains(col) for col in zip(*m))
+
+    b_tests, c_tests = [], []
+    if "star" in maps or "comm_circ" in maps:
+        b_tests.append(lambda b: cols_in(brace.dpsi(b), prev.c))
+    if "comm_dot" in maps:
+        dot_diffs = [brace.dphi(unit_vec(brace.d_c, j)) for j in range(brace.d_c)]
+        b_tests.append(lambda b: all(prev.b.contains(mat_vec(d, b, p)) for d in dot_diffs))
+        c_tests.append(lambda c: cols_in(brace.dphi(c), prev.b))
+    if "star" in maps:
+        c_tests.append(lambda c: cols_in(brace.dphi(tuple(-x % p for x in c)), prev.b))
+    if "comm_circ" in maps:
+        circ_diffs = [brace.dpsi(unit_vec(brace.d_b, i)) for i in range(brace.d_b)]
+        c_tests.append(lambda c: all(prev.c.contains(mat_vec(d, c, p)) for d in circ_diffs))
+    return PairSpace(_kept(p, brace.d_b, b_tests), _kept(p, brace.d_c, c_tests))
+
+
+def _stable(space, mats):
+    return all(space.contains(mat_vec(m, v, space.p)) for m in mats for v in space.basis)
+
+
+def check_lifted_steps_and_kernels(brace):
+    """Every lifted step (each map set on every term of the ten chains) and
+    both kernels against the sweeps. A term whose part is not invariant under
+    the action a map set reads must be refused instead."""
+    p = brace.p
+    ident_b, ident_c = mat_identity(brace.d_b), mat_identity(brace.d_c)
+    assert brace.ker_phi() == _kept(p, brace.d_c, [lambda c: brace.phi(c) == ident_b])
+    assert brace.ker_psi() == _kept(p, brace.d_b, [lambda b: brace.psi(b) == ident_c])
+    terms = {t.pair for fn in ALL_CHAINS for t in fn(brace).terms}
+    refused = 0
+    for prev in terms:
+        for maps in MAP_SETS:
+            bad_b = ("star" in maps or "comm_dot" in maps) and not _stable(prev.b, brace.phi_basis)
+            bad_c = ("star" in maps or "comm_circ" in maps) and not _stable(prev.c, brace.psi_basis)
+            if bad_b or bad_c:
+                with pytest.raises(errors.AlgebraError):
+                    formula.bc_lifted_step(brace, prev, maps)
+                refused += 1
+            else:
+                got = formula.bc_lifted_step(brace, prev, maps)
+                assert got == sweep_lifted_step(brace, prev, maps), (prev, maps)
+    return len(terms), refused
+
+
+# Shapes small enough for the per-vector sweep on every chain term.
+LIFT_SHAPES = [(2, 1, 3), (3, 3, 1), (5, 3, 2), (3, 2, 3), (5, 2, 2), (3, 4, 2), (2, 3, 3)]
+
+
+def test_lifted_steps_and_kernels_match_sweeps(f5):
+    """Kernels from basis images against the per-vector sweep: bc16, bc81,
+    F5, seeded random braces and the two Jordan-pair braces."""
+    rng = random.Random(sb.DEFAULT_SEED + 5)
+    braces = [bc16(), bc81(), f5, psi_jordan_pair(), phi_jordan_pair()]
+    braces += [random_bc(rng, *shape) for shape in LIFT_SHAPES for _ in range(2)]
+    for brace in braces:
+        count, refused = check_lifted_steps_and_kernels(brace)
+        assert count * len(MAP_SETS) > refused
+    assert psi_jordan_pair().ker_psi() == Subspace.from_vectors(3, 2, [(1, 1)])
+    assert phi_jordan_pair().ker_phi() == Subspace.from_vectors(3, 2, [(1, 1)])
+
+
 def test_star_closed_form_matches_generic_definition(f5):
     """a^-1 . (a o b) . b^-1 computed with raw ops, against the closed form."""
     rng = random.Random(sb.DEFAULT_SEED)
@@ -543,11 +642,66 @@ def test_f5_socle_series(f5):
     assert ranks == [(0, 0), (1, 3), (2, 3), (3, 3), (4, 4)]
 
 
+def pair_chains(brace, on_step=None):
+    """The six series on PairSpace terms through `groups.run_chain`, with no
+    element set built; `on_step(kind, step)` may wrap each step."""
+    full, trivial = brace.full_pair(), brace.trivial_pair()
+    steps = {
+        "left": (full, lambda t: formula.star_subgroup_pair(brace, t[0], t[-1]), False, 2),
+        "right": (full, lambda t: formula.star_subgroup_pair(brace, t[-1], t[0]), False, 2),
+        "smoktunowicz": (full, lambda t: formula.bc_smoktunowicz_step(brace, t), False, 3),
+        "socle": (trivial, lambda t: formula.bc_socle_step(brace, t[-1]), True, 2),
+        "annihilator": (trivial, lambda t: formula.bc_annihilator_step(brace, t[-1]), True, 2),
+        "gamma": (full, lambda t: formula.bc_gamma_step(brace, t), False, 2),
+    }
+    wrap = on_step or (lambda kind, step: step)
+    return {
+        kind: groups.run_chain(kind, start, wrap(kind, step), ascending, plateau)
+        for kind, (start, step, ascending, plateau) in steps.items()
+    }
+
+
+def chain_shape(chain):
+    return [(t.b.rank, t.c.rank) for t in chain.terms], chain.reaches_terminal
+
+
 def test_f7_same_shape():
+    """F7 has the right series of F5; F11 (order 11^8, too large for element
+    sets) has the six pair-space chains of F7, and each lifted step builds a
+    number of dphi/dpsi matrices polynomial in the dimension, not 11^4."""
     brace = sb.make_counterexample_F(7)
     right = sb.right_series(brace)
     assert [t.pair.b.rank for t in right.terms] == [4, 3, 0, 0]
     assert [t.pair.c.rank for t in right.terms] == [4, 2, 2, 0]
+    f7 = {kind: chain_shape(chain) for kind, chain in pair_chains(brace).items()}
+    assert f7["socle"] == ([(0, 0), (1, 3), (2, 3), (3, 3), (4, 4)], True)
+
+    f11 = sb.make_counterexample_F(11)
+    made = [0]
+    for name in ("dphi", "dpsi"):
+
+        def counted(v, diff=getattr(f11, name)):
+            made[0] += 1
+            return diff(v)
+
+        setattr(f11, name, counted)
+    per_step = []
+
+    def on_step(kind, step):
+        if kind not in ("socle", "annihilator"):
+            return step
+
+        def run(terms):
+            before = made[0]
+            out = step(terms)
+            per_step.append(made[0] - before)
+            return out
+
+        return run
+
+    chains = pair_chains(f11, on_step)
+    assert {kind: chain_shape(chain) for kind, chain in chains.items()} == f7
+    assert len(per_step) >= 8 and max(per_step) <= 200, per_step
 
 
 def test_identity_psi_kills_second_star_component():
