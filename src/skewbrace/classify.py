@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import errors, formula
 from .braces import SkewBrace, TableBrace
-from .formula import BCBrace, PairSpace
+from .formula import PairSpace
 from .groups import SUBGROUPS_MAX_ORDER, ElementSet, all_subgroups
 from .series import (
     annihilator_series,
@@ -168,7 +168,7 @@ def check_inclusion(brace: SkewBrace, label: str, n: int, k: int) -> dict:
         raise errors.BadIndices(f"need n >= 1 and 0 <= k <= n-1, got ({n}, {k})")
     (x, y), rhs = _inclusion_parts(brace, label, n, k)
     lhs = star_subgroup(brace, x, y)
-    holds = lhs.members <= rhs.members
+    holds = rhs.contains_pair(lhs) if isinstance(rhs, PairSpace) else lhs.members <= rhs.members
     witness = None
     if not holds:
         witness = _star_escape_witness(brace, x, y, rhs)
@@ -183,12 +183,9 @@ def check_inclusion(brace: SkewBrace, label: str, n: int, k: int) -> dict:
 
 
 def _star_escape_witness(brace: SkewBrace, x: ElementSet, y: ElementSet, rhs: ElementSet):
-    if isinstance(brace, BCBrace) and isinstance(x.pair, PairSpace):
-        found = formula.find_star_witness(brace, x.pair, y.pair, rhs.pair)
-        if found is None:
-            return None
-        a, b, val = found
-        return (brace.encode(*a), brace.encode(*b), brace.encode(*val))
+    if isinstance(x, PairSpace):
+        found = formula.find_star_witness(brace, x, y, rhs)
+        return found and tuple(brace.encode(*v) for v in found)
     inside = rhs.members
     for a in x:
         for b in y:
@@ -222,7 +219,7 @@ def verify_counterexample_F(p: int) -> dict:
     )
     right = right_series(brace)
     r2, r3 = right.at(2), right.at(3)
-    right_ok = r2.pair == expected_r2 and r3.pair == expected_r3
+    right_ok = r2 == expected_r2 and r3 == expected_r3
 
     ann = annihilator_series(brace)
     bounds = {
@@ -232,7 +229,7 @@ def verify_counterexample_F(p: int) -> dict:
         )
         for n in (1, 2, 3)
     }
-    ann_ok = all(ann.at(n).pair.contains_pair(bounds[n]) for n in (1, 2, 3))
+    ann_ok = all(ann.at(n).contains_pair(bounds[n]) for n in (1, 2, 3))
 
     e3 = tuple(1 if i == 2 else 0 for i in range(d))
     e2 = tuple(1 if i == 1 else 0 for i in range(d))

@@ -15,19 +15,18 @@ from dataclasses import asdict
 from . import classify, errors, series
 from .braces import DEFAULT_SEED, SkewBrace, check_identities
 from .catalog import brace_from_spec, spec_of_tables
-from .formula import BCBrace, validate_formula_brace
+from .formula import BCBrace, PairSpace, validate_formula_brace
 from .groups import ElementSet, SeriesChain, builtin_group, validate_group
 from .substructures import coset_agreement, is_ideal, is_left_ideal, is_subbrace
 
 ELEMENT_DUMP_CAP = 1024
 
 
-def set_to_json(brace: SkewBrace, s: ElementSet) -> dict:
+def set_to_json(brace: SkewBrace, s: ElementSet | PairSpace) -> dict:
     out: dict = {"order": len(s)}
-    if isinstance(brace, BCBrace):
-        if s.pair is not None:
-            out["b_basis"] = [list(v) for v in s.pair.b.basis]
-            out["c_basis"] = [list(v) for v in s.pair.c.basis]
+    if isinstance(s, PairSpace):
+        out["b_basis"] = [list(v) for v in s.b.basis]
+        out["c_basis"] = [list(v) for v in s.c.basis]
         if len(s) <= ELEMENT_DUMP_CAP:
             out["elements"] = [
                 [list(b), list(c)] for b, c in (brace.decode(i) for i in s)

@@ -16,9 +16,9 @@ and generated subgroups are invariant-subspace closures of basis differences
 (`_closure`, `_diff_span`); the lifted step of the four ascending chains
 (`bc_lifted_step`) and the kernels of phi and psi are kernels of linear maps
 given by basis images (`_lift`, `_fixers`), so none sweeps a factor's vectors.
-`series` runs the chain steps through `groups.run_chain` on `PairSpace` terms
-and turns each term into an element set once at the end. The tests check
-these paths against the table machinery and against element sweeps.
+`series` runs the chain steps through `groups.run_chain` on `PairSpace` terms,
+the brace's element sets, listed only when read element by element. The
+tests check these paths against the table machinery and element sweeps.
 
 Element operations work on indices b + p^d_b * c, split by one divmod. Each
 factor (`_Component`) adds on two or three digit blocks through one table of
@@ -50,23 +50,53 @@ from .fp import (
     vec_neg,
     zero_vec,
 )
-from .groups import ElementSet, as_int
+from .groups import as_int
 
 SIZE_CAP = 20_000  # per-component enumeration bound p^d
 MATERIALIZE_MAX_ORDER = 256  # largest formula brace expanded into tables
-PAIR_SET_CAP = 2**23  # largest element set pair_to_set builds (7^8 fits, 11^8 not)
+PAIR_SET_CAP = 2**23  # largest PairSpace listed element by element (7^8 fits, 11^8 not)
 
 
 @dataclass(frozen=True)
 class PairSpace:
-    """A product subspace U x V of the carrier B x C."""
+    """A product subspace U x V of the carrier B x C, and so the element set
+    of a formula brace: the indices b + p^d_b * c are listed on first read."""
 
     b: Subspace
     c: Subspace
+    _members = None  # set by `members`
 
     @property
-    def size(self) -> int:
+    def pair(self) -> "PairSpace":
+        """Itself, for the one reader of `term.pair`: bench/make_reference.py."""
+        return self
+
+    @property
+    def members(self) -> frozenset[int]:
+        """The element indices, listed once; refused above PAIR_SET_CAP."""
+        if self._members is None:
+            if len(self) > PAIR_SET_CAP:
+                raise errors.TooLarge(f"element sets capped at {PAIR_SET_CAP}, got {len(self)}")
+            p = self.b.p
+            b_idx = [_index(b, p) for b in self.b.elements()]
+            c_idx = [p**self.b.dim * _index(c, p) for c in self.c.elements()]
+            object.__setattr__(self, "_members", frozenset(i + j for j in c_idx for i in b_idx))
+        return self._members
+
+    def __contains__(self, x: int) -> bool:
+        try:
+            return x in self._members
+        except TypeError:  # not listed yet
+            return x in self.members
+
+    def __iter__(self):
+        return iter(self.sorted())
+
+    def __len__(self) -> int:
         return self.b.size * self.c.size
+
+    def sorted(self) -> list[int]:
+        return sorted(self.members)
 
     @property
     def parent_order(self) -> int:
@@ -106,7 +136,7 @@ class BCBrace(SkewBrace):
         self._ident_c = mat_identity(self.d_c)
         self._phi_pows = [_power_row(m, p) for m in phi_basis]
         self._psi_pows = [_power_row(m, p) for m in psi_basis]
-        self._sets: dict[tuple, ElementSet] = {}
+        self._sets: dict[tuple, PairSpace] = {}
         self._elem: tuple[_Component, _Component] | None = None
 
     # -- vector-level operations ---------------------------------------------
@@ -215,24 +245,9 @@ class BCBrace(SkewBrace):
     def ker_psi(self) -> Subspace:
         return _fixers(self.dpsi, Subspace.zero(self.p, self.d_c), _units(self.dpsi, self.d_b))
 
-    def pair_to_set(self, pair: PairSpace) -> ElementSet:
-        """Materialize a product subspace, sharing carrier-sized sets and
-        refusing one above PAIR_SET_CAP elements before it is allocated."""
-        key = (pair.b.basis, pair.c.basis)
-        cached = self._sets.get(key)
-        if cached is not None:
-            return cached
-        if pair.size > PAIR_SET_CAP:
-            raise errors.TooLarge(f"element sets capped at {PAIR_SET_CAP}, got {pair.size}")
-        if pair.size == self.order:
-            members = frozenset(range(self.order))
-        else:
-            b_idx = [_index(b, self.p) for b in pair.b.elements()]
-            c_offsets = [self.p**self.d_b * _index(c, self.p) for c in pair.c.elements()]
-            members = frozenset(ib + oc for oc in c_offsets for ib in b_idx)
-        out = ElementSet(members, self.order, pair)
-        self._sets[key] = out
-        return out
+    def pair_to_set(self, pair: PairSpace) -> PairSpace:
+        """The first term equal to `pair`, so equal terms share one listing."""
+        return self._sets.setdefault((pair.b.basis, pair.c.basis), pair)
 
 
 def _power_row(m: Mat, p: int) -> list[Mat]:
@@ -634,17 +649,19 @@ def bc_is_ideal(brace: BCBrace, pair: PairSpace) -> bool:
 def find_star_witness(brace: BCBrace, x: PairSpace, y: PairSpace, rhs: PairSpace):
     """A concrete pair (a, b) with a*b outside rhs, or None.
 
-    Scans embedded generator pairs first (which is where the counterexample
-    witnesses live), then falls back to the factored sweeps
-    that are guaranteed to find an escape when one exists.
+    Scans embedded generator pairs first (where the counterexample witnesses
+    live), then factored sweeps that find an escape when one exists. As
+    (b, c) * (u, v) = (dphi(-c) u, dpsi(b) v) is linear in u and v, they pair
+    each acting element with the moved basis, reversed so as to meet first
+    the witness a sweep over both factors' elements would.
     """
     zero_b, zero_c = zero_vec(brace.d_b), zero_vec(brace.d_c)
     x_gens = [(u, zero_c) for u in x.b.basis] + [(zero_b, w) for w in x.c.basis]
     y_gens = [(u, zero_c) for u in y.b.basis] + [(zero_b, w) for w in y.c.basis]
     candidates = itertools.chain(
         itertools.product(x_gens, y_gens),
-        (((zero_b, c), (u, zero_c)) for c in x.c.elements() for u in y.b.elements()),
-        (((b, zero_c), (zero_b, v)) for b in x.b.elements() for v in y.c.elements()),
+        (((zero_b, c), (u, zero_c)) for c in x.c.elements() for u in reversed(y.b.basis)),
+        (((b, zero_c), (zero_b, v)) for b in x.b.elements() for v in reversed(y.c.basis)),
     )
     for a, b in candidates:
         val = brace.vstar(a, b)

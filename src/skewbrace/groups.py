@@ -8,8 +8,8 @@ between threads for read-only queries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from . import errors
 
@@ -125,15 +125,11 @@ def validate_group(mul: Sequence[Sequence[int]]) -> GroupTable:
 
 @dataclass(frozen=True)
 class ElementSet:
-    """A subset of a carrier {0, ..., parent_order-1}.
-
-    The optional `pair` slot carries the compact subspace-product form used
-    by formula-backed braces; it never participates in equality.
-    """
+    """A subset of a carrier {0, ..., parent_order-1}, the element set of a
+    table brace (a formula brace's is `formula.PairSpace`)."""
 
     members: frozenset[int]
     parent_order: int
-    pair: Any = field(default=None, compare=False, repr=False)
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -156,8 +152,8 @@ class ElementSet:
         return len(self.members) == self.parent_order
 
 
-def make_set(members: Iterable[int], parent_order: int, pair: Any = None) -> ElementSet:
-    return ElementSet(frozenset(members), parent_order, pair)
+def make_set(members: Iterable[int], parent_order: int) -> ElementSet:
+    return ElementSet(frozenset(members), parent_order)
 
 
 def trivial_set(parent_order: int) -> ElementSet:
@@ -170,7 +166,8 @@ def full_set(parent_order: int) -> ElementSet:
 
 @dataclass(frozen=True)
 class SeriesChain:
-    """An ascending or descending chain of element sets.
+    """An ascending or descending chain of element sets: `ElementSet`s on a
+    table brace, `formula.PairSpace`s on a formula brace.
 
     `start_index` is the index of terms[0] in the usual numbering: 1 for
     descending chains, 0 for ascending ones. Terms past `stabilized_at` are

@@ -3,9 +3,9 @@ the quotient-based socle variant.
 
 Every chain runs through `groups.run_chain`, and each series below only
 declares its step on both backings. Formula braces run the `formula` step on
-`PairSpace` terms and turn each term into an element set once at the end;
-table braces run the step here on element sets. `_series` is the one place
-that memoizes on the brace and picks the backing. Descending chains stop
+their element sets, `PairSpace`s interned by `BCBrace.pair_to_set`; table
+braces run the step here on `ElementSet`s. `_series` is the one place that
+memoizes on the brace and picks the backing. Descending chains stop
 when a term repeats or hits {1}; ascending chains use lifted elementwise
 predicates so no quotient is ever materialized.
 """

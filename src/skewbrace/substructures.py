@@ -19,16 +19,10 @@ from .groups import (
 PAIRWISE_CAP = 1_000_000  # largest |X| * |Y| swept without product structure
 
 
-def _as_members(s: ElementSet | Iterable[int]) -> frozenset[int]:
-    if isinstance(s, ElementSet):
+def _as_members(s: ElementSet | PairSpace | Iterable[int]) -> frozenset[int]:
+    if isinstance(s, (ElementSet, PairSpace)):
         return s.members
     return frozenset(s)
-
-
-def _pair_of(brace: SkewBrace, s: ElementSet) -> PairSpace | None:
-    if isinstance(brace, BCBrace) and isinstance(s, ElementSet) and isinstance(s.pair, PairSpace):
-        return s.pair
-    return None
 
 
 class _DotRows:
@@ -62,9 +56,8 @@ def _is_dot_subgroup(brace: SkewBrace, members: frozenset[int]) -> bool:
 
 
 def is_subbrace(brace: SkewBrace, s: ElementSet) -> bool:
-    pair = _pair_of(brace, s)
-    if pair is not None:
-        return formula.bc_is_subbrace(brace, pair)
+    if isinstance(s, PairSpace):
+        return formula.bc_is_subbrace(brace, s)
     members = _as_members(s)
     if not _is_dot_subgroup(brace, members):
         return False
@@ -77,9 +70,8 @@ def is_left_ideal(brace: SkewBrace, s: ElementSet) -> bool:
     a ranges over `brace.generators()`, which generate both (A, .) and
     (A, o); that suffices because lambda is a homomorphism (A, o) -> Aut(A, .).
     """
-    pair = _pair_of(brace, s)
-    if pair is not None:
-        return formula.bc_is_left_ideal(brace, pair)
+    if isinstance(s, PairSpace):
+        return formula.bc_is_left_ideal(brace, s)
     members = _as_members(s)
     if not _is_dot_subgroup(brace, members):
         return False
@@ -88,9 +80,8 @@ def is_left_ideal(brace: SkewBrace, s: ElementSet) -> bool:
 
 def is_ideal(brace: SkewBrace, s: ElementSet) -> bool:
     """Left ideal normal in both groups, tested on the same generators."""
-    pair = _pair_of(brace, s)
-    if pair is not None:
-        return formula.bc_is_ideal(brace, pair)
+    if isinstance(s, PairSpace):
+        return formula.bc_is_ideal(brace, s)
     if not is_left_ideal(brace, s):
         return False
     members = _as_members(s)
@@ -113,10 +104,8 @@ def coset_agreement(brace: SkewBrace, ideal: ElementSet, a: int) -> bool:
 
 def star_subgroup(brace: SkewBrace, x: ElementSet, y: ElementSet) -> ElementSet:
     """Subgroup of (A, .) generated by {a * b : a in X, b in Y}."""
-    px, py = _pair_of(brace, x), _pair_of(brace, y)
-    if px is not None and py is not None:
-        pair = formula.star_subgroup_pair(brace, px, py)
-        return brace.pair_to_set(pair)
+    if isinstance(x, PairSpace) and isinstance(y, PairSpace):
+        return brace.pair_to_set(formula.star_subgroup_pair(brace, x, y))
     xm, ym = _as_members(x), _as_members(y)
     if len(xm) * len(ym) > PAIRWISE_CAP:
         raise errors.TooLarge("star subgroup needs product structure at this size")

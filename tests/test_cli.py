@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewbrace as sb
-from skewbrace import classify, formula
+from skewbrace import classify, errors, formula
 from skewbrace.cli import main
 
 PQ_SPEC = {"kind": "pq", "p": 3, "q": 2, "k": 2, "variant": "i"}
@@ -226,9 +233,81 @@ def test_memory_error_is_resource_limit(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_oversized_element_set_is_refused(monkeypatch, capsys):
+def test_oversized_element_set_is_refused(monkeypatch, f5):
+    """Listing a formula term above PAIR_SET_CAP is refused before the set is
+    built; its size, bases and the subspace tests stay available."""
     monkeypatch.setattr(formula, "PAIR_SET_CAP", 5**8 - 1)
-    assert main(["counterexample", "5", "--json"]) == 3
-    err = capsys.readouterr().err
-    assert "resource limit: element sets capped" in err
-    assert "Traceback" not in err
+    term = f5.full_pair()
+    assert len(term) == 5**8 and term.is_full and term.contains_pair(f5.trivial_pair())
+    tracemalloc.start()
+    for read in (lambda: 1 in term, lambda: list(term), lambda: term.members, term.sorted):
+        with pytest.raises(errors.TooLarge, match="element sets capped"):
+            read()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert term._members is None
+    assert peak < 100_000  # listing 5^8 indices would take tens of MB
+
+
+def test_counterexample_11_is_computed(capsys):
+    """The order-11^8 counterexample is checked on subspaces alone; no term
+    is listed, so nothing reaches PAIR_SET_CAP."""
+    code, report = run_json(capsys, ["counterexample", "11", "--json"])
+    assert code == 0
+    assert report["all_confirmed"] and report["order"] == 11**8
+    assert report["witness"] == [11**2, 11**5, 11**4]
+
+
+Z2 = [[0, 1], [1, 0]]
+Z4_ADD = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+Z4_MULT = [[2 * a * b % 4 for b in range(4)] for a in range(4)]
+FUZZ_SPECS = [
+    {"kind": "tables", "dot": Z2, "circ": Z2},
+    sb.spec_of_tables(sb.build_from_radical_ring(Z4_ADD, Z4_MULT)),
+    {"kind": "trivial", "group": "C2"},
+    {"kind": "almost_trivial", "group": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+    {"kind": "radical_ring", "add": Z4_ADD, "mult": Z4_MULT},
+    PQ_SPEC,
+    {"kind": "bc", "p": 2, "d_b": 2, "d_c": 2, "phi": [[[1, 0], [0, 1]], [[1, 1], [0, 1]]],
+     "psi": [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]},
+    {"kind": "bc", "p": 3, "d_b": 1, "d_c": 2, "phi": [[[1]], [[1]]], "psi": [[[1, 0], [0, 1]]]},
+]
+FUZZ_LEAVES = st.one_of(
+    st.integers(-3, 7),
+    st.sampled_from([0.5, True, None, "", "C2", "ii", "bc", "tables", [], [[]], {}, Z2]),
+)
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid spec with one field, at any depth, replaced or dropped."""
+
+    def mutate(value):
+        if isinstance(value, (dict, list)) and value and draw(st.integers(0, 3)):
+            out = dict(value) if isinstance(value, dict) else list(value)
+            key = draw(st.sampled_from(list(out) if isinstance(out, dict) else range(len(out))))
+            if draw(st.integers(0, 3)) == 0:
+                del out[key]
+            else:
+                out[key] = mutate(out[key])
+            return out
+        return draw(FUZZ_LEAVES)
+
+    spec = draw(st.sampled_from(FUZZ_SPECS))
+    return mutate(spec) if draw(st.integers(0, 9)) else draw(FUZZ_LEAVES)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spec=mutated_specs())
+def test_mutated_specs_exit_cleanly(spec):
+    """Every command on a damaged spec ends in a documented exit code, with
+    no exception escaping `main`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "brace.json")
+        pathlib.Path(path).write_text(json.dumps(spec))
+        for argv in (["analyze", path], ["series", path], ["verify", path, "--samples", "20"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--json"])
+            assert code in (0, 1, 2, 3), (argv, spec)
+            assert "Traceback" not in err.getvalue()

@@ -480,6 +480,85 @@ def test_set_spans_match_element_sweeps(f5):
             check(brace, _random_pair(rng, brace), _random_pair(rng, brace))
 
 
+def _generator_pairs(brace, x, y):
+    zero_b, zero_c = (0,) * brace.d_b, (0,) * brace.d_c
+    x_gens = [(u, zero_c) for u in x.b.basis] + [(zero_b, w) for w in x.c.basis]
+    y_gens = [(u, zero_c) for u in y.b.basis] + [(zero_b, w) for w in y.c.basis]
+    return list(itertools.product(x_gens, y_gens))
+
+
+def sweep_star_witness(brace, x, y, rhs):
+    """The element-by-element oracle: generator pairs, then every element of
+    the acting factor against every element of the moved one."""
+    zero_b, zero_c = (0,) * brace.d_b, (0,) * brace.d_c
+    candidates = itertools.chain(
+        _generator_pairs(brace, x, y),
+        (((zero_b, c), (u, zero_c)) for c in x.c.elements() for u in y.b.elements()),
+        (((b, zero_c), (zero_b, v)) for b in x.b.elements() for v in y.c.elements()),
+    )
+    for a, b in candidates:
+        val = brace.vstar(a, b)
+        if not rhs.contains(*val):
+            return a, b, val
+    return None
+
+
+def _generator_span(brace, x, y):
+    """The least product subspace holding a * b for the generator pairs of X
+    and Y, so only the fallback can find a witness that escapes it."""
+    values = [brace.vstar(a, b) for a, b in _generator_pairs(brace, x, y)]
+    b_part = Subspace.from_vectors(brace.p, brace.d_b, (v[0] for v in values))
+    return PairSpace(b_part, Subspace.from_vectors(brace.p, brace.d_c, (v[1] for v in values)))
+
+
+def test_star_witness_matches_element_sweep(f5):
+    """find_star_witness, whose fallback pairs elements with a basis, returns
+    the witness of the element-by-element sweep: on seeded triples of product
+    subspaces of bc16 and bc81, of chain terms of seeded random braces, and of
+    low-rank F5 pairs against the span of their generator values (the star
+    value is not linear in the acting element, so the fallback can escape
+    that span). Every witness lies in X x Y and escapes rhs."""
+    rng = random.Random(sb.DEFAULT_SEED + 6)
+
+    def triples(brace, pool, count):
+        return [(brace, *(rng.choice(pool) for _ in range(3))) for _ in range(count)]
+
+    cases = []
+    for make in (bc16, bc81):
+        brace = make()
+        pool = [
+            PairSpace(u, v)
+            for u in _subspaces(brace.p, brace.d_b)
+            for v in _subspaces(brace.p, brace.d_c)
+        ]
+        cases += triples(brace, pool, 300)
+    for shape in LIFT_SHAPES:
+        brace = random_bc(rng, *shape)
+        pool = list({t for fn in ALL_CHAINS for t in fn(brace).terms})
+        cases += triples(brace, pool + [_random_pair(rng, brace) for _ in range(4)], 60)
+
+    def low_rank(dim):
+        vecs = [tuple(rng.randrange(5) for _ in range(dim)) for _ in range(rng.randrange(3))]
+        return Subspace.from_vectors(5, dim, vecs)
+
+    for _ in range(60):
+        x, y = PairSpace(low_rank(4), low_rank(4)), PairSpace(low_rank(4), low_rank(4))
+        cases.append((f5, x, y, _generator_span(f5, x, y)))
+    outcomes = {"none": 0, "generators": 0, "fallback": 0}
+    for brace, x, y, rhs in cases:
+        found = formula.find_star_witness(brace, x, y, rhs)
+        assert found == sweep_star_witness(brace, x, y, rhs), (x, y, rhs)
+        if found is None:
+            outcomes["none"] += 1
+            continue
+        a, b, val = found
+        assert x.contains(*a) and y.contains(*b) and val == brace.vstar(a, b)
+        assert not rhs.contains(*val)
+        on_gens = not rhs.contains_pair(_generator_span(brace, x, y))
+        outcomes["generators" if on_gens else "fallback"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
 MAP_SETS = [{"star", "comm_dot"}, {"star", "comm_dot", "comm_circ"}, {"comm_dot"}, {"comm_circ"}]
 
 
@@ -666,9 +745,9 @@ def chain_shape(chain):
 
 
 def test_f7_same_shape():
-    """F7 has the right series of F5; F11 (order 11^8, too large for element
-    sets) has the six pair-space chains of F7, and each lifted step builds a
-    number of dphi/dpsi matrices polynomial in the dimension, not 11^4."""
+    """F7 has the right series of F5; F11 (order 11^8) has the six pair-space
+    chains of F7, and each lifted step builds a number of dphi/dpsi matrices
+    polynomial in the dimension, not 11^4."""
     brace = sb.make_counterexample_F(7)
     right = sb.right_series(brace)
     assert [t.pair.b.rank for t in right.terms] == [4, 3, 0, 0]
