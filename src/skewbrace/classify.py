@@ -278,11 +278,16 @@ def fitting_ideal(brace: SkewBrace) -> ElementSet:
 
 
 def enumerate_ideals(brace: TableBrace) -> list[ElementSet]:
-    if brace.order > SUBGROUPS_MAX_ORDER:
-        raise errors.TooLargeForIdealEnumeration(
-            f"ideal enumeration capped at order {SUBGROUPS_MAX_ORDER}"
-        )
-    return [s for s in all_subgroups(brace.dot_group) if is_ideal(brace, s)]
+    """Every ideal, found once per brace; each call gets a fresh list."""
+    ideals = brace._cache.get("ideals")
+    if ideals is None:
+        if brace.order > SUBGROUPS_MAX_ORDER:
+            raise errors.TooLargeForIdealEnumeration(
+                f"ideal enumeration capped at order {SUBGROUPS_MAX_ORDER}"
+            )
+        ideals = tuple(s for s in all_subgroups(brace.dot_group) if is_ideal(brace, s))
+        brace._cache["ideals"] = ideals
+    return list(ideals)
 
 
 def check_fitting_theorem(brace: SkewBrace, i: ElementSet, j: ElementSet) -> dict:

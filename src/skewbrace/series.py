@@ -189,15 +189,24 @@ def gamma_prime_series(brace: SkewBrace) -> SeriesChain:
 
 
 def relative_gamma_series(brace: SkewBrace, ideal: ElementSet) -> SeriesChain:
-    """Gamma_1(I)^A = I, Gamma_{n+1}(I)^A = [I, Gamma_n(I)^A]^A; I is checked
-    here, each later term is an ideal closure."""
+    """Gamma_1(I)^A = I, Gamma_{n+1}(I)^A = [I, Gamma_n(I)^A]^A; each later
+    term is an ideal closure.
+
+    Cached per brace on the members of I. I is checked only when its chain
+    is computed, so a non-ideal is never cached and always raises.
+    """
     if not isinstance(brace, TableBrace):
         raise errors.TooLarge("the relative series needs a table brace")
-    if not is_ideal(brace, ideal):
-        raise errors.NotAnIdeal("relative series of a non-ideal")
-    return run_chain(
-        "relative_gamma", ideal, lambda terms: _commutator(brace, terms[0], terms[-1])
-    )
+    key = ("relative_gamma", ideal.members)
+    chain = brace._cache.get(key)
+    if chain is None:
+        if not is_ideal(brace, ideal):
+            raise errors.NotAnIdeal("relative series of a non-ideal")
+        chain = run_chain(
+            "relative_gamma", ideal, lambda terms: _commutator(brace, terms[0], terms[-1])
+        )
+        brace._cache[key] = chain
+    return chain
 
 
 def zeta_dot_series(brace: SkewBrace) -> SeriesChain:

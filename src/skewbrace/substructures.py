@@ -148,14 +148,23 @@ def huq_commutator(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet
 
 
 def _commutator(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet:
-    """[I, J]_A for ideals I and J, unchecked."""
+    """[I, J]_A for ideals I and J, unchecked.
+
+    Cached per brace on the ordered pair of members, so the swapped
+    arguments are computed on their own (the tests compare the two).
+    """
+    key = ("commutator", i.members, j.members)
+    cached = brace._cache.get(key)
+    if cached is not None:
+        return cached
     gens = set()
     for x in i.members:
         for y in j.members:
             gens.add(brace.comm_dot(x, y))
             gens.add(brace.comm_circ(x, y))
             gens.add(brace.star(x, y))
-    return ideal_closure(brace, gens)
+    out = brace._cache[key] = ideal_closure(brace, gens)
+    return out
 
 
 QUOTIENT_CAP = 4096

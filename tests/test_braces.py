@@ -37,6 +37,64 @@ def test_brace_relation_failure_witnessed():
     assert len(info.value.witness) == 3
 
 
+def _relation_fails(dot, circ, a, b, c) -> bool:
+    """a o (b . c) != (a o b) . a^-1 . (a o c)."""
+    d, o = dot.mul, circ.mul
+    return o[a][d[b][c]] != d[d[o[a][b]][dot.inv[a]]][o[a][c]]
+
+
+def _lambda_fails(dot, circ, a, b) -> bool:
+    """lambda_{a o b} != lambda_a lambda_b somewhere."""
+    d, o, inv = dot.mul, circ.mul, dot.inv
+
+    def lam(g, x):
+        return d[inv[g]][o[g][x]]
+
+    return any(lam(o[a][b], x) != lam(a, lam(b, x)) for x in dot.elements())
+
+
+def test_generator_check_matches_exhaustive_check():
+    """validate_brace, which checks on generators, accepts exactly the pairs
+    of group tables the check on every triple and pair accepts; each witness
+    it raises is a real failure."""
+    pairs = 0
+    for n in range(1, 7):
+        tables = [sb.validate_group(t) for t in sb.enumeration._all_group_tables(n)]
+        carrier = range(n)
+        for dot in tables:
+            for circ in tables:
+                pairs += 1
+                exhaustive = not any(
+                    _relation_fails(dot, circ, a, b, c)
+                    for a in carrier
+                    for b in carrier
+                    for c in carrier
+                ) and not any(_lambda_fails(dot, circ, a, b) for a in carrier for b in carrier)
+                try:
+                    sb.validate_brace(dot, circ)
+                    accepted = True
+                except errors.BraceRelationFails as exc:
+                    assert _relation_fails(dot, circ, *exc.witness)
+                    accepted = False
+                except errors.LambdaNotHomomorphism as exc:
+                    assert _lambda_fails(dot, circ, *exc.witness)
+                    accepted = False
+                assert accepted == exhaustive, (dot.mul, circ.mul)
+    assert pairs == 6455
+
+
+def test_brace_relation_checked_on_every_dot_generator():
+    """(A, .) = C2^3 as xor and (A, o) = Z/8 on bit-reversed labels: the
+    relation holds for c = 1, the first generator, and fails for c = 2."""
+    rev = [int(f"{x:03b}"[::-1], 2) for x in range(8)]
+    dot = sb.validate_group([[a ^ b for b in range(8)] for a in range(8)])
+    circ = sb.validate_group([[rev[(rev[a] + rev[b]) % 8] for b in range(8)] for a in range(8)])
+    with pytest.raises(errors.BraceRelationFails) as info:
+        sb.validate_brace(dot, circ)
+    assert _relation_fails(dot, circ, *info.value.witness)
+    assert info.value.witness[2] != 1
+
+
 def test_identity_mismatch():
     xor = [[a ^ b for b in range(4)] for a in range(4)]
     shifted = [[(1 ^ ((1 ^ a) ^ (1 ^ b))) for b in range(4)] for a in range(4)]

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewbrace as sb
 from skewbrace import errors
@@ -207,6 +211,80 @@ def test_fitting_theorem_examples(pq_i):
     assert r["holds"] and r["bound"] == 3
     r = sb.check_fitting_theorem(pq_i, full_set(6), c3)
     assert not r["hypothesis_met"] and r["vacuous"]
+
+
+def fresh(brace: sb.TableBrace) -> sb.TableBrace:
+    """The same two tables with an empty cache."""
+    return sb.TableBrace(brace.dot_group, brace.circ_group)
+
+
+def test_cached_ideal_machinery_matches_fresh_braces(catalog, corpus8):
+    """After the Fitting loop has filled a brace's cache, every relative
+    chain and class, every ideal commutator and the Fitting ideal equal the
+    values computed on a brace with an empty cache, one fresh brace per
+    value; a non-ideal still raises on every call."""
+    tables = [(name, b) for name, b in catalog if b.backing == "table"]
+    for name, brace in tables + corpus8:
+        ideals = sb.enumerate_ideals(brace)
+        assert ideals == sb.enumerate_ideals(fresh(brace)), name
+        nil = [i for i in ideals if sb.is_rel_ann_nilpotent(brace, i) is not None]
+        for a in range(len(nil)):
+            for b in range(a, len(nil)):
+                sb.check_fitting_theorem(brace, nil[a], nil[b])
+        sb.fitting_ideal(brace)
+
+        for i in ideals:
+            chain = sb.relative_gamma_series(brace, i)
+            assert chain == sb.relative_gamma_series(fresh(brace), i), name
+            assert sb.is_rel_ann_nilpotent(brace, i) == sb.is_rel_ann_nilpotent(fresh(brace), i)
+            for j in ideals:
+                warm = sb.huq_commutator(brace, i, j)
+                assert warm == sb.huq_commutator(fresh(brace), i, j), name
+        assert sb.fitting_ideal(brace) == sb.fitting_ideal(fresh(brace)), name
+
+        members = {i.members for i in ideals}
+        for s in sb.groups.all_subgroups(brace.dot_group):
+            if s.members in members:
+                continue
+            for _ in range(2):
+                with pytest.raises(errors.NotAnIdeal):
+                    sb.relative_gamma_series(brace, s)
+
+
+def test_enumerate_ideals_returns_a_fresh_list(pq_i):
+    first = sb.enumerate_ideals(pq_i)
+    first.clear()
+    assert len(sb.enumerate_ideals(pq_i)) == 3
+
+
+def relabeled(brace: sb.TableBrace, sigma: tuple[int, ...]) -> sb.TableBrace:
+    """The brace carried to new labels by sigma, which fixes 0."""
+    n = brace.order
+
+    def table(g):
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                rows[sigma[a]][sigma[b]] = sigma[g.mul[a][b]]
+        return rows
+
+    return sb.validate_brace(table(brace.dot_group), table(brace.circ_group))
+
+
+def relative_classes(brace: sb.TableBrace) -> Counter:
+    return Counter(sb.is_rel_ann_nilpotent(brace, i) for i in sb.enumerate_ideals(brace))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relabeling_preserves_profile_and_fitting_data(corpus8, data):
+    """Profile, relative classes and Fitting order are isomorphism invariants."""
+    name, brace = data.draw(st.sampled_from(corpus8))
+    rest = data.draw(st.permutations(range(1, brace.order)))
+    image = relabeled(brace, (0, *rest))
+    assert sb.nilpotency_profile(image) == sb.nilpotency_profile(brace), name
+    assert relative_classes(image) == relative_classes(brace), name
+    assert len(sb.fitting_ideal(image)) == len(sb.fitting_ideal(brace)), name
 
 
 EXTENDED_SWEEP = {
