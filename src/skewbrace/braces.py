@@ -8,6 +8,7 @@ variant lives in `formula`.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Sequence
 
@@ -161,14 +162,15 @@ class TableBrace(SkewBrace):
 
 
 def validate_brace(dot: GroupTable | Sequence[Sequence[int]], circ: GroupTable | Sequence[Sequence[int]]) -> TableBrace:
-    """Check the brace relation and the lambda homomorphism on generators.
+    """Check the brace relation on generators.
 
     Both tables must be groups on the same carrier with identity 0. The
     relation a o (b . c) = (a o b) . a^-1 . (a o c) says
     lambda_a(b . c) = lambda_a(b) . lambda_a(c); checked for every a, b and
     each generator c of (A, .), it extends to every c by induction on word
-    length. Likewise lambda_{a o b} = lambda_a lambda_b is checked for every
-    a and each generator b of (A, o). A raised witness is a real failure.
+    length. With the associativity of o it implies
+    lambda_{a o b} = lambda_a lambda_b, which is therefore not checked. A
+    raised witness is a real failure.
     """
     def as_group(table, label: str) -> GroupTable:
         if isinstance(table, GroupTable):
@@ -191,10 +193,8 @@ def validate_brace(dot: GroupTable | Sequence[Sequence[int]], circ: GroupTable |
     n = dot_g.order
     dmul, cmul, dinv = dot_g.mul, circ_g.mul, dot_g.inv
     dot_gens = greedy_generators(dot_g)
-    circ_gens = greedy_generators(circ_g)
     for a in range(n):
         ia = dinv[a]
-        lam_a = tuple(dmul[ia][cmul[a][b]] for b in range(n))
         for b in range(n):
             ab = cmul[a][b]
             for c in dot_gens:
@@ -202,14 +202,6 @@ def validate_brace(dot: GroupTable | Sequence[Sequence[int]], circ: GroupTable |
                 rhs = dmul[dmul[ab][ia]][cmul[a][c]]
                 if lhs != rhs:
                     raise errors.BraceRelationFails(a, b, c)
-        # lambda_{a o b} = lambda_a lambda_b, checked row by row.
-        for b in circ_gens:
-            ab = cmul[a][b]
-            iab = dinv[ab]
-            lam_b_row = dmul[dinv[b]]
-            for x in range(n):
-                if dmul[iab][cmul[ab][x]] != lam_a[lam_b_row[cmul[b][x]]]:
-                    raise errors.LambdaNotHomomorphism(a, b)
     return TableBrace(dot_g, circ_g)
 
 
@@ -228,9 +220,13 @@ def build_almost_trivial(g: GroupTable) -> TableBrace:
 def build_from_radical_ring(add: Sequence[Sequence[int]], mult: Sequence[Sequence[int]]) -> TableBrace:
     """Build the brace with a o b = a + b + a*b from a radical ring.
 
-    The addition table must be an abelian group with zero at index 0 and the
-    multiplication associative and two-sided distributive; rejects rings whose
-    circle operation is not a group.
+    The addition table must be an abelian group with zero at index 0. The
+    ring laws (NotARing) are checked for c among the additive generators:
+    a(b + c) = ab + ac is additive in c, and then so is (a + b)c = ac + bc;
+    with both, (ab)c = a(bc) is trilinear and checked on generator triples.
+    Then the circle operation must be a group (NotRadical). The rest follows:
+    0x = x0 = 0, the brace relation is left distributivity, and
+    a * b = -a + (a o b) - b = ab.
     """
     n = len(add)
     add_rows = tuple(tuple(as_int(x) for x in row) for row in add)
@@ -248,16 +244,15 @@ def build_from_radical_ring(add: Sequence[Sequence[int]], mult: Sequence[Sequenc
     if any(x < 0 or x >= n for row in rows for x in row):
         raise errors.ParseError("multiplication table entries outside the carrier")
     am = add_g.mul
-    for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
-            for c in range(n):
-                if rows[ab][c] != rows[a][rows[b][c]]:
-                    raise errors.NotARing("multiplication not associative", (a, b, c))
-                if rows[a][am[b][c]] != am[rows[a][b]][rows[a][c]]:
-                    raise errors.NotARing("left distributivity fails", (a, b, c))
-                if rows[am[a][b]][c] != am[rows[a][c]][rows[b][c]]:
-                    raise errors.NotARing("right distributivity fails", (a, b, c))
+    gens = greedy_generators(add_g)
+    for a, b, c in itertools.product(range(n), range(n), gens):
+        if rows[a][am[b][c]] != am[rows[a][b]][rows[a][c]]:
+            raise errors.NotARing("left distributivity fails", (a, b, c))
+        if rows[am[a][b]][c] != am[rows[a][c]][rows[b][c]]:
+            raise errors.NotARing("right distributivity fails", (a, b, c))
+    for a, b, c in itertools.product(gens, repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            raise errors.NotARing("multiplication not associative", (a, b, c))
     circ_rows = tuple(
         tuple(am[am[a][b]][rows[a][b]] for b in range(n)) for a in range(n)
     )
@@ -265,14 +260,7 @@ def build_from_radical_ring(add: Sequence[Sequence[int]], mult: Sequence[Sequenc
         circ_g = validate_group(circ_rows)
     except errors.AlgebraError as exc:
         raise errors.NotRadical(f"circle operation is not a group: {exc}") from exc
-    if any(circ_g.mul[0][x] != x for x in range(n)):
-        raise errors.NotRadical("circle identity moved away from zero")
-    brace = validate_brace(add_g, circ_g)
-    for a in range(n):
-        for b in range(n):
-            if brace.star(a, b) != rows[a][b]:
-                raise AssertionError("star product disagrees with ring multiplication")
-    return brace
+    return TableBrace(add_g, circ_g)
 
 
 # ---------------------------------------------------------------------------

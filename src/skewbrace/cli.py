@@ -15,6 +15,7 @@ from dataclasses import asdict
 from . import classify, errors, series
 from .braces import DEFAULT_SEED, SkewBrace, check_identities
 from .catalog import brace_from_spec, spec_of_tables
+from .enumeration import ENUMERATE_MAX_ORDER, enumerate_braces
 from .formula import BCBrace, PairSpace, validate_formula_brace
 from .groups import ElementSet, SeriesChain, builtin_group, validate_group
 from .substructures import coset_agreement, is_ideal, is_left_ideal, is_subbrace
@@ -203,8 +204,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from .enumeration import enumerate_braces
-
     if args.builtin:
         group = builtin_group(args.builtin)
     elif args.group:
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="all braces on an additive group")
     p_enum.add_argument("--group", help="group table JSON file")
     p_enum.add_argument("--builtin", help="builtin group name, e.g. C6 or S3")
-    p_enum.add_argument("--max-order", type=int, default=12, dest="max_order")
+    p_enum.add_argument("--max-order", type=_at_least(1), default=ENUMERATE_MAX_ORDER, dest="max_order")
     p_enum.add_argument("--profile", action="store_true", help="attach nilpotency profiles")
     common(p_enum)
     p_enum.set_defaults(fn=cmd_enumerate)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import collections
+import itertools
+
 import pytest
 
 import skewbrace as sb
@@ -54,9 +57,10 @@ def _lambda_fails(dot, circ, a, b) -> bool:
 
 
 def test_generator_check_matches_exhaustive_check():
-    """validate_brace, which checks on generators, accepts exactly the pairs
-    of group tables the check on every triple and pair accepts; each witness
-    it raises is a real failure."""
+    """validate_brace, which checks the relation on generators, accepts
+    exactly the pairs of group tables that pass the relation on every triple
+    and the lambda homomorphism on every pair; each witness it raises is a
+    real failure."""
     pairs = 0
     for n in range(1, 7):
         tables = [sb.validate_group(t) for t in sb.enumeration._all_group_tables(n)]
@@ -75,9 +79,6 @@ def test_generator_check_matches_exhaustive_check():
                     accepted = True
                 except errors.BraceRelationFails as exc:
                     assert _relation_fails(dot, circ, *exc.witness)
-                    accepted = False
-                except errors.LambdaNotHomomorphism as exc:
-                    assert _lambda_fails(dot, circ, *exc.witness)
                     accepted = False
                 assert accepted == exhaustive, (dot.mul, circ.mul)
     assert pairs == 6455
@@ -299,3 +300,86 @@ def test_radical_ring_star_equals_multiplication():
     for a in range(4):
         for b in range(4):
             assert brace.star(a, b) == mult[a][b]
+
+
+RING_LAWS = {
+    "multiplication not associative": lambda add, m, a, b, c: m[m[a][b]][c] != m[a][m[b][c]],
+    "left distributivity fails": lambda add, m, a, b, c: m[a][add[b][c]] != add[m[a][b]][m[a][c]],
+    "right distributivity fails": lambda add, m, a, b, c: m[add[a][b]][c] != add[m[a][c]][m[b][c]],
+}
+
+
+def _check_radical_ring(add, mult):
+    """build_from_radical_ring, which checks the ring laws on additive
+    generators, raises NotARing exactly when a law fails on some triple, with
+    a real witness; an accepted ring is NotRadical exactly when some element
+    has no circle inverse, and otherwise gives a brace whose star is the
+    ring product. Returns the outcome's name."""
+    carrier = range(len(add))
+    triples = list(itertools.product(carrier, repeat=3))
+    ring = not any(law(add, mult, *w) for law in RING_LAWS.values() for w in triples)
+    try:
+        brace = sb.build_from_radical_ring(add, mult)
+    except errors.NotARing as exc:
+        assert not ring
+        reason = str(exc).removeprefix("not a ring: ").split(" at ")[0]
+        assert RING_LAWS[reason](add, mult, *exc.witness), (add, mult, exc)
+        return "not a ring"
+    except errors.NotRadical:
+        assert ring
+        circ = [[add[add[a][b]][mult[a][b]] for b in carrier] for a in carrier]
+        assert any(all(circ[a][b] != 0 for b in carrier) for a in carrier)
+        return "not radical"
+    assert ring
+    sb.validate_brace(brace.dot_group, brace.circ_group)
+    assert all(brace.star(a, b) == mult[a][b] for a in carrier for b in carrier)
+    return "radical"
+
+
+def test_radical_ring_laws_match_exhaustive_check():
+    outcomes = collections.Counter()
+    for n in (2, 3):
+        add = cyclic_table(n)
+        for entries in itertools.product(range(n), repeat=n * n):
+            mult = [list(entries[a * n:(a + 1) * n]) for a in range(n)]
+            outcomes[n, _check_radical_ring(add, mult)] += 1
+    # F2[x] mod x^4, restricted to the ideal spanned by x, x^2, x^3 (bits 0..2).
+    def poly_mul(a, b):
+        out = 0
+        for i in range(3):
+            if a >> i & 1:
+                out ^= b << (i + 1)
+        return out & 7
+
+    xor = [[a ^ b for b in range(8)] for a in range(8)]
+    ring = [[poly_mul(a, b) for b in range(8)] for a in range(8)]
+    assert _check_radical_ring(xor, ring) == "radical"
+    for a, b, v in itertools.product(range(8), repeat=3):
+        mutant = [list(row) for row in ring]
+        mutant[a][b] = v
+        outcomes[8, _check_radical_ring(xor, mutant)] += 1
+    # Tables that need the generators past the first (1): the ring above with
+    # one value added to both of (a, b), (a, b ^ 1), which keeps
+    # a(b + 1) = ab + a1, and every bilinear product on F2^2, which is
+    # distributive and associative or not.
+    for a, b, d in itertools.product(range(8), (2, 4, 6), range(1, 8)):
+        mutant = [list(row) for row in ring]
+        mutant[a][b] ^= d
+        mutant[a][b ^ 1] ^= d
+        outcomes["pair", _check_radical_ring(xor, mutant)] += 1
+    for e in itertools.product(range(4), repeat=4):
+        mult = [[0] * 4 for _ in range(4)]
+        for a, b, i, j in itertools.product(range(4), range(4), range(2), range(2)):
+            if a >> i & 1 and b >> j & 1:
+                mult[a][b] ^= e[2 * i + j]
+        outcomes["F2^2", _check_radical_ring([r[:4] for r in xor[:4]], mult)] += 1
+    # The rings on Z/n are a * b = kab; only k = 0 is radical. Every true
+    # mutant breaks a ring law. F2^2 carries 28 associative products; the
+    # radical ones are zero and the 3 labelings of x F2[x] / (x^3).
+    assert outcomes == {
+        (2, "not a ring"): 16 - 2, (2, "radical"): 1, (2, "not radical"): 1,
+        (3, "not a ring"): 3**9 - 3, (3, "radical"): 1, (3, "not radical"): 2,
+        (8, "not a ring"): 8 * 8 * 7, (8, "radical"): 8 * 8,
+        ("pair", "not a ring"): 8 * 3 * 7,
+        ("F2^2", "not a ring"): 256 - 28, ("F2^2", "radical"): 4, ("F2^2", "not radical"): 24,
+    }

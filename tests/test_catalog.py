@@ -6,6 +6,7 @@ import pytest
 
 import skewbrace as sb
 from skewbrace import errors
+from tests.conftest import bc16
 
 
 def test_pq_parameter_validation():
@@ -109,9 +110,11 @@ def test_brace_from_spec_rejects_unknown():
         sb.brace_from_spec({"kind": "pq", "p": 3})
 
 
-def test_spec_of_tables_roundtrip():
-    brace = sb.make_pq_brace(3, 2, 2, "i")
-    spec = sb.spec_of_tables(brace)
-    again = sb.brace_from_spec(spec)
-    assert again.dot_group.mul == brace.dot_group.mul
-    assert again.circ_group.mul == brace.circ_group.mul
+def test_spec_of_tables_roundtrip(catalog, corpus8):
+    """Every table brace of the catalog (a radical ring among them), the
+    order <= 8 corpus and a materialized formula brace."""
+    tables = [b for _, b in catalog if isinstance(b, sb.TableBrace)] + [b for _, b in corpus8]
+    for brace in tables + [sb.materialize_table_brace(bc16())]:
+        again = sb.brace_from_spec(sb.spec_of_tables(brace))
+        assert again.dot_group.mul == brace.dot_group.mul
+        assert again.circ_group.mul == brace.circ_group.mul

@@ -113,6 +113,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["analyze", path, "--checks", "E", "--max-n", "0"],
         ["counterexample", "5", "--validate", "--samples", "-4"],
         ["verify", path, "--samples", "many"],
+        ["enumerate", "--builtin", "C2", "--max-order", "0"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
@@ -171,6 +172,16 @@ def test_enumerate_group_file(tmp_path, capsys):
     path = write_spec(tmp_path, [[0, 1], [1, 0]], name="group.json")
     code, out = run_json(capsys, ["enumerate", "--group", path, "--json"])
     assert code == 0 and len(out) == 1
+
+
+@pytest.mark.parametrize(
+    "doc", [[1, 2], {"mul": 5}, {"mul": [None]}], ids=["flat", "int", "null_row"]
+)
+def test_enumerate_malformed_group_file_is_parse_error(tmp_path, capsys, doc):
+    assert main(["enumerate", "--group", write_spec(tmp_path, doc, name="group.json")]) == 1
+    err = capsys.readouterr().err
+    assert "parse error" in err
+    assert "Traceback" not in err
 
 
 def test_enumerate_too_large_exits_3(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -73,6 +74,78 @@ def test_validate_group_rows_are_permutations(groups):
             assert sorted(row) == list(range(g.order))
         for j in range(g.order):
             assert sorted(row[j] for row in g.mul) == list(range(g.order))
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose row 0 and column 0 are 0, 1, ..., n-1."""
+    table = [[x if a == 0 else a if x == 0 else -1 for x in range(n)] for a in range(n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            yield [list(row) for row in table]
+            return
+        a, b = cells[i]
+        used = set(table[a]) | {table[r][b] for r in range(n)}
+        for v in range(n):
+            if v not in used:
+                table[a][b] = v
+                yield from fill(i + 1)
+        table[a][b] = -1
+
+    yield from fill(0)
+
+
+def random_tables(n, count, rng):
+    """Identity-at-0 tables with two-sided inverses planted by a random
+    involution and the other entries uniform, so mostly not Latin."""
+    for _ in range(count):
+        t = [
+            [x if a == 0 else a if x == 0 else rng.randrange(n) for x in range(n)]
+            for a in range(n)
+        ]
+        rest = rng.sample(range(1, n), n - 1)
+        while rest:
+            x = rest.pop()
+            y = rest.pop() if rest and rng.random() < 0.5 else x
+            t[x][y] = t[y][x] = 0
+        yield t
+
+
+def _assoc_fails(t, x, y, z):
+    return t[t[x][y]][z] != t[x][t[y][z]]
+
+
+def test_light_test_matches_exhaustive_check():
+    """validate_group, which tests associativity on generators only, accepts
+    exactly the identity-at-0 tables that are associative on every triple
+    and have two-sided inverses; each NotAssociative witness is a real one."""
+    rng = random.Random(11)
+    counts = {"latin": 0, "groups": 0}
+    for n in range(1, 7):
+        latin = list(reduced_latin_squares(n))
+        counts["latin"] += len(latin)
+        for kind, tables in (("latin", latin), ("random", random_tables(n, 400, rng))):
+            for t in tables:
+                carrier = range(n)
+                exhaustive = all(
+                    any(t[x][y] == 0 == t[y][x] for y in carrier) for x in carrier
+                ) and not any(
+                    _assoc_fails(t, *w) for w in itertools.product(carrier, repeat=3)
+                )
+                try:
+                    g = sb.validate_group(t)
+                    accepted = True
+                except errors.NotAssociative as exc:
+                    assert _assoc_fails(t, *exc.witness), t
+                    accepted = False
+                except errors.NoInverse:
+                    accepted = False
+                assert accepted == exhaustive, t
+                if accepted:
+                    assert g.mul == tuple(map(tuple, t))
+                    counts["groups"] += kind == "latin"
+    assert counts == {"latin": 1 + 1 + 1 + 4 + 56 + 9408, "groups": 93}
 
 
 def test_subgroup_closure_cyclic_part(groups):
