@@ -8,6 +8,7 @@ renders the same report object.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -103,10 +104,40 @@ def _render_text(report: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
+def _json(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, built as one string.
+
+    With an indent, `json.dump` runs the pure-Python streaming encoder and
+    writes every token on its own; here a flat list of plain ints is joined
+    in C and every other scalar goes to `json.dumps`. Keys are sorted before
+    they are converted, as `json` does it.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_key(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = ("," + inner).join(map(int.__repr__, value))
+        else:
+            body = ("," + inner).join([_json(v, inner) for v in value])
+        return "[" + inner + body + pad + "]"
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as `json` writes it: an int, float, bool or None key as the
+    quoted text of its value."""
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+
+
 def _emit(args: argparse.Namespace, report: dict) -> None:
     if args.json:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        print(_json(report))
     else:
         _render_text(report)
 
@@ -217,8 +248,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if args.profile:
             entry["profile"] = asdict(classify.nilpotency_profile(b))
         out.append(entry)
-    json.dump(out, sys.stdout, indent=None if args.json else 2, sort_keys=True)
-    print()
+    print(json.dumps(out, sort_keys=True) if args.json else _json(out))
     return 0
 
 
@@ -278,7 +308,10 @@ def _at_least(low: int):
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged and returns a fresh namespace on every call."""
     parser = _Parser(
         prog="skewbrace",
         description="Series, ideals, and nilpotency analysis for finite skew braces.",

@@ -8,7 +8,10 @@ arithmetic is deliberate.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 Vec = tuple[int, ...]
@@ -47,7 +50,7 @@ def mat_identity(dim: int) -> Mat:
 
 
 def mat_vec(m: Mat, v: Vec, p: int) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) % p for row in m)
+    return tuple(sum(map(operator.mul, row, v)) % p for row in m)
 
 
 def mat_mul(a: Mat, b: Mat, p: int) -> Mat:
@@ -85,9 +88,10 @@ class Subspace:
     @staticmethod
     def from_vectors(p: int, dim: int, vectors) -> "Subspace":
         rows: list[list[int]] = []
+        pivots: list[int] = []
         for v in vectors:
-            _reduce_into(rows, list(v), p)
-        return Subspace(p, dim, _canonical(rows, p))
+            _reduce_into(rows, pivots, list(v), p)
+        return Subspace(p, dim, _canonical(rows, pivots, p))
 
     @property
     def rank(self) -> int:
@@ -97,21 +101,27 @@ class Subspace:
     def size(self) -> int:
         return self.p**self.rank
 
+    @functools.cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row, increasing."""
+        return tuple(map(_pivot, self.basis))
+
     def residue(self, v: Vec) -> Vec:
         """The canonical representative of v modulo this subspace."""
-        return tuple(_residue(list(self.basis), list(v), self.p))
+        return tuple(_residue(self.basis, self.pivots, v, self.p))
 
     def contains(self, v: Vec) -> bool:
-        return not any(_residue(list(self.basis), list(v), self.p))
+        return not any(_residue(self.basis, self.pivots, v, self.p))
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
     def extended(self, vectors) -> "Subspace":
         rows = [list(v) for v in self.basis]
+        pivots = list(self.pivots)
         for v in vectors:
-            _reduce_into(rows, list(v), self.p)
-        return Subspace(self.p, self.dim, _canonical(rows, self.p))
+            _reduce_into(rows, pivots, list(v), self.p)
+        return Subspace(self.p, self.dim, _canonical(rows, pivots, self.p))
 
     def union_span(self, other: "Subspace") -> "Subspace":
         return self.extended(other.basis)
@@ -120,11 +130,14 @@ class Subspace:
         """Members sent to 0 by the linear map taking basis[k] to images[k]: the
         basis parts of the rows [images[k] | basis[k]] whose image part reduces to 0."""
         rows: list[list[int]] = []
+        pivots: list[int] = []
         for image, v in zip(images, self.basis):
-            _reduce_into(rows, [*image, *v], self.p)
+            _reduce_into(rows, pivots, [*image, *v], self.p)
         width = len(rows[0]) - self.dim if rows else 0
-        kept = [r[width:] for r in rows if _pivot(r) >= width]  # echelon, unit pivots
-        return Subspace(self.p, self.dim, _canonical(kept, self.p))
+        first = bisect.bisect_left(pivots, width)  # the rows with a zero image part
+        kept = [r[width:] for r in rows[first:]]
+        kept_pivots = [j - width for j in pivots[first:]]
+        return Subspace(self.p, self.dim, _canonical(kept, kept_pivots, self.p))
 
     def elements(self):
         """Iterate all members, the zero vector first."""
@@ -140,43 +153,43 @@ class Subspace:
             yield tuple(acc)
 
 
-def _pivot(row: list[int]) -> int:
+def _pivot(row: Vec | list[int]) -> int:
     for j, x in enumerate(row):
         if x:
             return j
     return -1
 
 
-def _reduce_into(rows: list[list[int]], v: list[int], p: int) -> None:
-    v = _residue(rows, v, p)
+def _reduce_into(rows: list[list[int]], pivots: list[int], v: list[int], p: int) -> None:
+    """Add v to the echelon rows, kept in increasing pivot order with unit
+    pivots; `pivots` holds each row's pivot column."""
+    v = _residue(rows, pivots, v, p)
     j = _pivot(v)
     if j < 0:
         return
     inv = pow(v[j], -1, p)
     v = [(x * inv) % p for x in v]
-    rows.append(v)
-    rows.sort(key=_pivot)
+    i = bisect.bisect(pivots, j)
+    rows.insert(i, v)
+    pivots.insert(i, j)
 
 
-def _residue(rows: list[list[int]], v: list[int], p: int) -> list[int]:
+def _residue(rows, pivots, v: Vec | list[int], p: int) -> list[int]:
+    """v reduced by echelon rows with unit pivots, in increasing pivot order:
+    zero at every pivot column afterwards."""
     v = [x % p for x in v]
-    for row in rows:
-        j = _pivot(row)
-        if j >= 0 and v[j]:
-            c = v[j]
-            for k in range(j, len(v)):
-                v[k] = (v[k] - c * row[k]) % p
+    for j, row in zip(pivots, rows):
+        c = v[j]
+        if c:
+            v = [(x - c * y) % p for x, y in zip(v, row)]
     return v
 
 
-def _canonical(rows: list[list[int]], p: int) -> tuple[Vec, ...]:
+def _canonical(rows: list[list[int]], pivots: list[int], p: int) -> tuple[Vec, ...]:
     # Back-substitute so every pivot column is cleared above its pivot.
-    rows = sorted((list(r) for r in rows), key=_pivot)
-    for i in range(len(rows)):
-        j = _pivot(rows[i])
+    for i, j in enumerate(pivots):
         for k in range(i):
             c = rows[k][j]
             if c:
-                for col in range(j, len(rows[k])):
-                    rows[k][col] = (rows[k][col] - c * rows[i][col]) % p
-    return tuple(tuple(r) for r in rows)
+                rows[k] = [(x - c * y) % p for x, y in zip(rows[k], rows[i])]
+    return tuple(map(tuple, rows))

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewbrace as sb
-from skewbrace import classify, errors, formula
+from skewbrace import classify, cli, errors, formula
 from skewbrace.cli import main
+from tests.conftest import I2, UNI2
 
 PQ_SPEC = {"kind": "pq", "p": 3, "q": 2, "k": 2, "variant": "i"}
 
@@ -322,3 +323,110 @@ def test_mutated_specs_exit_cleanly(spec):
                 code = main([*argv, "--json"])
             assert code in (0, 1, 2, 3), (argv, spec)
             assert "Traceback" not in err.getvalue()
+            if code == 0:
+                text = out.getvalue()
+                assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\n\t\x7f", "é ∂ 😀 \u2028"]),
+)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(st.integers()),
+        st.dictionaries(st.text(), children),
+        # keys of one comparable kind per dict: json sorts keys before converting them
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), st.floats(allow_nan=False)), children),
+        st.dictionaries(st.none(), children, max_size=1),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(value=st.recursive(JSON_SCALARS, _json_containers, max_leaves=40))
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+CATALOG_SPECS = {
+    **{f"trivial_{g}": {"kind": "trivial", "group": g} for g in ("C2", "C6", "S3", "D4", "Q8")},
+    **{f"almost_trivial_{g}": {"kind": "almost_trivial", "group": g} for g in ("S3", "D4")},
+    "pq_i": PQ_SPEC,
+    "pq_ii": {**PQ_SPEC, "variant": "ii"},
+    "pq_i_52": {"kind": "pq", "p": 5, "q": 2, "k": 4, "variant": "i"},
+    "pq_i_73": {"kind": "pq", "p": 7, "q": 3, "k": 2, "variant": "i"},
+    "pq_ii_73": {"kind": "pq", "p": 7, "q": 3, "k": 2, "variant": "ii"},
+    "radical_z4": {"kind": "radical_ring", "add": Z4_ADD, "mult": Z4_MULT},
+    "tables_pq_i": sb.spec_of_tables(sb.make_pq_brace(3, 2, 2, "i")),
+    **{
+        f"bc{p**4}": {"kind": "bc", "p": p, "d_b": 2, "d_c": 2, "phi": [I2, UNI2], "psi": [I2, UNI2]}
+        for p in (2, 3)
+    },
+    "counterexample_F5": {"kind": "counterexample_F", "p": 5},
+}
+
+
+@pytest.mark.parametrize("name", list(CATALOG_SPECS))
+def test_json_writer_matches_json_dumps_on_reports(name, tmp_path, monkeypatch):
+    """The full analyze, series and verify reports of every catalog brace."""
+    path = write_spec(tmp_path, CATALOG_SPECS[name])
+    reports = []
+    original = cli._emit
+
+    def emit(args, report):
+        reports.append(report)
+        original(args, report)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    for argv in (
+        ["analyze", path, "--checks", "A,E", "--max-n", "2"],
+        ["series", path],
+        ["verify", path, "--samples", "200"],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--json"]) == 0, argv
+        assert out.getvalue() == cli._json(reports[-1]) + "\n"
+    assert len(reports) == 3
+    for report in reports:
+        assert cli._json(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_reuse_matches_calls_run_alone(tmp_path):
+    """`main` keeps one parser per process; a call must not see the one
+    before it."""
+    path = write_spec(tmp_path, PQ_SPEC)
+    sequences = [
+        [["analyze", path, "--checks", "A", "--json"], ["analyze", path, "--json"]],
+        [["series", path, "--json"], ["series", path]],
+        [["analyze"], ["verify", path, "--suite", "identities", "--json"]],
+        [["analyze", "-h"], ["series", path, "--kind", "left", "--json"]],
+    ]
+    for sequence in sequences:
+        alone = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            alone.append(_call(argv))
+        assert [_call(argv) for argv in sequence] == alone
+    with_checks, without = (json.loads(_call(argv)[1]) for argv in sequences[0])
+    assert "checks" in with_checks and "checks" not in without
+    assert [_call(argv)[0] for argv in (["analyze"], ["analyze", "-h"])] == [1, 0]
