@@ -121,6 +121,20 @@ class TableBrace(SkewBrace):
     def bar(self, a: int) -> int:
         return self.circ_group.inv[a]
 
+    def comm_dot(self, a: int, b: int) -> int:
+        mul, inv = self.dot_group.mul, self.dot_group.inv
+        return mul[mul[a][b]][mul[inv[a]][inv[b]]]
+
+    def comm_circ(self, a: int, b: int) -> int:
+        mul, inv = self.circ_group.mul, self.circ_group.inv
+        return mul[mul[a][b]][mul[inv[a]][inv[b]]]
+
+    def conj_dot(self, g: int, x: int) -> int:
+        return self.dot_group.mul[self.dot_group.mul[g][x]][self.dot_group.inv[g]]
+
+    def conj_circ(self, g: int, x: int) -> int:
+        return self.circ_group.mul[self.circ_group.mul[g][x]][self.circ_group.inv[g]]
+
     def lam(self, a: int, b: int) -> int:
         if self._lam_table is not None:
             return self._lam_table[a][b]
@@ -152,12 +166,17 @@ class TableBrace(SkewBrace):
         )
 
     def generators(self) -> tuple[int, ...]:
-        cached = self._cache.get("generators")
-        if cached is not None:
-            return cached
-        # Generators of (A, .), extended until they generate (A, o) too.
-        gens = tuple(greedy_generators(self.circ_group, greedy_generators(self.dot_group)))
-        self._cache["generators"] = gens
+        return self.generators_of(None)
+
+    def generators_of(self, members: frozenset[int] | None) -> tuple[int, ...]:
+        """Generators of (S, .), extended until they generate (S, o) too, for
+        S the carrier (None) or a subgroup of both groups; cached per S."""
+        key = ("generators", members)
+        gens = self._cache.get(key)
+        if gens is None:
+            pool = None if members is None else sorted(members)
+            dot_gens = greedy_generators(self.dot_group, pool=pool)
+            gens = self._cache[key] = tuple(greedy_generators(self.circ_group, dot_gens, pool))
         return gens
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from . import errors, formula
 from .braces import SkewBrace, TableBrace
 from .formula import PairSpace
-from .groups import SUBGROUPS_MAX_ORDER, ElementSet, all_subgroups
+from .groups import SUBGROUPS_MAX_ORDER, ElementSet, trivial_set
 from .series import (
     annihilator_series,
     gamma_circ_series,
@@ -22,7 +22,7 @@ from .series import (
     smoktunowicz_series,
     socle_series,
 )
-from .substructures import ideal_closure, is_ideal, product_of_ideals, star_subgroup
+from .substructures import ideal_closure, product_of_ideals, star_subgroup
 
 
 @dataclass(frozen=True)
@@ -278,14 +278,33 @@ def fitting_ideal(brace: SkewBrace) -> ElementSet:
 
 
 def enumerate_ideals(brace: TableBrace) -> list[ElementSet]:
-    """Every ideal, found once per brace; each call gets a fresh list."""
+    """Every ideal, sorted by (order, members), found once per brace; each
+    call gets a fresh list.
+
+    An ideal is the join (product) of the principal ideals of its elements,
+    so the ideals are {1} closed under joins with the principal ideals.
+    """
     ideals = brace._cache.get("ideals")
     if ideals is None:
         if brace.order > SUBGROUPS_MAX_ORDER:
             raise errors.TooLargeForIdealEnumeration(
                 f"ideal enumeration capped at order {SUBGROUPS_MAX_ORDER}"
             )
-        ideals = tuple(s for s in all_subgroups(brace.dot_group) if is_ideal(brace, s))
+        principal = {}
+        for x in brace.elements():
+            p = ideal_closure(brace, (x,))
+            principal.setdefault(p.members, p)
+        start = trivial_set(brace.order)
+        found, queue = {start.members: start}, [start]
+        while queue:
+            i = queue.pop()
+            for p in principal.values():
+                if not p.members <= i.members:
+                    join = product_of_ideals(brace, i, p)
+                    if join.members not in found:
+                        found[join.members] = join
+                        queue.append(join)
+        ideals = tuple(sorted(found.values(), key=lambda s: (len(s), s.sorted())))
         brace._cache["ideals"] = ideals
     return list(ideals)
 

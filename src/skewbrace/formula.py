@@ -122,20 +122,23 @@ class BCBrace(SkewBrace):
 
     backing = "formula"
 
-    def __init__(self, p: int, phi_basis: tuple[Mat, ...], psi_basis: tuple[Mat, ...]):
+    def __init__(self, p: int, phi_pows: list[list[Mat]], psi_pows: list[list[Mat]]):
+        """Built by `bc_brace` from the power rows [id, m, ..., m^(p-1)] of
+        each basis matrix m, which its order check computes."""
         super().__init__()
         self.p = p
-        self.d_b = len(psi_basis)
-        self.d_c = len(phi_basis)
-        self.phi_basis = phi_basis
-        self.psi_basis = psi_basis
+        self.d_b = len(psi_pows)
+        self.d_c = len(phi_pows)
+        self.phi_basis = tuple(row[1] for row in phi_pows)
+        self.psi_basis = tuple(row[1] for row in psi_pows)
         self.order = p ** (self.d_b + self.d_c)
         self._phi: dict[Vec, Mat] = {}
         self._psi: dict[Vec, Mat] = {}
+        self._dphi: dict[Vec, Mat] = {}
+        self._dpsi: dict[Vec, Mat] = {}
         self._ident_b = mat_identity(self.d_b)
         self._ident_c = mat_identity(self.d_c)
-        self._phi_pows = [_power_row(m, p) for m in phi_basis]
-        self._psi_pows = [_power_row(m, p) for m in psi_basis]
+        self._phi_pows, self._psi_pows = phi_pows, psi_pows
         self._sets: dict[tuple, PairSpace] = {}
         self._elem: tuple[_Component, _Component] | None = None
 
@@ -157,11 +160,17 @@ class BCBrace(SkewBrace):
 
     def dphi(self, c: Vec) -> Mat:
         """phi_c - id; (0, c) * (u, 0) = (dphi(-c) u, 0)."""
-        return mat_sub(self.phi(c), self._ident_b, self.p)
+        m = self._dphi.get(c)
+        if m is None:
+            m = self._dphi[c] = mat_sub(self.phi(c), self._ident_b, self.p)
+        return m
 
     def dpsi(self, b: Vec) -> Mat:
         """psi_b - id; (b, 0) * (0, v) = (0, dpsi(b) v)."""
-        return mat_sub(self.psi(b), self._ident_c, self.p)
+        m = self._dpsi.get(b)
+        if m is None:
+            m = self._dpsi[b] = mat_sub(self.psi(b), self._ident_c, self.p)
+        return m
 
     def vstar(self, x: tuple[Vec, Vec], y: tuple[Vec, Vec]) -> tuple[Vec, Vec]:
         (b, c), (u, v) = x, y
@@ -366,23 +375,26 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     if p**d_b > SIZE_CAP or p**d_c > SIZE_CAP:
         raise errors.TooLarge(f"component enumeration capped at {SIZE_CAP} elements")
     families = (("phi", phi_basis, d_b, "d_b"), ("psi", psi_basis, d_c, "d_c"))
+    pows: dict[str, list[list[Mat]]] = {"phi": [], "psi": []}
     for name, family, dim, label in families:
         for m in family:
             if len(m) != dim or any(len(row) != dim for row in m):
                 raise errors.ParseError(f"{name} matrices must be {label} x {label}")
             if not mat_is_invertible(m, p):
                 raise errors.NotInvertible(f"a {name} basis matrix is singular")
-            if mat_mul(_power_row(m, p)[-1], m, p) != mat_identity(dim):
+            row = _power_row(m, p)
+            if mat_mul(row[-1], m, p) != row[0]:
                 raise errors.BadParameters(
                     f"a {name} basis matrix has order not dividing p, so the action "
                     "is not a homomorphism from the exponent-p group"
                 )
+            pows[name].append(row)
     for name, family, _, _ in families:
         for a, b in itertools.combinations(family, 2):
             if mat_mul(a, b, p) != mat_mul(b, a, p):
                 raise errors.NonCommutingFamily(f"{name} basis matrices do not commute")
 
-    brace = BCBrace(p, phi_basis, psi_basis)
+    brace = BCBrace(p, pows["phi"], pows["psi"])
     kernel = brace.ker_phi()
     for i in range(d_b):
         if not _cols_in(brace.dpsi(unit_vec(d_b, i)), kernel):

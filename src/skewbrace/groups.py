@@ -231,12 +231,15 @@ def subgroup_closure(g: GroupTable, gens: Iterable[int] | ElementSet) -> Element
     return make_set(seen, g.order)
 
 
-def greedy_generators(g: GroupTable, gens: Iterable[int] = ()) -> list[int]:
-    """Extend `gens` by the least element outside their closure until they
-    generate all of g."""
+def greedy_generators(
+    g: GroupTable, gens: Iterable[int] = (), pool: Iterable[int] | None = None
+) -> list[int]:
+    """Extend `gens` by the least element of `pool` (default: all of g)
+    outside their closure until that closure contains the whole pool; for a
+    subgroup's sorted members, they then generate the subgroup."""
     gens = list(gens)
     closed = subgroup_closure(g, gens).members
-    for x in g.elements():
+    for x in g.elements() if pool is None else pool:
         if x not in closed:
             gens.append(x)
             closed = subgroup_closure(g, gens).members

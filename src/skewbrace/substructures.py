@@ -103,14 +103,30 @@ def coset_agreement(brace: SkewBrace, ideal: ElementSet, a: int) -> bool:
 
 
 def star_subgroup(brace: SkewBrace, x: ElementSet, y: ElementSet) -> ElementSet:
-    """Subgroup of (A, .) generated by {a * b : a in X, b in Y}."""
+    """Subgroup of (A, .) generated by {a * b : a in X, b in Y}.
+
+    Cached per table brace on the two member sets, as the series and the
+    inclusion sweeps ask for the same pairs again.
+    """
     if isinstance(x, PairSpace) and isinstance(y, PairSpace):
         return brace.pair_to_set(formula.star_subgroup_pair(brace, x, y))
     xm, ym = _as_members(x), _as_members(y)
+    key = ("star", xm, ym)
+    cached = brace._cache.get(key)
+    if cached is not None:
+        return cached
     if len(xm) * len(ym) > PAIRWISE_CAP:
         raise errors.TooLarge("star subgroup needs product structure at this size")
     values = {brace.star(a, b) for a in xm for b in ym}
-    return dot_subgroup_closure(brace, values)
+    out = dot_subgroup_closure(brace, values)
+    if isinstance(brace, TableBrace):
+        brace._cache[key] = out
+    return out
+
+
+def _tables_only(brace: SkewBrace) -> None:
+    if isinstance(brace, BCBrace):
+        raise errors.TooLarge("ideal closure is only materialized for table braces")
 
 
 def ideal_closure(brace: SkewBrace, seed: Iterable[int] | ElementSet) -> ElementSet:
@@ -119,8 +135,7 @@ def ideal_closure(brace: SkewBrace, seed: Iterable[int] | ElementSet) -> Element
     Alternates dot-subgroup closure with one round of lambda images and both
     conjugations over a generating set, until nothing new appears.
     """
-    if isinstance(brace, BCBrace):
-        raise errors.TooLarge("ideal closure is only materialized for table braces")
+    _tables_only(brace)
     current = dot_subgroup_closure(brace, _as_members(seed))
     gens = brace.generators()
     while True:
@@ -150,16 +165,24 @@ def huq_commutator(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet
 def _commutator(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet:
     """[I, J]_A for ideals I and J, unchecked.
 
+    x and y run over generators of I and of J under both operations. The
+    closure K is normal in both groups and a left ideal, so by
+    [x, y1 y2] = [x, y1] . y1 [x, y2] y1^-1, its mirror in x, the same two
+    in (A, o), x * (y1 . y2) = (x * y1) . y1 (x * y2) y1^-1 and
+    (x1 o x2) * y = lambda_x1(x2 * y) . (x1 * y), it contains every value on
+    all of I x J.
+
     Cached per brace on the ordered pair of members, so the swapped
     arguments are computed on their own (the tests compare the two).
     """
+    _tables_only(brace)
     key = ("commutator", i.members, j.members)
     cached = brace._cache.get(key)
     if cached is not None:
         return cached
-    gens = set()
-    for x in i.members:
-        for y in j.members:
+    gens, j_gens = set(), brace.generators_of(j.members)
+    for x in brace.generators_of(i.members):
+        for y in j_gens:
             gens.add(brace.comm_dot(x, y))
             gens.add(brace.comm_circ(x, y))
             gens.add(brace.star(x, y))

@@ -1,5 +1,6 @@
 """Shared fixtures: the named test groups, the brace catalog, the enumerated
-corpus of order <= 8, and the big formula brace."""
+corpus of order <= 8, the braces of order 9 to 12, and the big formula
+brace."""
 
 from __future__ import annotations
 
@@ -111,5 +112,29 @@ def corpus8(groups) -> list[tuple[str, sb.TableBrace]]:
     out: list[tuple[str, sb.TableBrace]] = []
     for name in ORDER8_GROUPS:
         for i, brace in enumerate(sb.enumerate_braces(groups[name])):
+            out.append((f"{name}#{i}", brace))
+    return out
+
+
+# Groups of order 9 to 12 and their labeled brace counts, frozen as a regression.
+EXTENDED_SWEEP = {
+    "C9": 3,
+    "C3xC3": 9,
+    "C10": 2,
+    "D5": 12,
+    "C11": 1,
+    "C12": 6,
+    "C2xC6": 12,
+    "A4": 42,
+    "D6": 28,
+}
+
+
+@pytest.fixture(scope="session")
+def sweep12() -> list[tuple[str, sb.TableBrace]]:
+    """Every brace on the EXTENDED_SWEEP groups."""
+    out: list[tuple[str, sb.TableBrace]] = []
+    for name in EXTENDED_SWEEP:
+        for i, brace in enumerate(sb.enumerate_braces(sb.builtin_group(name), max_order=12)):
             out.append((f"{name}#{i}", brace))
     return out

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewbrace as sb
-from skewbrace import errors
+from skewbrace import errors, series, substructures
 from skewbrace.groups import full_set, make_set
+from tests.conftest import EXTENDED_SWEEP
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +252,43 @@ def test_cached_ideal_machinery_matches_fresh_braces(catalog, corpus8):
                     sb.relative_gamma_series(brace, s)
 
 
+def table_braces(catalog, corpus8, sweep12) -> list[tuple[str, sb.TableBrace]]:
+    """The catalog's table braces, every brace of order <= 8 and of 9 to 12."""
+    return [(n, b) for n, b in catalog if b.backing == "table"] + corpus8 + sweep12
+
+
+def test_enumerate_ideals_matches_subgroup_filter(catalog, corpus8, sweep12):
+    """Joins of principal ideals give exactly the subgroups of (A, .) that
+    are ideals, in the same order."""
+    for name, brace in table_braces(catalog, corpus8, sweep12):
+        oracle = [s for s in sb.groups.all_subgroups(brace.dot_group) if sb.is_ideal(brace, s)]
+        assert sb.enumerate_ideals(brace) == oracle, name
+
+
+def test_warm_star_subgroups_match_fresh_braces(catalog, corpus8, sweep12):
+    """After the profile, the theorem checks and the (E) sweep have filled
+    the cache, the star subgroup of every ordered pair of series terms
+    equals the one computed on a brace with an empty cache."""
+    for name, brace in table_braces(catalog, corpus8, sweep12):
+        sb.check_equivalence_theorems(brace)
+        sb.check_inclusion_sweep(brace, "E", max_n=4)
+        terms = {t.members: t for fn in series.ALL_SERIES.values() for t in fn(brace).terms}
+        terms = list(terms.values())
+        for x in terms:
+            for y in terms:
+                assert sb.star_subgroup(brace, x, y) == sb.star_subgroup(fresh(brace), x, y), name
+
+
+def test_star_subgroup_refusal_is_not_cached(monkeypatch, pq_i):
+    brace, whole = fresh(pq_i), full_set(6)
+    monkeypatch.setattr(substructures, "PAIRWISE_CAP", 35)
+    for _ in range(2):
+        with pytest.raises(errors.TooLarge):
+            sb.star_subgroup(brace, whole, whole)
+    monkeypatch.undo()
+    assert sb.star_subgroup(brace, whole, whole).sorted() == [0, 1, 2]
+
+
 def test_enumerate_ideals_returns_a_fresh_list(pq_i):
     first = sb.enumerate_ideals(pq_i)
     first.clear()
@@ -285,19 +323,6 @@ def test_relabeling_preserves_profile_and_fitting_data(corpus8, data):
     assert sb.nilpotency_profile(image) == sb.nilpotency_profile(brace), name
     assert relative_classes(image) == relative_classes(brace), name
     assert len(sb.fitting_ideal(image)) == len(sb.fitting_ideal(brace)), name
-
-
-EXTENDED_SWEEP = {
-    "C9": 3,
-    "C3xC3": 9,
-    "C10": 2,
-    "D5": 12,
-    "C11": 1,
-    "C12": 6,
-    "C2xC6": 12,
-    "A4": 42,
-    "D6": 28,
-}
 
 
 def test_theorems_on_orders_nine_to_twelve():

@@ -7,6 +7,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewbrace as sb
 from skewbrace import errors, formula, groups, series
@@ -366,6 +368,60 @@ def test_series_match_materialized_tables(make):
         assert [t.sorted() for t in fast.terms] == [t.sorted() for t in slow.terms], fn.__name__
         assert fast.reaches_terminal == slow.reaches_terminal
         assert fast.stabilized_at == slow.stabilized_at
+
+
+@st.composite
+def bc_specs(draw):
+    """Arguments of a valid `make_bc_brace` of order <= 81: phi_{e_j} =
+    id + a_j N and psi_{e_i} = id + s_i M for N = x y^T and M = x' y'^T with
+    y.x = y'.x' = 0, and Im(M) = <x'> inside ker(phi) = a-perp (all of C
+    when N = 0)."""
+    p = draw(st.sampled_from((2, 3)))
+    total = draw(st.integers(2, 6 if p == 2 else 4))
+    d_b = draw(st.integers(1, total - 1))
+    d_c = total - d_b
+
+    def vec(dim, perp=None, low=0):
+        """A drawn nonzero vector with entries >= low, moved into perp^T when
+        perp is nonzero (where it may become zero)."""
+        entries = st.lists(st.integers(low, p - 1), min_size=dim, max_size=dim)
+        v = draw(entries.filter(any))
+        k = next((i for i, t in enumerate(perp or ()) if t), None)
+        if k is not None:
+            v[k] = 0
+            v[k] = -sum(s * t for s, t in zip(v, perp)) * pow(perp[k], -1, p) % p
+        return v
+
+    def family(mat, coeffs):
+        dim = len(mat)
+        return [
+            [[(int(i == j) + s * mat[i][j]) % p for j in range(dim)] for i in range(dim)]
+            for s in coeffs
+        ]
+
+    def outer(x, y):
+        return [[u * v % p for v in y] for u in x]
+
+    a, s = vec(d_c, low=1), vec(d_b, low=1)
+    x = vec(d_b)
+    big_n = outer(x, vec(d_b, x))
+    x = vec(d_c, a if any(map(any, big_n)) else None)
+    big_m = outer(x, vec(d_c, x))
+    return p, d_b, d_c, family(big_n, a), family(big_m, s)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(spec=bc_specs())
+def test_random_bc_specs_match_materialized_tables(spec):
+    """Every chain of a drawn valid bc spec has the terms, the
+    stabilization index and the terminal flag of its materialized tables."""
+    brace = sb.make_bc_brace(*spec)
+    table = sb.materialize_table_brace(brace)
+    for fn in ALL_CHAINS:
+        fast, slow = fn(brace), fn(table)
+        assert [t.sorted() for t in fast.terms] == [t.sorted() for t in slow.terms], fn.__name__
+        assert fast.stabilized_at == slow.stabilized_at, fn.__name__
+        assert fast.reaches_terminal == slow.reaches_terminal, fn.__name__
 
 
 @pytest.mark.parametrize("make", [bc16, bc81])

@@ -150,6 +150,35 @@ def test_huq_commutator_symmetry_across_ideal_pairs(catalog, corpus8):
                 assert sb.ideal_closure(brace, alt) == left, name
 
 
+def test_huq_commutator_matches_all_pairs(catalog, corpus8, sweep12):
+    """Generators of I and J give the ideal closure of the three values on
+    every pair of I x J, for every ordered pair of ideals."""
+    tables = [(name, b) for name, b in catalog if b.backing == "table"]
+    for name, brace in tables + corpus8 + sweep12:
+        ideals = sb.enumerate_ideals(brace)
+        for i in ideals:
+            for j in ideals:
+                values = set()
+                for x in i.members:
+                    for y in j.members:
+                        values |= {
+                            brace.comm_dot(x, y), brace.comm_circ(x, y), brace.star(x, y)
+                        }
+                assert sb.huq_commutator(brace, i, j) == sb.ideal_closure(brace, values), name
+
+
+def test_table_ops_match_generic_forms(catalog, corpus8, sweep12):
+    """The table forms of the commutators and conjugations agree with the
+    SkewBrace definitions through dot, circ, inv and bar."""
+    tables = [(name, b) for name, b in catalog if b.backing == "table"]
+    for name, brace in tables + corpus8 + sweep12:
+        for op in ("comm_dot", "comm_circ", "conj_dot", "conj_circ"):
+            fast, generic = getattr(brace, op), getattr(sb.SkewBrace, op)
+            for a in brace.elements():
+                for c in brace.elements():
+                    assert fast(a, c) == generic(brace, a, c), (name, op, a, c)
+
+
 def test_ideal_predicates_match_whole_carrier(corpus8):
     """Quantifying over generators agrees with quantifying over every element."""
     for name, brace in corpus8:
