@@ -13,10 +13,9 @@ import random
 from typing import Sequence
 
 from . import errors
-from .groups import GroupTable, as_int, greedy_generators, validate_group
+from .groups import GroupTable, Table, as_int, greedy_generators, validate_group
 
 DEFAULT_SEED = 1729
-WARM_TABLES_MAX_ORDER = 256  # largest brace whose lambda and star tables are kept
 
 
 class SkewBrace:
@@ -106,8 +105,10 @@ class TableBrace(SkewBrace):
         self.dot_group = dot_group
         self.circ_group = circ_group
         self.order = dot_group.order
-        self._star_table: tuple[tuple[int, ...], ...] | None = None
-        self._lam_table: tuple[tuple[int, ...], ...] | None = None
+        self.comm_dot, self.conj_dot = dot_group.comm, dot_group.conj
+        self.comm_circ, self.conj_circ = circ_group.comm, circ_group.conj
+        self._lam_table: Table | None = None
+        self._star_table: Table | None = None
 
     def dot(self, a: int, b: int) -> int:
         return self.dot_group.mul[a][b]
@@ -121,49 +122,19 @@ class TableBrace(SkewBrace):
     def bar(self, a: int) -> int:
         return self.circ_group.inv[a]
 
-    def comm_dot(self, a: int, b: int) -> int:
-        mul, inv = self.dot_group.mul, self.dot_group.inv
-        return mul[mul[a][b]][mul[inv[a]][inv[b]]]
-
-    def comm_circ(self, a: int, b: int) -> int:
-        mul, inv = self.circ_group.mul, self.circ_group.inv
-        return mul[mul[a][b]][mul[inv[a]][inv[b]]]
-
-    def conj_dot(self, g: int, x: int) -> int:
-        return self.dot_group.mul[self.dot_group.mul[g][x]][self.dot_group.inv[g]]
-
-    def conj_circ(self, g: int, x: int) -> int:
-        return self.circ_group.mul[self.circ_group.mul[g][x]][self.circ_group.inv[g]]
-
     def lam(self, a: int, b: int) -> int:
-        if self._lam_table is not None:
-            return self._lam_table[a][b]
-        return self.dot_group.mul[self.dot_group.inv[a]][self.circ_group.mul[a][b]]
+        return (self._lam_table or self._tabulate()[0])[a][b]
 
     def star(self, a: int, b: int) -> int:
-        if self._star_table is not None:
-            return self._star_table[a][b]
-        return self.dot_group.mul[self.lam(a, b)][self.dot_group.inv[b]]
+        return (self._star_table or self._tabulate()[1])[a][b]
 
-    def warm_tables(self) -> None:
-        """Materialize lambda and star tables for repeated sweeps."""
-        if self.order > WARM_TABLES_MAX_ORDER or self._star_table is not None:
-            return
-        n = self.order
-        self._lam_table = tuple(
-            tuple(
-                self.dot_group.mul[self.dot_group.inv[a]][self.circ_group.mul[a][b]]
-                for b in range(n)
-            )
-            for a in range(n)
-        )
-        self._star_table = tuple(
-            tuple(
-                self.dot_group.mul[self._lam_table[a][b]][self.dot_group.inv[b]]
-                for b in range(n)
-            )
-            for a in range(n)
-        )
+    def _tabulate(self) -> tuple[Table, Table]:
+        """The lambda and star tables, built on the first lam or star call."""
+        dmul, dinv, n = self.dot_group.mul, self.dot_group.inv, self.order
+        lam = tuple(tuple(dmul[dinv[a]][x] for x in self.circ_group.mul[a]) for a in range(n))
+        star = tuple(tuple(dmul[row[b]][dinv[b]] for b in range(n)) for row in lam)
+        self._lam_table, self._star_table = lam, star
+        return lam, star
 
     def generators(self) -> tuple[int, ...]:
         return self.generators_of(None)
@@ -320,7 +291,6 @@ def check_identities(brace: SkewBrace, samples: int = 100_000, seed: int = DEFAU
     seeded random triples plus every triple from the generating set.
     """
     if isinstance(brace, TableBrace):
-        brace.warm_tables()
         triples = (
             (a, x, y)
             for a in brace.elements()

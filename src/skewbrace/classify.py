@@ -47,10 +47,7 @@ def _descending_class(chain) -> int | None:
 
 
 def nilpotency_profile(brace: SkewBrace) -> NilpotencyProfile:
-    cached = brace._cache.get("profile")
-    if cached is not None:
-        return cached
-    profile = NilpotencyProfile(
+    return NilpotencyProfile(
         left=_descending_class(left_series(brace)),
         right=_descending_class(right_series(brace)),
         socle=socle_series(brace).terminal_class(),
@@ -58,8 +55,6 @@ def nilpotency_profile(brace: SkewBrace) -> NilpotencyProfile:
         add_group_nilpotent=_descending_class(gamma_dot_series(brace)),
         mult_group_nilpotent=_descending_class(gamma_circ_series(brace)),
     )
-    brace._cache["profile"] = profile
-    return profile
 
 
 def check_equivalence_theorems(brace: SkewBrace) -> dict:

@@ -67,23 +67,24 @@ def automorphism_group(g: GroupTable) -> list[tuple[int, ...]]:
             frontier = nxt
         return new
 
-    def search(i: int, partial: dict[int, int]) -> None:
-        if i == len(gens):
-            if len(partial) != g.order or len(set(partial.values())) != g.order:
-                return
+    # An explicit stack: a recursive closure would keep itself and `found`
+    # alive in a reference cycle until the next garbage collection.
+    stack = [(0, {0: 0})]
+    while stack:
+        i, partial = stack.pop()
+        if i < len(gens):
+            for image in candidates[i]:
+                grown = extend(partial, gens[i], image)
+                if grown is not None:
+                    stack.append((i + 1, grown))
+        elif len(partial) == g.order and len(set(partial.values())) == g.order:
             perm = tuple(partial[x] for x in g.elements())
-            for a in g.elements():
-                for b in g.elements():
-                    if perm[g.mul[a][b]] != g.mul[perm[a]][perm[b]]:
-                        return
-            found.append(perm)
-            return
-        for image in candidates[i]:
-            grown = extend(partial, gens[i], image)
-            if grown is not None:
-                search(i + 1, grown)
-
-    search(0, {0: 0})
+            if all(
+                perm[g.mul[a][b]] == g.mul[perm[a]][perm[b]]
+                for a in g.elements()
+                for b in g.elements()
+            ):
+                found.append(perm)
     return sorted(set(found))
 
 
@@ -128,21 +129,22 @@ def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> lis
         seen.add(circ)
         braces.append(validate_brace(g, validate_group(circ)))
 
-    def search(lam: list[int | None]) -> None:
+    start: list[int | None] = [None] * n
+    start[0] = identity_aut
+    # An explicit stack, as in `automorphism_group`: a recursive closure would
+    # pin `braces`, with every brace and its caches, until a full collection.
+    stack = [start] if propagate(start, [0]) else []
+    while stack:
+        lam = stack.pop()
         free = next((x for x in range(n) if lam[x] is None), None)
         if free is None:
             emit(lam)  # type: ignore[arg-type]
-            return
+            continue
         for choice in range(len(auts)):
             trial = list(lam)
             trial[free] = choice
             if propagate(trial, [free]):
-                search(trial)
-
-    start: list[int | None] = [None] * n
-    start[0] = identity_aut
-    if propagate(start, [0]):
-        search(start)
+                stack.append(trial)
     braces.sort(key=lambda b: b.circ_group.mul)
     return braces
 

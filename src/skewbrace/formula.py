@@ -658,6 +658,15 @@ def bc_is_ideal(brace: BCBrace, pair: PairSpace) -> bool:
     )
 
 
+def bc_coset_agreement(brace: BCBrace, pair: PairSpace, a: int) -> bool:
+    """For a = (b, c), a . (U x V) = (b + phi_c U) x (c + V) and
+    a o (U x V) = (b + U) x (c + psi_b V): equal iff phi_c U = U and
+    psi_b V = V, that is (the maps being invertible) iff each maps its
+    subspace into itself."""
+    b, c = brace.decode(a)
+    return _invariant(pair.b, [brace.phi(c)]) and _invariant(pair.c, [brace.psi(b)])
+
+
 def find_star_witness(brace: BCBrace, x: PairSpace, y: PairSpace, rhs: PairSpace):
     """A concrete pair (a, b) with a*b outside rhs, or None.
 

@@ -29,11 +29,13 @@ class GroupTable:
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        return self.mul[self.mul[g][x]][self.inv[g]]
+        mul = self.mul
+        return mul[mul[g][x]][self.inv[g]]
 
     def comm(self, a: int, b: int) -> int:
         """[a, b] = a * b * a^-1 * b^-1."""
-        return self.mul[self.mul[a][b]][self.mul[self.inv[a]][self.inv[b]]]
+        mul, inv = self.mul, self.inv
+        return mul[mul[a][b]][mul[inv[a]][inv[b]]]
 
     def elements(self) -> range:
         return range(self.order)
@@ -197,14 +199,9 @@ class SeriesChain:
         return len(self.terms)
 
     def terminal_class(self) -> int | None:
-        """Index of the first terminal term, or None if never reached."""
-        if not self.reaches_terminal:
-            return None
-        target = self.terms[-1]
-        for i, t in enumerate(self.terms):
-            if t == target:
-                return self.start_index + i
-        raise AssertionError("unreachable")
+        """Index of the first terminal term, or None if never reached; a
+        chain stops at its first terminal term."""
+        return self.stabilized_at if self.reaches_terminal else None
 
 
 def subgroup_closure(g: GroupTable, gens: Iterable[int] | ElementSet) -> ElementSet:

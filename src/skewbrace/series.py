@@ -117,12 +117,6 @@ def annihilator(brace: SkewBrace) -> ElementSet:
     return annihilator_series(brace).at(1)
 
 
-def _table_lifted_step(brace: TableBrace, prev: ElementSet, *maps) -> ElementSet:
-    """`groups.lifted_step` over the carrier, with the star and lambda tables warm."""
-    brace.warm_tables()
-    return lifted_step(brace.order, maps, prev)
-
-
 def socle_series(brace: SkewBrace) -> SeriesChain:
     """Soc_0 = 1 and the lifted predicate x in Soc_{n+1} iff every x*a and
     every [x, a] lands in Soc_n."""
@@ -130,7 +124,7 @@ def socle_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "socle",
         lambda terms: formula.bc_socle_step(brace, terms[-1]),
-        lambda terms: _table_lifted_step(brace, terms[-1], brace.star, brace.comm_dot),
+        lambda terms: lifted_step(brace.order, (brace.star, brace.comm_dot), terms[-1]),
         ascending=True,
     )
 
@@ -140,8 +134,8 @@ def annihilator_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "annihilator",
         lambda terms: formula.bc_annihilator_step(brace, terms[-1]),
-        lambda terms: _table_lifted_step(
-            brace, terms[-1], brace.star, brace.comm_dot, brace.comm_circ
+        lambda terms: lifted_step(
+            brace.order, (brace.star, brace.comm_dot, brace.comm_circ), terms[-1]
         ),
         ascending=True,
     )
@@ -180,12 +174,8 @@ def gamma_series(brace: SkewBrace) -> SeriesChain:
 
 
 def gamma_prime_series(brace: SkewBrace) -> SeriesChain:
-    """Gamma'_1 = A, Gamma'_{n+1} = [A, Gamma'_n]^A via the ideal commutator."""
-    if not isinstance(brace, TableBrace):
-        raise errors.TooLarge("the commutator-based series needs a table brace")
-    return _series(
-        brace, "gamma_prime", None, lambda terms: _commutator(brace, terms[0], terms[-1])
-    )
+    """Gamma'_1 = A, Gamma'_{n+1} = [A, Gamma'_n]^A: the relative series of A."""
+    return relative_gamma_series(brace, full_set(brace.order))
 
 
 def relative_gamma_series(brace: SkewBrace, ideal: ElementSet) -> SeriesChain:

@@ -96,6 +96,8 @@ def coset_agreement(brace: SkewBrace, ideal: ElementSet, a: int) -> bool:
     """Check a.I = aoI as sets; true for every left ideal."""
     if not is_left_ideal(brace, ideal):
         raise errors.NotALeftIdeal("coset agreement asked of a non-left-ideal")
+    if isinstance(ideal, PairSpace):
+        return formula.bc_coset_agreement(brace, ideal, a)
     members = ideal.members
     left = {brace.dot(a, x) for x in members}
     right = {brace.circ(a, x) for x in members}
@@ -190,9 +192,6 @@ def _commutator(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet:
     return out
 
 
-QUOTIENT_CAP = 4096
-
-
 def quotient_brace(brace: SkewBrace, ideal: ElementSet) -> tuple[TableBrace, tuple[int, ...]]:
     """Quotient brace on minimal coset representatives plus the projection.
 
@@ -203,8 +202,6 @@ def quotient_brace(brace: SkewBrace, ideal: ElementSet) -> tuple[TableBrace, tup
         raise errors.QuotientTooLarge("quotients of formula braces are not materialized")
     if not is_ideal(brace, ideal):
         raise errors.NotAnIdeal("quotient by a non-ideal")
-    if brace.order // max(len(ideal), 1) > QUOTIENT_CAP:
-        raise errors.QuotientTooLarge(f"quotient order exceeds {QUOTIENT_CAP}")
     # An ideal is normal in (A, .), so the cosets need no second check.
     dot_q, proj = _coset_table(brace.dot_group, ideal)
     # The circ cosets coincide with the dot cosets, so reuse the projection.

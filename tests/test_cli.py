@@ -147,6 +147,26 @@ def test_verify_all_suites_pass(tmp_path, capsys):
     assert set(report["suites"]) == {"identities", "ideals", "inclusions", "theorems"}
 
 
+def test_verify_f5_ideal_suite_checks_every_coset(tmp_path, capsys, monkeypatch):
+    """Coset agreement runs on every left term of the order-5^8 brace, on the
+    subspaces alone: no term is listed."""
+    checked = []
+
+    def counted(brace, term, a):
+        checked.append(term)
+        return sb.coset_agreement(brace, term, a)
+
+    monkeypatch.setattr(cli, "coset_agreement", counted)
+    path = write_spec(tmp_path, {"kind": "counterexample_F", "p": 5})
+    code, report = run_json(capsys, ["verify", path, "--json", "--suite", "ideals"])
+    assert code == 0 and report["passed"]
+    brace = sb.make_counterexample_F(5)
+    terms = sb.left_series(brace).terms
+    assert len(checked) == len(terms) * len(brace.generators())
+    assert max(map(len, terms)) == 5**8
+    assert all(term._members is None for term in checked)
+
+
 def test_verify_single_suite(tmp_path, capsys):
     path = write_spec(tmp_path, {"kind": "trivial", "group": "S3"})
     code, report = run_json(capsys, ["verify", path, "--json", "--suite", "identities"])

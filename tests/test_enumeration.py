@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -101,6 +103,26 @@ def test_enumerate_s3_contains_expected(groups):
 def test_enumerated_braces_all_validate(groups):
     for brace in enumerate_braces(groups["D4"]):
         assert sb.check_identities(brace)["passed"]
+
+
+def test_enumerated_braces_are_freed_without_gc(groups):
+    """No reference cycle pins the enumerated braces, analysed or not: with
+    the collector off, they die with the list."""
+    gc.collect()
+    gc.disable()
+    try:
+        braces = enumerate_braces(groups["S3"])
+        for brace in braces[::2]:
+            sb.nilpotency_profile(brace)
+            sb.check_equivalence_theorems(brace)
+        refs = [weakref.ref(b) for b in braces]
+        del braces, brace
+        assert [r() for r in refs] == [None] * len(refs)
+        gc.collect()
+        automorphism_group(groups["D4"])
+        assert gc.collect() == 0  # no cyclic garbage was left behind
+    finally:
+        gc.enable()
 
 
 def test_oracle_counts_frozen(groups):

@@ -471,6 +471,29 @@ def test_ideal_predicates_match_tables(make):
     assert all(seen == {False, True} for seen in outcomes.values())
 
 
+@pytest.mark.parametrize("make", [bc16, bc81])
+def test_coset_agreement_matches_element_sets(make):
+    """a.I = aoI on subspaces agrees with comparing the element sets: on the
+    left series terms, and on every U x V, left ideal or not."""
+    brace = make()
+
+    def by_elements(term, a):
+        return {brace.dot(a, x) for x in term} == {brace.circ(a, x) for x in term}
+
+    for term in sb.left_series(brace).terms:
+        for a in brace.elements():
+            assert sb.coset_agreement(brace, term, a) == by_elements(term, a)
+    seen = set()
+    for u in _subspaces(brace.p, brace.d_b):
+        for v in _subspaces(brace.p, brace.d_c):
+            term = PairSpace(u, v)
+            for a in brace.elements():
+                fast = formula.bc_coset_agreement(brace, term, a)
+                assert fast == by_elements(term, a), (u.basis, v.basis, a)
+                seen.add(fast)
+    assert seen == {False, True}
+
+
 def sweep_spans(brace, x, y):
     """Element sweeps as an oracle: dphi(c) or dpsi(b) for every element of
     the acting subspace, on a basis of the moved one. Returns the star span,

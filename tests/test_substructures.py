@@ -168,11 +168,11 @@ def test_huq_commutator_matches_all_pairs(catalog, corpus8, sweep12):
 
 
 def test_table_ops_match_generic_forms(catalog, corpus8, sweep12):
-    """The table forms of the commutators and conjugations agree with the
-    SkewBrace definitions through dot, circ, inv and bar."""
+    """The table forms of lambda, star, the commutators and the conjugations
+    agree with the SkewBrace definitions through dot, circ, inv and bar."""
     tables = [(name, b) for name, b in catalog if b.backing == "table"]
     for name, brace in tables + corpus8 + sweep12:
-        for op in ("comm_dot", "comm_circ", "conj_dot", "conj_circ"):
+        for op in ("lam", "star", "comm_dot", "comm_circ", "conj_dot", "conj_circ"):
             fast, generic = getattr(brace, op), getattr(sb.SkewBrace, op)
             for a in brace.elements():
                 for c in brace.elements():
