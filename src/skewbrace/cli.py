@@ -56,13 +56,18 @@ def _load_spec(path: str) -> dict:
         raise errors.ParseError(f"cannot read brace spec {path}: {exc}") from exc
 
 
+# The `series --kind` names: the six brace series, then the four group series.
+CHAINS = {
+    **series.ALL_SERIES,
+    "group_lower_dot": series.gamma_dot_series,
+    "group_upper_dot": series.zeta_dot_series,
+    "group_lower_circ": series.gamma_circ_series,
+    "group_upper_circ": series.zeta_circ_series,
+}
+
+
 def _all_chains(brace: SkewBrace) -> dict[str, SeriesChain]:
-    chains = {name: fn(brace) for name, fn in series.ALL_SERIES.items()}
-    chains["group_lower_dot"] = series.gamma_dot_series(brace)
-    chains["group_upper_dot"] = series.zeta_dot_series(brace)
-    chains["group_lower_circ"] = series.gamma_circ_series(brace)
-    chains["group_upper_circ"] = series.zeta_circ_series(brace)
-    return chains
+    return {name: fn(brace) for name, fn in CHAINS.items()}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -263,10 +268,10 @@ def cmd_series(args: argparse.Namespace) -> int:
     brace = brace_from_spec(_load_spec(args.file))
     if args.kind == "all":
         chains = _all_chains(brace)
+    elif args.kind in CHAINS:
+        chains = {args.kind: CHAINS[args.kind](brace)}
     else:
-        if args.kind not in series.ALL_SERIES:
-            raise errors.ParseError(f"unknown series kind {args.kind!r}")
-        chains = {args.kind: series.ALL_SERIES[args.kind](brace)}
+        raise errors.ParseError(f"unknown series kind {args.kind!r}")
     report = {name: chain_to_json(brace, c) for name, c in chains.items()}
     _emit(args, report)
     return 0

@@ -220,6 +220,35 @@ def test_series_subcommand(tmp_path, capsys):
     ]
 
 
+SERIES_KINDS = [
+    "left",
+    "right",
+    "smoktunowicz",
+    "socle",
+    "annihilator",
+    "gamma",
+    "group_lower_dot",
+    "group_upper_dot",
+    "group_lower_circ",
+    "group_upper_circ",
+]
+
+
+def test_series_each_kind_matches_all(tmp_path, capsys):
+    """Each of the ten chain names gives exactly its `--kind all` entry, and
+    an unknown name is a parse error."""
+    assert list(cli.CHAINS) == SERIES_KINDS
+    path = write_spec(tmp_path, PQ_SPEC)
+    code, everything = run_json(capsys, ["series", path, "--json", "--kind", "all"])
+    assert code == 0 and set(everything) == set(SERIES_KINDS)
+    for kind in SERIES_KINDS:
+        code, report = run_json(capsys, ["series", path, "--json", "--kind", kind])
+        assert code == 0
+        assert report == {kind: everything[kind]}
+    assert main(["series", path, "--kind", "group_lower"]) == 1
+    assert "unknown series kind" in capsys.readouterr().err
+
+
 def test_verify_inclusions_on_counterexample(tmp_path, capsys):
     """(E) holds and (F) fails exactly as expected, reported as a pass."""
     path = write_spec(tmp_path, {"kind": "counterexample_F", "p": 5})

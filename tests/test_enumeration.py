@@ -44,11 +44,41 @@ def brute_automorphisms(g: sb.GroupTable) -> set[tuple[int, ...]]:
     return out
 
 
-@pytest.mark.parametrize("name,count", [("C6", 2), ("S3", 6), ("C2", 1), ("C5", 4), ("V4", 6)])
+@pytest.mark.parametrize(
+    "name,count",
+    [
+        ("C6", 2),
+        ("S3", 6),
+        ("C2", 1),
+        ("C5", 4),
+        ("V4", 6),
+        ("C8", 4),
+        ("C2xC4", 8),
+        ("C2xC2xC2", 168),
+        ("D4", 8),
+        ("Q8", 24),
+    ],
+)
 def test_automorphism_counts(groups, name, count):
     auts = automorphism_group(groups[name])
     assert len(auts) == count
-    assert set(auts) == brute_automorphisms(groups[name])
+    assert auts == sorted(brute_automorphisms(groups[name]))
+
+
+@pytest.mark.parametrize("name,count", [("C12", 4), ("C2xC6", 12), ("A4", 24), ("D6", 12)])
+def test_automorphism_counts_order12(name, count):
+    """Too large for the brute-force oracle: each tuple is checked to be a
+    bijective homomorphism instead."""
+    g = sb.builtin_group(name)
+    auts = automorphism_group(g)
+    assert len(auts) == count == len(set(auts))
+    for perm in auts:
+        assert sorted(perm) == list(range(g.order))
+        assert all(
+            perm[g.mul[a][b]] == g.mul[perm[a]][perm[b]]
+            for a in range(g.order)
+            for b in range(g.order)
+        )
 
 
 def test_automorphism_group_too_large():
@@ -100,9 +130,23 @@ def test_enumerate_s3_contains_expected(groups):
     assert opposite in tables  # almost trivial
 
 
-def test_enumerated_braces_all_validate(groups):
+def test_enumerated_braces_all_validate(groups, corpus8, sweep12):
+    """`enumerate_braces` skips validation; the full check is the oracle here.
+    Every brace of order <= 12 is the brace `validate_brace` builds from its
+    two tables, and no two braces on one group share a circ table."""
     for brace in enumerate_braces(groups["D4"]):
         assert sb.check_identities(brace)["passed"]
+    circ_tables: dict[str, set] = {}
+    for label, brace in corpus8 + sweep12:
+        checked = sb.validate_brace(
+            [list(row) for row in brace.dot_group.mul],
+            [list(row) for row in brace.circ_group.mul],
+        )
+        assert checked.dot_group == brace.dot_group, label
+        assert checked.circ_group == brace.circ_group, label
+        seen = circ_tables.setdefault(label.split("#")[0], set())
+        assert brace.circ_group.mul not in seen, label
+        seen.add(brace.circ_group.mul)
 
 
 def test_enumerated_braces_are_freed_without_gc(groups):
