@@ -128,6 +128,9 @@ class TableBrace(SkewBrace):
     def star(self, a: int, b: int) -> int:
         return (self._star_table or self._tabulate()[1])[a][b]
 
+    def lambda_perm(self, a: int) -> tuple[int, ...]:
+        return (self._lam_table or self._tabulate()[0])[a]
+
     def _tabulate(self) -> tuple[Table, Table]:
         """The lambda and star tables, built on the first lam or star call."""
         dmul, dinv, n = self.dot_group.mul, self.dot_group.inv, self.order

@@ -89,18 +89,36 @@ def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> lis
       is the brace relation.
     - Sibling branches differ at `free`, so no lambda map, and no circ table,
       is reached twice.
+
+    Aut(A) acts on these braces, and the search runs once per orbit of the
+    stabilizer S of x0 = 1 on the choices of lambda_{x0}:
+    - For sigma in Aut(A), let B^sigma have lambda'_{sigma(a)} =
+      sigma lambda_a sigma^-1. Then sigma(a o b) = sigma(a) . sigma lambda_a(b)
+      = sigma(a) . lambda'_{sigma(a)}(sigma(b)) = sigma(a) o' sigma(b), so
+      sigma: B -> B^sigma is an isomorphism and B^sigma is a brace on A.
+    - For sigma in S, lambda'_{x0} = sigma lambda_{x0} sigma^-1, so
+      B -> B^sigma maps the braces with lambda_{x0} = c into those with
+      lambda_{x0} = sigma c sigma^-1, and B -> B^(sigma^-1) maps them back:
+      a bijection.
+    - The root therefore tries one c per S-conjugacy class and conjugates
+      each brace found by one chosen sigma per member of the class. Distinct
+      members give distinct lambda_{x0}, and one sigma is injective, so no
+      brace appears twice and every brace appears once.
+
+    Automorphisms are composed only when the search meets a pair, into a
+    flat dict keyed by i * |Aut| + j.
     """
     if g.order > max_order:
         raise errors.TooLarge(f"enumeration capped at order {max_order}")
+    if g.order == 1:
+        return [TableBrace(g, g)]
     n = g.order
     auts = automorphism_group(g)
+    m = len(auts)
     aut_index = {a: i for i, a in enumerate(auts)}
     identity_aut = aut_index[tuple(range(n))]
-    compose = [
-        [aut_index[tuple(a[b[x]] for x in range(n))] for b in auts] for a in auts
-    ]
+    products: dict[int, int] = {}  # i * m + j -> index of auts[i] o auts[j]
     mul = g.mul
-    braces: list[TableBrace] = []
 
     def propagate(lam: list[int | None], fresh: list[int]) -> bool:
         while fresh:
@@ -112,7 +130,11 @@ def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> lis
                     continue
                 for x, lx, y, ly in ((a, la, b, lb), (b, lb, a, la)):
                     z = mul[x][auts[lx][y]]
-                    lz = compose[lx][ly]
+                    key = lx * m + ly
+                    lz = products.get(key)
+                    if lz is None:
+                        outer = auts[lx]
+                        lz = products[key] = aut_index[tuple([outer[v] for v in auts[ly]])]
                     if lam[z] is None:
                         lam[z] = lz
                         fresh.append(z)
@@ -120,23 +142,66 @@ def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> lis
                         return False
         return True
 
-    start: list[int | None] = [None] * n
-    start[0] = identity_aut
-    # An explicit stack, as in `automorphism_group`: a recursive closure would
-    # pin `braces`, with every brace and its caches, until a full collection.
-    stack = [start] if propagate(start, [0]) else []
-    while stack:
-        lam = stack.pop()
-        free = next((x for x in range(n) if lam[x] is None), None)
-        if free is None:
-            circ = [[mul[a][x] for x in auts[lam[a]]] for a in range(n)]  # type: ignore[index]
-            braces.append(TableBrace(g, GroupTable.from_trusted(circ)))
+    def search(start: list[int | None]) -> list[list[int]]:
+        """Every complete lambda map extending `start`, already propagated."""
+        leaves = []
+        # An explicit stack, as in `automorphism_group`: a recursive closure
+        # would pin the found maps until a full collection.
+        stack = [start]
+        while stack:
+            lam = stack.pop()
+            free = next((x for x in range(n) if lam[x] is None), None)
+            if free is None:
+                leaves.append(lam)
+                continue
+            for choice in range(m):
+                trial = list(lam)
+                trial[free] = choice
+                if propagate(trial, [free]):
+                    stack.append(trial)
+        return leaves
+
+    conjugates: dict[int, int] = {}  # s * m + c -> index of s c s^-1
+
+    def conjugate(s: int, c: int) -> int:
+        key = s * m + c
+        out = conjugates.get(key)
+        if out is None:
+            sigma, inner, image = auts[s], auts[c], [0] * n
+            for v in range(n):
+                image[sigma[v]] = sigma[inner[v]]
+            out = conjugates[key] = aut_index[tuple(image)]
+        return out
+
+    stabilizer = [s for s in range(m) if auts[s][1] == 1]
+    covered = [False] * m
+    maps: list[list[int]] = []
+    for c in range(m):
+        if covered[c]:
             continue
-        for choice in range(len(auts)):
-            trial = list(lam)
-            trial[free] = choice
-            if propagate(trial, [free]):
-                stack.append(trial)
+        members: dict[int, int] = {}  # sigma c sigma^-1 -> the first such sigma
+        for s in stabilizer:
+            members.setdefault(conjugate(s, c), s)
+        for d in members:
+            covered[d] = True
+        trial: list[int | None] = [identity_aut, c] + [None] * (n - 2)
+        if not propagate(trial, [1]):
+            continue
+        found = search(trial)
+        for s in members.values():
+            if s == identity_aut:
+                maps += found
+                continue
+            sigma = auts[s]
+            for lam in found:
+                moved = [0] * n
+                for a, la in enumerate(lam):
+                    moved[sigma[a]] = conjugate(s, la)
+                maps.append(moved)
+    braces = [
+        TableBrace(g, GroupTable.from_trusted([[mul[a][x] for x in auts[lam[a]]] for a in range(n)]))
+        for lam in maps
+    ]
     braces.sort(key=lambda b: b.circ_group.mul)
     return braces
 

@@ -362,6 +362,30 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     products are not associative), each family pairwise commuting, and
     Im(psi_b - id) <= ker(phi) on the basis of B (which makes it hold for
     every b).
+
+    These make the result a skew brace for every element, so the sampled
+    checks (`validate_formula_brace`, `check_identities`) test the element
+    operations, not the construction. phi: C -> GL(B) and psi: B -> GL(C) are
+    homomorphisms with commuting images, so (A, .) and (A, o) are the
+    semidirect products of the module docstring. For a = (b, c) put
+    lambda_a(x, y) = (phi_{-c}(x), psi_b(y)). Then:
+    - a o y = a . lambda_a(y): (b, c) . (phi_{-c}(x), psi_b(y))
+      = (b + phi_c phi_{-c}(x), c + psi_b(y)) = (b + x, c + psi_b(y)).
+    - lambda_a is in Aut(A, .): it is bijective, and
+      lambda_a((x, y) . (x', y')) = (phi_{-c}(x) + phi_{-c} phi_y(x'), ...)
+      while lambda_a(x, y) . lambda_a(x', y')
+      = (phi_{-c}(x) + phi_{psi_b(y)} phi_{-c}(x'), ...), with equal C parts
+      psi_b(y) + psi_b(y'). As phi's image commutes, the B parts agree for
+      all x' iff phi_{psi_b(y) - y} = id, that is iff
+      Im(psi_b - id) <= ker(phi).
+    - lambda_{a o a'} = lambda_a lambda_{a'}: with a' = (b', c'),
+      a o a' = (b + b', c + psi_b(c')), so the B part of lambda_{a o a'} is
+      phi_{-c - psi_b(c')} and that of lambda_a lambda_{a'} is
+      phi_{-c - c'}; they agree by the same condition, and the C parts are
+      both psi_{b + b'}.
+    Then a o (a' o a'') = a . lambda_a(a') . lambda_a lambda_{a'}(a'')
+    = (a o a') o a'', and a o (y . z) = a . lambda_a(y) . lambda_a(z)
+    = (a o y) . a^-1 . (a o z) is the brace relation.
     """
     if not is_prime(p):
         raise errors.BadPrime(f"{p} is not prime")

@@ -344,23 +344,35 @@ def lower_central_series(g: GroupTable) -> SeriesChain:
     )
 
 
-def lifted_step(order: int, maps, prev: ElementSet) -> ElementSet:
-    """Keep x iff every f(x, a) lands in `prev`, dropping x at its first
-    escaping value: an ascending series step that builds no quotient."""
+def lifted_step(order: int, maps, prev: ElementSet, gens: Sequence[int]) -> ElementSet:
+    """Keep x iff every f(x, a) with a in `gens` lands in `prev`, one filter
+    per generator and map, so x is dropped at its first escaping value: an
+    ascending series step that builds no quotient.
+
+    The generators stand for the whole carrier. For N normal in a group, the
+    a with [x, a] in N form a subgroup of it, by [x, ab] = [x, a] . a [x, b] a^-1;
+    for N normal in (A, .), the a with x * a in N form a subgroup of (A, .),
+    by x * (ab) = (x * a) . a (x * b) a^-1. So `gens` must generate the group
+    of each commutator in `maps`, and (A, .) if the star product is there,
+    and `prev` must be normal in those groups. Every term of the socle and
+    annihilator chains is an ideal, and every term of an upper central
+    series is normal in its group.
+    """
     inside = prev.members
-    carrier = range(order)
-    return make_set(
-        (x for x in carrier if all(f(x, a) in inside for a in carrier for f in maps)),
-        order,
-    )
+    keep: Iterable[int] = range(order)
+    for a in gens:
+        for f in maps:
+            keep = [x for x in keep if f(x, a) in inside]
+    return make_set(keep, order)
 
 
 def upper_central_series(g: GroupTable) -> SeriesChain:
     """zeta_0 = 1, zeta_{n+1} = {x : every [x, a] lies in zeta_n}."""
+    gens = greedy_generators(g)
     return run_chain(
         "group_upper",
         trivial_set(g.order),
-        lambda terms: lifted_step(g.order, (g.comm,), terms[-1]),
+        lambda terms: lifted_step(g.order, (g.comm,), terms[-1], gens),
         ascending=True,
     )
 

@@ -124,7 +124,9 @@ def socle_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "socle",
         lambda terms: formula.bc_socle_step(brace, terms[-1]),
-        lambda terms: lifted_step(brace.order, (brace.star, brace.comm_dot), terms[-1]),
+        lambda terms: lifted_step(
+            brace.order, (brace.star, brace.comm_dot), terms[-1], brace.generators()
+        ),
         ascending=True,
     )
 
@@ -135,7 +137,10 @@ def annihilator_series(brace: SkewBrace) -> SeriesChain:
         "annihilator",
         lambda terms: formula.bc_annihilator_step(brace, terms[-1]),
         lambda terms: lifted_step(
-            brace.order, (brace.star, brace.comm_dot, brace.comm_circ), terms[-1]
+            brace.order,
+            (brace.star, brace.comm_dot, brace.comm_circ),
+            terms[-1],
+            brace.generators(),
         ),
         ascending=True,
     )
@@ -205,7 +210,9 @@ def zeta_dot_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "group_upper",
         lambda terms: formula.bc_zeta_dot_step(brace, terms[-1]),
-        lambda terms: lifted_step(brace.order, (brace.dot_group.comm,), terms[-1]),
+        lambda terms: lifted_step(
+            brace.order, (brace.dot_group.comm,), terms[-1], brace.generators()
+        ),
         ascending=True,
         key="zeta_dot",
     )
@@ -216,7 +223,9 @@ def zeta_circ_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "group_upper",
         lambda terms: formula.bc_zeta_circ_step(brace, terms[-1]),
-        lambda terms: lifted_step(brace.order, (brace.circ_group.comm,), terms[-1]),
+        lambda terms: lifted_step(
+            brace.order, (brace.circ_group.comm,), terms[-1], brace.generators()
+        ),
         ascending=True,
         key="zeta_circ",
     )

@@ -11,6 +11,7 @@ import pytest
 import skewbrace as sb
 from skewbrace import errors
 from skewbrace.enumeration import automorphism_group, brute_force_oracle, enumerate_braces
+from skewbrace.groups import GroupTable
 
 # Labeled brace counts per additive table, frozen from the oracle runs.
 ORACLE_COUNTS = {
@@ -23,6 +24,16 @@ ORACLE_COUNTS = {
     "C6": 2,
     "S3": 8,
 }
+
+# The groups of order <= 12 on which the pruned enumerator is checked
+# against the unpruned search.
+PRUNING_GROUPS = [
+    "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C12", "V4", "S3",
+    "C2xC4", "C2xC2xC2", "D4", "Q8", "C3xC3", "D5", "C2xC6", "A4", "D6",
+]
+
+# Labeled brace counts at order 16, measured with the unpruned search.
+ORDER16_COUNTS = {"C16": 16, "C2xC8": 160, "D8": 304, "C4xC4": 880}
 
 # Isomorphism-class counts derived from the enumerator plus the automorphism
 # action; stable regression values.
@@ -228,3 +239,82 @@ def test_iso_class_counts_order8(groups):
 def test_iso_class_counts_small(groups):
     assert iso_class_count(groups["C4"]) + iso_class_count(groups["V4"]) == 4
     assert iso_class_count(groups["C6"]) + iso_class_count(groups["S3"]) == 6
+
+
+def unpruned_enumeration(g: sb.GroupTable) -> list[sb.TableBrace]:
+    """The lambda-map search without the stabilizer split: the full
+    composition table up front and every choice at every node, the root
+    included."""
+    n = g.order
+    auts = automorphism_group(g)
+    aut_index = {a: i for i, a in enumerate(auts)}
+    compose = [
+        [aut_index[tuple(a[b[x]] for x in range(n))] for b in auts] for a in auts
+    ]
+    mul = g.mul
+
+    def propagate(lam, fresh):
+        while fresh:
+            a = fresh.pop()
+            for b in range(n):
+                if lam[b] is None:
+                    continue
+                for x, y in ((a, b), (b, a)):
+                    z = mul[x][auts[lam[x]][y]]
+                    lz = compose[lam[x]][lam[y]]
+                    if lam[z] is None:
+                        lam[z] = lz
+                        fresh.append(z)
+                    elif lam[z] != lz:
+                        return False
+        return True
+
+    start = [None] * n
+    start[0] = aut_index[tuple(range(n))]
+    stack = [start] if propagate(start, [0]) else []
+    braces = []
+    while stack:
+        lam = stack.pop()
+        free = next((x for x in range(n) if lam[x] is None), None)
+        if free is None:
+            circ = [[mul[a][x] for x in auts[lam[a]]] for a in range(n)]
+            braces.append(sb.TableBrace(g, GroupTable.from_trusted(circ)))
+            continue
+        for choice in range(len(auts)):
+            trial = list(lam)
+            trial[free] = choice
+            if propagate(trial, [free]):
+                stack.append(trial)
+    braces.sort(key=lambda b: b.circ_group.mul)
+    return braces
+
+
+@pytest.mark.parametrize("name", PRUNING_GROUPS + ["C16", "C2xC8", "D8"])
+def test_pruned_enumeration_matches_unpruned(name):
+    g = sb.builtin_group(name)
+    pruned = enumerate_braces(g, max_order=16)
+    assert [b.circ_group for b in pruned] == [b.circ_group for b in unpruned_enumeration(g)]
+    assert all(b.dot_group == g for b in pruned)
+
+
+def test_enumeration_closed_under_automorphisms(groups):
+    """B -> B^sigma, a o' b = sigma(sigma^-1(a) o sigma^-1(b)), permutes the
+    braces on A for every sigma in Aut(A)."""
+    g = groups["C2xC2xC2"]
+    n = g.order
+    tables = {b.circ_group.mul for b in enumerate_braces(g)}
+    assert len(tables) == 232
+    for sigma in automorphism_group(g):
+        inv = [0] * n
+        for x, image in enumerate(sigma):
+            inv[image] = x
+        for t in tables:
+            moved = tuple(
+                tuple(sigma[t[inv[a]][inv[b]]] for b in range(n)) for a in range(n)
+            )
+            assert moved in tables
+
+
+@pytest.mark.parametrize("name,count", sorted(ORDER16_COUNTS.items()))
+def test_order16_labeled_counts(name, count):
+    assert len(enumerate_braces(sb.builtin_group(name), max_order=16)) == count

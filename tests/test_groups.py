@@ -267,6 +267,27 @@ def test_upper_series_matches_quotient_oracle(groups):
             prev = term
 
 
+def test_upper_series_on_generators_matches_carrier_sweep():
+    """The upper central series, its lifted step over `greedy_generators`,
+    against the same chain with the step sweeping every element."""
+    for name in (
+        "C2 C3 C4 C5 C6 C7 C8 C9 C10 C12 V4 S3 C2xC4 C2xC2xC2 D4 Q8 C3xC3 D5 C2xC6 A4 D6"
+    ).split():
+        g = sb.builtin_group(name)
+
+        def swept(terms):
+            inside = terms[-1].members
+            return sb.groups.make_set(
+                (x for x in g.elements() if all(g.comm(x, a) in inside for a in g.elements())),
+                g.order,
+            )
+
+        expected = sb.groups.run_chain(
+            "group_upper", sb.groups.trivial_set(g.order), swept, ascending=True
+        )
+        assert sb.upper_central_series(g) == expected, name
+
+
 def test_nilpotency_cross_check(groups):
     for name, g in groups.items():
         if g.order > 16:

@@ -7,7 +7,7 @@ import pytest
 
 import skewbrace as sb
 from skewbrace import errors, series
-from skewbrace.groups import make_set
+from skewbrace.groups import lifted_step, make_set
 
 C3 = [0, 1, 2]
 ALL6 = list(range(6))
@@ -189,6 +189,28 @@ def test_lifted_annihilator_series_matches_quotient_oracle(catalog):
             expected = {x for x in brace.elements() if proj[x] in ann_q}
             assert set(term.members) == expected, name
             prev = term
+
+
+def test_lifted_steps_on_generators_match_carrier_sweep(corpus8, sweep12):
+    """Each term of the four lifted chains, taken as the previous term: the
+    step over `brace.generators()` keeps the x that the sweep over the whole
+    carrier keeps."""
+    for name, brace in corpus8 + sweep12:
+        chains = [
+            (series.socle_series(brace), (brace.star, brace.comm_dot)),
+            (series.annihilator_series(brace), (brace.star, brace.comm_dot, brace.comm_circ)),
+            (series.zeta_dot_series(brace), (brace.dot_group.comm,)),
+            (series.zeta_circ_series(brace), (brace.circ_group.comm,)),
+        ]
+        for chain, maps in chains:
+            for prev in chain.terms:
+                swept = {
+                    x
+                    for x in brace.elements()
+                    if all(f(x, a) in prev.members for a in brace.elements() for f in maps)
+                }
+                got = lifted_step(brace.order, maps, prev, brace.generators())
+                assert got.members == swept, (name, chain.kind, prev.sorted())
 
 
 def test_socle_quotient_tower_orders(pq_i, groups):

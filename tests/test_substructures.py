@@ -107,6 +107,43 @@ def test_ideal_closure_is_an_ideal(catalog):
             assert sb.is_ideal(brace, closed), name
 
 
+def alternating_closure(brace, seed) -> sb.ElementSet:
+    """The ideal closure by rounds: dot-subgroup closure, then one round of
+    lambda images and both conjugations by the generators, until nothing new
+    appears."""
+    current = sb.subgroup_closure(brace.dot_group, seed)
+    while True:
+        grown = set(current.members)
+        for a in brace.generators():
+            for x in current.members:
+                grown |= {brace.lam(a, x), brace.conj_dot(a, x), brace.conj_circ(a, x)}
+        if grown == current.members:
+            return current
+        current = sb.subgroup_closure(brace.dot_group, grown)
+
+
+def test_ideal_closure_matches_alternating_rounds(corpus8, sweep12):
+    for name, brace in corpus8 + sweep12:
+        for x in brace.elements():
+            assert sb.ideal_closure(brace, (x,)) == alternating_closure(brace, (x,)), (name, x)
+
+
+def test_ideal_closure_matches_alternating_rounds_on_commutator_seeds(corpus8):
+    """The seeds `_commutator` closes: the three values on generator pairs of
+    every ordered pair of ideals."""
+    for name, brace in corpus8:
+        ideals = sb.enumerate_ideals(brace)
+        for i in ideals:
+            for j in ideals:
+                seed = {
+                    value
+                    for x in brace.generators_of(i.members)
+                    for y in brace.generators_of(j.members)
+                    for value in (brace.comm_dot(x, y), brace.comm_circ(x, y), brace.star(x, y))
+                }
+                assert sb.ideal_closure(brace, seed) == alternating_closure(brace, seed), name
+
+
 def test_huq_commutator_pq():
     brace = sb.make_pq_brace(3, 2, 2, "i")
     whole = sb.groups.full_set(6)
