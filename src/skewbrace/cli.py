@@ -18,31 +18,47 @@ from .braces import DEFAULT_SEED, SkewBrace, check_identities
 from .catalog import brace_from_spec, spec_of_tables
 from .enumeration import ENUMERATE_MAX_ORDER, enumerate_braces
 from .formula import BCBrace, PairSpace, validate_formula_brace
+from .fp import Subspace
 from .groups import ElementSet, SeriesChain, builtin_group, validate_group
 from .substructures import coset_agreement, is_ideal, is_left_ideal, is_subbrace
 
 ELEMENT_DUMP_CAP = 1024
 
 
-def set_to_json(brace: SkewBrace, s: ElementSet | PairSpace) -> dict:
+def set_to_json(s: ElementSet | PairSpace) -> dict:
+    """A term's order and, up to ELEMENT_DUMP_CAP members, its elements.
+
+    A formula term U x V lists the pairs [b digits, c digits] in increasing
+    index order, read off its two subspaces: no index is listed or decoded.
+    The index of (b, c) is idx(b) + p^d_b * idx(c), with idx(v) = sum v_i p^i
+    and 0 <= idx(b) < p^d_b. So one pair comes before another iff its c has
+    the smaller idx, or the c are equal and its b has the smaller idx, and
+    idx orders vectors as their reversed digit tuples do lexicographically
+    (the last digit is the most significant). Each vector of U and of V is
+    one list, shared by every pair that holds it.
+    """
     out: dict = {"order": len(s)}
     if isinstance(s, PairSpace):
         out["b_basis"] = [list(v) for v in s.b.basis]
         out["c_basis"] = [list(v) for v in s.c.basis]
         if len(s) <= ELEMENT_DUMP_CAP:
-            out["elements"] = [
-                [list(b), list(c)] for b, c in (brace.decode(i) for i in s)
-            ]
+            bs, cs = _index_ordered(s.b), _index_ordered(s.c)
+            out["elements"] = [[b, c] for c in cs for b in bs]
     else:
         out["elements"] = s.sorted()
     return out
 
 
-def chain_to_json(brace: SkewBrace, chain: SeriesChain) -> dict:
+def _index_ordered(space: Subspace) -> list[list[int]]:
+    """The members of a subspace as lists, by increasing idx(v) = sum v_i p^i."""
+    return [list(v) for v in sorted(space.elements(), key=lambda v: v[::-1])]
+
+
+def chain_to_json(chain: SeriesChain) -> dict:
     return {
         "kind": chain.kind,
         "start_index": chain.start_index,
-        "terms": [set_to_json(brace, t) for t in chain.terms],
+        "terms": [set_to_json(t) for t in chain.terms],
         "stabilized_at": chain.stabilized_at,
         "reaches_terminal": chain.reaches_terminal,
     }
@@ -81,13 +97,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "order": brace.order,
         "backing": brace.backing,
         "profile": asdict(profile),
-        "series": {name: chain_to_json(brace, c) for name, c in chains.items()},
-        "socle": set_to_json(brace, series.socle(brace)),
-        "annihilator": set_to_json(brace, series.annihilator(brace)),
+        "series": {name: chain_to_json(c) for name, c in chains.items()},
+        "socle": set_to_json(series.socle(brace)),
+        "annihilator": set_to_json(series.annihilator(brace)),
     }
     if args.checks:
         report["checks"] = [
-            {**r, "lhs": set_to_json(brace, r["lhs"])}
+            {**r, "lhs": set_to_json(r["lhs"])}
             for r in classify.check_inclusion_sweep(brace, labels, max_n=args.max_n)
         ]
     _emit(args, report)
@@ -115,22 +131,31 @@ def _json(value, pad: str = "\n") -> str:
     With an indent, `json.dump` runs the pure-Python streaming encoder and
     writes every token on its own; here a flat list of plain ints is joined
     in C and every other scalar goes to `json.dumps`. Keys are sorted before
-    they are converted, as `json` does it.
+    they are converted, as `json` does it. A flat int list held in several
+    places (the vectors `set_to_json` shares between element pairs) is
+    rendered once per indent: the memo is keyed on its id, which stays its
+    own while `value` holds it, and lives for this call only.
     """
+    return _render(value, pad, {})
+
+
+def _render(value, pad: str, memo: dict[tuple[int, str], str]) -> str:
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [_json_key(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        items = [_json_key(k) + ": " + _render(v, inner, memo) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         if set(map(type, value)) == {int}:
-            body = ("," + inner).join(map(int.__repr__, value))
-        else:
-            body = ("," + inner).join([_json(v, inner) for v in value])
-        return "[" + inner + body + pad + "]"
+            text = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
+            memo[id(value), pad] = text
+            return text
+        get = memo.get
+        parts = [get((id(v), inner)) or _render(v, inner, memo) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
     return json.dumps(value)
 
 
@@ -272,7 +297,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         chains = {args.kind: CHAINS[args.kind](brace)}
     else:
         raise errors.ParseError(f"unknown series kind {args.kind!r}")
-    report = {name: chain_to_json(brace, c) for name, c in chains.items()}
+    report = {name: chain_to_json(c) for name, c in chains.items()}
     _emit(args, report)
     return 0
 

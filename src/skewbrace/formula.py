@@ -77,10 +77,14 @@ class PairSpace:
         if self._members is None:
             if len(self) > PAIR_SET_CAP:
                 raise errors.TooLarge(f"element sets capped at {PAIR_SET_CAP}, got {len(self)}")
-            p = self.b.p
-            b_idx = [_index(b, p) for b in self.b.elements()]
-            c_idx = [p**self.b.dim * _index(c, p) for c in self.c.elements()]
-            object.__setattr__(self, "_members", frozenset(i + j for j in c_idx for i in b_idx))
+            if self.is_full:  # every index below p^(d_b + d_c)
+                members = frozenset(range(len(self)))
+            else:
+                p = self.b.p
+                b_idx = [_index(b, p) for b in self.b.elements()]
+                c_idx = [p**self.b.dim * _index(c, p) for c in self.c.elements()]
+                members = frozenset(i + j for j in c_idx for i in b_idx)
+            object.__setattr__(self, "_members", members)
         return self._members
 
     def __contains__(self, x: int) -> bool:

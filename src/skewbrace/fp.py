@@ -55,7 +55,7 @@ def mat_vec(m: Mat, v: Vec, p: int) -> Vec:
 
 def mat_mul(a: Mat, b: Mat, p: int) -> Mat:
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols) for row in a)
+    return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in a)
 
 
 def mat_sub(a: Mat, b: Mat, p: int) -> Mat:

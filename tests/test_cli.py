@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import skewbrace as sb
 from skewbrace import classify, cli, errors, formula
 from skewbrace.cli import main
-from tests.conftest import I2, UNI2
+from tests.conftest import I2, UNI2, bc16, bc81
 
 PQ_SPEC = {"kind": "pq", "p": 3, "q": 2, "k": 2, "variant": "i"}
 
@@ -448,6 +448,65 @@ def test_json_writer_matches_json_dumps_on_reports(name, tmp_path, monkeypatch):
     assert len(reports) == 3
     for report in reports:
         assert cli._json(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+def decode_listing(brace, term):
+    """A formula term's elements listed index by index: sorted, then decoded."""
+    return [[list(b), list(c)] for b, c in map(brace.decode, sorted(term))]
+
+
+@pytest.mark.parametrize(
+    "make", [bc16, bc81, lambda: sb.make_counterexample_F(5)], ids=["bc16", "bc81", "F5"]
+)
+def test_term_elements_read_off_subspaces_match_decoded_indices(make):
+    """Every listed term of the ten chains gives the pairs of its sorted indices."""
+    brace = make()
+    listed = 0
+    for chain in cli._all_chains(brace).values():
+        for term in chain.terms:
+            if len(term) <= cli.ELEMENT_DUMP_CAP:
+                assert cli.set_to_json(term)["elements"] == decode_listing(brace, term)
+                listed += 1
+    assert listed >= 10
+
+
+def test_series_f5_lists_no_term(tmp_path, capsys, monkeypatch):
+    """The series report of the order-5^8 brace renders every term, element
+    listings included, from its subspaces alone: no term is listed."""
+    rendered = []
+    original = cli.set_to_json
+
+    def recorded(term):
+        rendered.append(term)
+        return original(term)
+
+    monkeypatch.setattr(cli, "set_to_json", recorded)
+    path = write_spec(tmp_path, {"kind": "counterexample_F", "p": 5})
+    code, report = run_json(capsys, ["series", path, "--json"])
+    assert code == 0
+    terms = [t for chain in report.values() for t in chain["terms"]]
+    assert len(rendered) == len(terms) and any(len(t.get("elements", ())) > 1 for t in terms)
+    assert all(term._members is None for term in rendered)
+
+
+def test_json_writer_renders_shared_lists_once_per_depth(monkeypatch):
+    """One list object at two depths, and a tuple and a list of the same
+    ints, render as `json.dumps` does; a list shared by pairs renders once."""
+    v, t = [1, 2, 3], (1, 2, 3)
+    value = {"a": v, "b": [v, [v, t]], "c": [t, v, [1, 2, 3]], "d": [[v, v], t, {"e": v}]}
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+    bs, cs = [[0, 0], [1, 0], [0, 1]], [[0], [2]]
+    pairs = [[b, c] for c in cs for b in bs]
+    calls = []
+    original = cli._render
+
+    def counted(value, pad, memo):
+        calls.append(value)
+        return original(value, pad, memo)
+
+    monkeypatch.setattr(cli, "_render", counted)
+    assert cli._json(pairs) == json.dumps(pairs, indent=2, sort_keys=True)
+    assert len(calls) == 1 + len(pairs) + len(bs) + len(cs)
 
 
 def _call(argv):

@@ -425,6 +425,19 @@ def test_random_bc_specs_match_materialized_tables(spec):
 
 
 @pytest.mark.parametrize("make", [bc16, bc81])
+def test_pair_members_match_encoded_pairs(make):
+    """A term's members, a full term's included, are the encodings of its
+    (b, c) pairs."""
+    brace = make()
+    terms = [brace.full_pair(), brace.trivial_pair()]
+    terms += [t for fn in series.ALL_SERIES.values() for t in fn(brace).terms]
+    for term in terms:
+        pairs = {brace.encode(b, c) for b in term.b.elements() for c in term.c.elements()}
+        assert term.members == pairs
+    assert brace.full_pair().is_full and len(brace.full_pair().members) == brace.order
+
+
+@pytest.mark.parametrize("make", [bc16, bc81])
 def test_star_subgroup_without_pairs_matches_tables(make):
     """Sets stripped of their PairSpace take the generic star path, whose dot
     closure builds each visited row from `dot` instead of reading a table."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from skewbrace.fp import Subspace
+from skewbrace.fp import Subspace, mat_mul
 
 
 def span(p: int, dim: int, vecs) -> set[tuple[int, ...]]:
@@ -58,3 +58,18 @@ def test_subspace_matches_brute_force_spans():
                 check_rref(found)
                 assert set(found.elements()) == kernel
                 assert found == Subspace.from_vectors(p, dim, kernel)
+
+
+def test_mat_mul_matches_triple_loop():
+    rng = random.Random(17)
+    for p in (2, 3, 5, 7):
+        for _ in range(30):
+            n, k, m = (rng.randrange(1, 5) for _ in range(3))
+            a = tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(n))
+            b = tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(k))
+            naive = [[0] * m for _ in range(n)]
+            for i in range(n):
+                for j in range(m):
+                    for t in range(k):
+                        naive[i][j] = (naive[i][j] + a[i][t] * b[t][j]) % p
+            assert mat_mul(a, b, p) == tuple(map(tuple, naive))
