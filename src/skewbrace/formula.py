@@ -57,14 +57,25 @@ MATERIALIZE_MAX_ORDER = 256  # largest formula brace expanded into tables
 PAIR_SET_CAP = 2**23  # largest PairSpace listed element by element (7^8 fits, 11^8 not)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairSpace:
-    """A product subspace U x V of the carrier B x C, and so the element set
-    of a formula brace: the indices b + p^d_b * c are listed on first read."""
+    """A product subspace U x V of the carrier B x C, and so the element set of a
+    formula brace: indices b + p^d_b * c, listed on first read (not by B x C's `in`)."""
 
     b: Subspace
     c: Subspace
     _members = None  # set by `members`
+
+    def __new__(cls, b: Subspace, c: Subspace):
+        """The class is a function of (b, c), so equal terms share class and hash."""
+        self = object.__new__(_FullPairSpace if b.rank == b.dim and c.rank == c.dim else PairSpace)
+        object.__setattr__(self, "b", b)  # reading __dict__ would slow later attribute reads
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_order", b.size * c.size)
+        return self
+
+    def __getnewargs__(self):
+        return self.b, self.c
 
     @property
     def pair(self) -> "PairSpace":
@@ -97,7 +108,7 @@ class PairSpace:
         return iter(self.sorted())
 
     def __len__(self) -> int:
-        return self.b.size * self.c.size
+        return self._order
 
     def sorted(self) -> list[int]:
         return sorted(self.members)
@@ -119,6 +130,13 @@ class PairSpace:
 
     def contains_pair(self, other: "PairSpace") -> bool:
         return self.b.contains_space(other.b) and self.c.contains_space(other.c)
+
+
+class _FullPairSpace(PairSpace):
+    """B x C: `in` lists nothing; `members`, `sorted` and `iter` still do."""
+
+    def __contains__(self, x: int) -> bool:
+        return 0 <= x < self._order
 
 
 class BCBrace(SkewBrace):

@@ -522,8 +522,10 @@ def builtin_group(name: str) -> GroupTable:
     if upper == "Q8":
         return quaternion8()
     if "X" in upper:
-        parts = upper.split("X")
-        tables = [builtin_group(p) for p in parts]
+        try:
+            tables = [builtin_group(p) for p in upper.split("X")]
+        except errors.ParseError:  # name the whole input, not the bad part
+            raise errors.ParseError(f"unrecognized group name {name!r}") from None
         out = tables[0]
         for t in tables[1:]:
             out = direct_product(out, t)

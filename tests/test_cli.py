@@ -205,6 +205,15 @@ def test_enumerate_malformed_group_file_is_parse_error(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["XX", "C2x"])
+def test_enumerate_bad_builtin_name_is_named(capsys, name):
+    """An empty part of a product name is reported as the whole input."""
+    assert main(["enumerate", "--builtin", name]) == 1
+    err = capsys.readouterr().err
+    assert f"parse error: unrecognized group name {name!r}" in err
+    assert "Traceback" not in err
+
+
 def test_enumerate_too_large_exits_3(capsys):
     assert main(["enumerate", "--builtin", "C13", "--json"]) == 3
 
@@ -296,12 +305,14 @@ def test_memory_error_is_resource_limit(monkeypatch, capsys):
 
 def test_oversized_element_set_is_refused(monkeypatch, f5):
     """Listing a formula term above PAIR_SET_CAP is refused before the set is
-    built; its size, bases and the subspace tests stay available."""
+    built; its size, bases, the subspace tests and membership in the full
+    term (a bound check) stay available."""
     monkeypatch.setattr(formula, "PAIR_SET_CAP", 5**8 - 1)
     term = f5.full_pair()
     assert len(term) == 5**8 and term.is_full and term.contains_pair(f5.trivial_pair())
     tracemalloc.start()
-    for read in (lambda: 1 in term, lambda: list(term), lambda: term.members, term.sorted):
+    assert [x in term for x in (1, 5**8 - 1, -1, 5**8)] == [True, True, False, False]
+    for read in (lambda: list(term), lambda: term.members, term.sorted):
         with pytest.raises(errors.TooLarge, match="element sets capped"):
             read()
     peak = tracemalloc.get_traced_memory()[1]

@@ -3,8 +3,12 @@ generic definitions, and the subspace fast paths against full tables."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -888,3 +892,53 @@ def test_quotients_of_formula_braces_are_refused(f5):
         sb.quotient_brace(f5, sb.annihilator_series(f5).at(1))
     with pytest.raises(errors.QuotientTooLarge):
         sb.socle_quotient_tower(f5)
+
+
+def _chain_terms(brace) -> list[PairSpace]:
+    """The distinct terms of the ten chains, in first-seen order."""
+    return list(dict.fromkeys(t for fn in ALL_CHAINS for t in fn(brace).terms))
+
+
+@pytest.mark.parametrize("make", [bc16, bc81, lambda: sb.make_counterexample_F(5)])
+def test_membership_matches_subspace_test(make):
+    """`x in term` against the subspace test on every distinct chain term,
+    the full term (a bound check) among them; indices outside the carrier
+    are in no term."""
+    brace = make()
+    rng = random.Random(7)
+    order = brace.order
+    terms = _chain_terms(brace)
+    assert {type(t) for t in terms} == {PairSpace, formula._FullPairSpace}
+    for term in terms:
+        inside = [0, order - 1] + [rng.randrange(order) for _ in range(200)]
+        for x in inside:
+            assert (x in term) == term.contains(*brace.decode(x)), (term, x)
+        assert -1 not in term and order not in term
+    full = PairSpace(Subspace.full(brace.p, brace.d_b), Subspace.full(brace.p, brace.d_c))
+    assert full == brace.full_pair() and hash(full) == hash(brace.full_pair())
+    assert type(dataclasses.replace(full, c=Subspace.full(brace.p, brace.d_c))) is type(full)
+    zero_c = Subspace.zero(brace.p, brace.d_c)
+    proper = dataclasses.replace(full, c=zero_c)
+    assert type(proper) is PairSpace and proper == PairSpace(full.b, zero_c)
+    assert type(brace.trivial_pair()) is PairSpace
+    for term in (full, brace.trivial_pair()):
+        assert copy.copy(term) == term and pickle.loads(pickle.dumps(term)) == term
+
+
+def test_full_term_membership_lists_nothing():
+    """Reading every F5 chain term by membership, as the formula_p8 bench
+    workload does, lists the partial terms but not the 5^8-element full
+    term; on 11^8 the full term answers without reaching PAIR_SET_CAP."""
+    brace = sb.make_counterexample_F(5)
+    terms = _chain_terms(brace)
+    tracemalloc.start()
+    for term in terms:
+        assert 0 in term
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    (full,) = [t for t in terms if t.is_full]
+    assert full._members is None
+    assert all(t._members is not None for t in terms if not t.is_full)
+    assert peak < 5_000_000  # the full term's index set alone is ~28 MB
+    f11 = sb.make_counterexample_F(11).full_pair()
+    assert 0 in f11 and 11**8 - 1 in f11 and 11**8 not in f11
