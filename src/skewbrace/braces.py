@@ -267,24 +267,18 @@ IDENTITY_NAMES = (
 )
 
 
-def _identity_holds(brace: SkewBrace, idx: int, a: int, x: int, y: int) -> bool:
+def _identity_verdicts(brace: SkewBrace, a: int, x: int, y: int) -> tuple[bool, ...]:
+    """Whether each identity of IDENTITY_NAMES holds at (a, x, y). The last
+    two share bar(a) and a o x o ~a, computed once."""
     d, c, s, lm = brace.dot, brace.circ, brace.star, brace.lam
-    if idx == 0:
-        lhs = s(a, d(x, y))
-        rhs = d(d(d(s(a, x), x), s(a, y)), brace.inv(x))
-        return lhs == rhs
-    if idx == 1:
-        lhs = s(c(x, y), a)
-        ya = s(y, a)
-        rhs = d(d(s(x, ya), ya), s(x, a))
-        return lhs == rhs
-    if idx == 2:
-        lhs = lm(a, s(x, y))
-        rhs = s(c(c(a, x), brace.bar(a)), lm(a, y))
-        return lhs == rhs
-    lhs = c(c(a, x), brace.bar(a))
-    rhs = d(d(a, lm(a, d(x, s(x, brace.bar(a))))), brace.inv(a))
-    return lhs == rhs
+    ya, abar = s(y, a), brace.bar(a)
+    conj = c(c(a, x), abar)
+    return (
+        s(a, d(x, y)) == d(d(d(s(a, x), x), s(a, y)), brace.inv(x)),
+        s(c(x, y), a) == d(d(s(x, ya), ya), s(x, a)),
+        lm(a, s(x, y)) == s(conj, lm(a, y)),
+        conj == d(d(a, lm(a, d(x, s(x, abar)))), brace.inv(a)),
+    )
 
 
 def check_identities(brace: SkewBrace, samples: int = 100_000, seed: int = DEFAULT_SEED) -> dict:
@@ -322,11 +316,9 @@ def _run_identity_suite(brace: SkewBrace, triples) -> dict:
     checked = 0
     for a, x, y in triples:
         checked += 1
-        for idx in range(4):
-            if not _identity_holds(brace, idx, a, x, y):
-                failures.append(
-                    {"identity": IDENTITY_NAMES[idx], "triple": (a, x, y)}
-                )
+        for name, holds in zip(IDENTITY_NAMES, _identity_verdicts(brace, a, x, y)):
+            if not holds:
+                failures.append({"identity": name, "triple": (a, x, y)})
                 if len(failures) >= 8:
                     return {"passed": False, "checked": checked, "failures": failures}
     return {"passed": not failures, "checked": checked, "failures": failures}

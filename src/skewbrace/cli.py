@@ -19,7 +19,7 @@ from .catalog import brace_from_spec, spec_of_tables
 from .enumeration import ENUMERATE_MAX_ORDER, enumerate_braces
 from .formula import BCBrace, PairSpace, validate_formula_brace
 from .fp import Subspace
-from .groups import ElementSet, SeriesChain, builtin_group, validate_group
+from .groups import ElementSet, SeriesChain, builtin_group, builtin_order, validate_group
 from .substructures import coset_agreement, is_ideal, is_left_ideal, is_subbrace
 
 ELEMENT_DUMP_CAP = 1024
@@ -264,6 +264,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.builtin:
+        order = builtin_order(args.builtin)
+        if order > args.max_order:  # before any table is built
+            raise errors.TooLarge(
+                f"{args.builtin} has order {order}, above --max-order {args.max_order}"
+            )
         group = builtin_group(args.builtin)
     elif args.group:
         group = validate_group(_load_spec_table(args.group))

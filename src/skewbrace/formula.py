@@ -23,7 +23,9 @@ tests check these paths against the table machinery and element sweeps.
 Element operations work on indices b + p^d_b * c, split by one divmod. Each
 factor (`_Component`) adds on two or three digit blocks through one table of
 at most SIZE_CAP entries (mod p for one digit) and applies phi_c or psi_b
-through index maps cached per acting index, built from the matrix columns.
+through index maps built from the matrix columns once per distinct matrix.
+lambda is a homomorphism, so phi_c depends only on c modulo ker phi (psi_b on
+b modulo ker psi): F5's 625 acting indices of a factor share 5 maps.
 The tuple forms of the products live only in the tests; `vstar` stays.
 """
 
@@ -169,14 +171,14 @@ class BCBrace(SkewBrace):
     def phi(self, c: Vec) -> Mat:
         m = self._phi.get(c)
         if m is None:
-            m = _family_product(self._phi_pows, c, self.p, self.d_b)
+            m = _family_product(self._phi_pows, c, self.p)
             self._phi[c] = m
         return m
 
     def psi(self, b: Vec) -> Mat:
         m = self._psi.get(b)
         if m is None:
-            m = _family_product(self._psi_pows, b, self.p, self.d_c)
+            m = _family_product(self._psi_pows, b, self.p)
             self._psi[b] = m
         return m
 
@@ -288,9 +290,10 @@ def _power_row(m: Mat, p: int) -> list[Mat]:
     return pows
 
 
-def _family_product(pow_rows: list[list[Mat]], coeffs: Vec, p: int, dim: int) -> Mat:
-    """The product of the factors pow_rows[i][coeffs[i]] that are not the identity."""
-    out = ident = mat_identity(dim)
+def _family_product(pow_rows: list[list[Mat]], coeffs: Vec, p: int) -> Mat:
+    """The product of the factors pow_rows[i][coeffs[i]] that are not the
+    identity, which starts every power row."""
+    out = ident = pow_rows[0][0]
     for row, t in zip(pow_rows, coeffs):
         if row[t % p] != ident:
             out = row[t % p] if out is ident else mat_mul(out, row[t % p], p)
@@ -314,7 +317,8 @@ class _Component:
     A one-digit factor adds mod p and caches the 1 x 1 matrix of each acting
     index `key`. A wider one adds on blocks of w digits through one H x H table,
     H = p^w: two blocks (w = ceil(d/2)), or three (w = ceil(d/3)) where H^2
-    would exceed SIZE_CAP; it caches per key the images of every block value.
+    would exceed SIZE_CAP; it keeps the images of every block value under each
+    distinct action matrix, and `maps[key]` points at the one for key's matrix.
     The two-block add and act are written out apart: they are the common case
     and run ~1.5x faster than the three-block form. `neg` has p^d entries.
     """
@@ -359,18 +363,23 @@ class _Component:
                 m = maps[key] or image_map(key)
                 return add(add(m[x % h], m[h + x // h % h]), m[2 * h + x // hh])
 
+        by_matrix: dict[Mat, array] = {}
+
         def image_map(key: int) -> array:
-            """Images of every value of each block, from the matrix columns."""
-            cols = [_index(col, p) for col in zip(*action(_digits(key, p, acting_dim)))]
-            cols += [0] * (k * w - d)
-            maps[key] = out = array("I")
-            for j in range(0, k * w, w):
-                img = [0]
-                for col in cols[j : j + w]:
-                    n = len(img)
-                    for _ in range(p - 1):
-                        img += [add(u, col) for u in img[-n:]]
-                out.extend(img)
+            """Images of every value of each block under key's matrix, built
+            from its columns on the first key with that matrix."""
+            mat = action(_digits(key, p, acting_dim))
+            if mat not in by_matrix:
+                cols = [_index(col, p) for col in zip(*mat)] + [0] * (k * w - d)
+                by_matrix[mat] = out = array("I")
+                for j in range(0, k * w, w):
+                    img = [0]
+                    for col in cols[j : j + w]:
+                        n = len(img)
+                        for _ in range(p - 1):
+                            img += [add(u, col) for u in img[-n:]]
+                    out.extend(img)
+            maps[key] = out = by_matrix[mat]
             return out
 
         self.add, self.act = add, act

@@ -8,8 +8,10 @@ between threads for read-only queries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import partial, reduce
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import errors
 
@@ -513,33 +515,33 @@ def _perm_table(perms: list[tuple[int, ...]]) -> GroupTable:
     return GroupTable.from_trusted(mul)
 
 
+def _builtin_parts(name: str) -> list[tuple[int, Callable[[], GroupTable]]]:
+    """The order and builder of each factor of a builtin name, so the order is
+    known before any table is built. S n and A n, built only for n <= 5, are
+    built here to read it."""
+    parts = []
+    for key in name.strip().replace(" ", "").upper().split("X"):
+        kind, num = key[:1], key[1:]
+        if key == "V4":
+            parts.append((4, lambda: direct_product(cyclic(2), cyclic(2))))
+        elif key == "Q8":
+            parts.append((8, quaternion8))
+        elif num.isdigit() and kind in "CZD":
+            n = int(num)
+            parts.append((2 * n, partial(dihedral, n)) if kind == "D" else (n, partial(cyclic, n)))
+        elif num.isdigit() and kind in "SA":
+            table = (symmetric if kind == "S" else alternating)(int(num))
+            parts.append((table.order, lambda table=table: table))
+        else:
+            raise errors.ParseError(f"unrecognized group name {name!r}")
+    return parts
+
+
+def builtin_order(name: str) -> int:
+    """The order of `builtin_group(name)`, worked out without building it."""
+    return math.prod(order for order, _ in _builtin_parts(name))
+
+
 def builtin_group(name: str) -> GroupTable:
     """Parse names like C6, C2xC3, S3, A4, D4 (order 8), Q8, V4."""
-    key = name.strip().replace(" ", "")
-    upper = key.upper()
-    if upper == "V4":
-        return direct_product(cyclic(2), cyclic(2))
-    if upper == "Q8":
-        return quaternion8()
-    if "X" in upper:
-        try:
-            tables = [builtin_group(p) for p in upper.split("X")]
-        except errors.ParseError:  # name the whole input, not the bad part
-            raise errors.ParseError(f"unrecognized group name {name!r}") from None
-        out = tables[0]
-        for t in tables[1:]:
-            out = direct_product(out, t)
-        return out
-    kind, num = upper[:1], upper[1:]
-    if not num.isdigit():
-        raise errors.ParseError(f"unrecognized group name {name!r}")
-    n = int(num)
-    if kind == "C" or kind == "Z":
-        return cyclic(n)
-    if kind == "S":
-        return symmetric(n)
-    if kind == "A":
-        return alternating(n)
-    if kind == "D":
-        return dihedral(n)
-    raise errors.ParseError(f"unrecognized group name {name!r}")
+    return reduce(direct_product, [build() for _, build in _builtin_parts(name)])

@@ -216,6 +216,25 @@ def test_enumerate_bad_builtin_name_is_named(capsys, name):
 
 def test_enumerate_too_large_exits_3(capsys):
     assert main(["enumerate", "--builtin", "C13", "--json"]) == 3
+    assert "C13 has order 13, above --max-order 12" in capsys.readouterr().err
+    code, out = run_json(capsys, ["enumerate", "--builtin", "C6", "--json"])
+    assert code == 0
+    assert out == [sb.spec_of_tables(b) for b in sb.enumerate_braces(sb.cyclic(6))]
+
+
+@pytest.mark.parametrize("name", ["C100000000", "D50000000", "C10000xC10000"])
+def test_enumerate_huge_builtin_is_refused_before_building(capsys, name):
+    """The order a name denotes is read off the name and checked against
+    --max-order before any table is built."""
+    tracemalloc.start()
+    code = main(["enumerate", "--builtin", name, "--json"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 3
+    assert peak < 1_000_000  # a 10^8-element table would take gigabytes
+    err = capsys.readouterr().err
+    assert f"{name} has order 100000000, above --max-order 12" in err
+    assert "Traceback" not in err
 
 
 def test_series_subcommand(tmp_path, capsys):

@@ -323,11 +323,64 @@ def test_element_tables_are_lazy_and_capped():
             brace.inv(a)
             brace.bar(a)
         for part in brace._elem:
-            # a one-digit factor caches one scalar per acting index
-            built = [[m] if isinstance(m, int) else m for m in part.maps if m is not None]
+            # a one-digit factor caches one scalar per acting index; a wider one
+            # shares one map among the acting indices with one matrix
+            held = {id(m): m for m in part.maps if m is not None}.values()
+            built = [[m] if isinstance(m, int) else m for m in held]
             sizes = [sum(map(len, part.table)), len(part.neg), len(part.maps)]
             assert max(sizes + [len(m) for m in built]) <= formula.SIZE_CAP
             assert sum(map(len, built)) <= formula.SIZE_CAP
+
+
+def kernel_off_units():
+    """phi_{e1} = phi_{e2} != id: ker phi is spanned by e1 - e2, by no unit vector."""
+    return sb.make_bc_brace(3, 2, 2, (UNI2, UNI2), (I2, I2))
+
+
+@pytest.mark.parametrize("make", [bc16, bc81, kernel_off_units])
+def test_image_maps_are_shared_per_matrix(make):
+    brace = make()
+    p = brace.p
+    B, C = brace._factors()
+    factors = ((B, brace.phi, brace.d_b, brace.d_c), (C, brace.psi, brace.d_c, brace.d_b))
+    for part, action, d, acting_dim in factors:
+        held: dict = {}  # matrix -> the map of the first key with it
+        for key in range(p**acting_dim):
+            mat = action(formula._digits(key, p, acting_dim))
+            for x in range(part.size):
+                image = mat_vec(mat, formula._digits(x, p, d), p)
+                assert part.act(key, x) == formula._index(image, p)
+            assert part.maps[key] is held.setdefault(mat, part.maps[key])
+        assert len({id(m) for m in part.maps}) == len(held)
+    if make is kernel_off_units:
+        assert len({id(m) for m in B.maps}) == 3 and len({id(m) for m in C.maps}) == 1
+
+
+def test_f5_factors_hold_five_maps(f5):
+    for part in f5._factors():
+        for key in range(len(part.maps)):
+            part.act(key, 0)
+        assert len(part.maps) == 625
+        assert len({id(m) for m in part.maps}) == 5
+
+
+def test_corrupted_shared_map_fails_validation():
+    brace = sb.make_counterexample_F(5)
+    B, _ = brace._factors()
+    for key in range(len(B.maps)):
+        B.act(key, 0)
+    shared = B.maps[0]  # phi_c = id for the 5^3 keys c in ker phi
+    assert sum(m is shared for m in B.maps) == 125
+    shared[1] = (shared[1] + 1) % B.size
+    with pytest.raises((errors.BraceRelationFails, errors.LambdaNotHomomorphism)):
+        sb.validate_formula_brace(brace, samples=2000)
+
+
+def test_corrupted_add_table_fails_identities():
+    brace = bc81()
+    B, _ = brace._factors()
+    B.table[1][1] = (B.table[1][1] + 1) % 3
+    assert not sb.check_identities(brace, samples=2000)["passed"]
 
 
 ALL_CHAINS = [

@@ -344,6 +344,11 @@ def test_builtin_group_names():
     assert not sb.builtin_group("Q8").is_abelian()
     with pytest.raises(errors.ParseError):
         sb.builtin_group("nope")
+    for name in ["C1", "Z5", "D1", "D6", "Q8", "V4", "S1", "S4", "A3", "A5", "V4xC3", "d3 x q8"]:
+        assert sb.groups.builtin_order(name) == sb.builtin_group(name).order, name
+    assert sb.groups.builtin_order("C10000xD5000") == 10**8
+    with pytest.raises(errors.BadParameters):  # S n and A n stop at n = 5
+        sb.groups.builtin_order("C2xS6")
 
 
 @pytest.mark.parametrize("ascending", [False, True])
