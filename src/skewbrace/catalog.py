@@ -15,7 +15,7 @@ from .braces import (
 )
 from .formula import BCBrace, bc_brace
 from .fp import is_prime, mat_identity
-from .groups import GroupTable, builtin_group, validate_group
+from .groups import GroupTable, as_int, builtin_group, validate_group
 
 
 def make_pq_brace(p: int, q: int, k: int, variant: str) -> TableBrace:
@@ -130,13 +130,13 @@ def brace_from_spec(spec: dict) -> SkewBrace:
         if kind == "radical_ring":
             return build_from_radical_ring(spec["add"], spec["mult"])
         if kind == "pq":
-            return make_pq_brace(spec["p"], spec["q"], spec["k"], spec["variant"])
+            p, q, k = (as_int(spec[f]) for f in ("p", "q", "k"))
+            return make_pq_brace(p, q, k, spec["variant"])
         if kind == "bc":
-            return make_bc_brace(
-                spec["p"], spec["d_b"], spec["d_c"], spec["phi"], spec["psi"]
-            )
+            p, d_b, d_c = (as_int(spec[f]) for f in ("p", "d_b", "d_c"))
+            return make_bc_brace(p, d_b, d_c, spec["phi"], spec["psi"])
         if kind == "counterexample_F":
-            return make_counterexample_F(spec["p"])
+            return make_counterexample_F(as_int(spec["p"]))
     except KeyError as exc:
         raise errors.ParseError(f"brace spec of kind {kind!r} misses field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -26,11 +26,10 @@ def automorphism_group(g: GroupTable) -> list[tuple[int, ...]]:
     """All automorphisms as sorted permutation tuples, by extension over
     generator images with order-based pruning.
 
-    The images of gens[:i] extend to <gens[:i]> by closing under right
-    products by those generators, as `groups.subgroup_closure` does:
-    x.h -> phi(x).phi(h). A consistent closure is a homomorphism there, as
-    every element is such a product, and an injective one on all of g is an
-    automorphism.
+    The images of gens[:i] extend to <gens[:i]> by a breadth-first search
+    from 0 over right products by those generators: x.h -> phi(x).phi(h).
+    A consistent closure is a homomorphism there, as every element is such
+    a product, and an injective one on all of g is an automorphism.
     """
     if g.order > AUT_MAX_ORDER:
         raise errors.TooLarge(f"automorphism listing capped at order {AUT_MAX_ORDER}")

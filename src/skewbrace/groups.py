@@ -74,9 +74,10 @@ def _inverse_row(table: Table, n: int) -> tuple[int, ...]:
 
 
 def as_int(x) -> int:
-    """A table or matrix entry, which must be an int (int() would truncate 0.5, accept True)."""
+    """A table or matrix entry or an integer spec field, which must be an int
+    (int() would truncate 0.5, accept True)."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise errors.ParseError(f"entries must be integers, got {x!r}")
+        raise errors.ParseError(f"expected an integer, got {x!r}")
     return x
 
 
@@ -206,43 +207,60 @@ class SeriesChain:
         return self.stabilized_at if self.reaches_terminal else None
 
 
-def subgroup_closure(g: GroupTable, gens: Iterable[int] | ElementSet) -> ElementSet:
-    """Smallest subgroup containing the generators (BFS over right products).
+def _close(g: GroupTable, seeds: Iterable[int], images=()) -> tuple[set[int], list[int]]:
+    """The one closure worklist: the members reached and the seeds taken.
 
-    Only `g.order` and `g.mul` are read, one row `g.mul[x]` per visited
-    element, indexed by each generator. Besides a GroupTable, `g` may be a
-    view that builds those rows on demand (see `substructures`).
+    Seeds are taken in order, skipping those already reached. Taking x grows
+    the members M by the old members times x, then the new members times
+    every taken element (a word's first step out of M is h . x with h in M).
+    `images[y]`, when given, lists elements that join the worklist once y
+    becomes a member. The members are what right products by the taken
+    elements reach from 0, which on a group is the subgroup they generate.
+    Only `g.mul` is read, row h at the column of a taken element; `g` may be
+    a view that builds rows on demand (see `substructures`).
     """
-    seen = {0}
-    gen_list = sorted(set(gens) | {0})
-    frontier = [0]
     mul = g.mul
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = mul[x]
-            for h in gen_list:
-                y = row[h]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return make_set(seen, g.order)
+    members = {0}
+    taken: list[int] = []
+    pending = list(seeds)[::-1]
+    while pending:
+        x = pending.pop()
+        if x in members:
+            continue
+        taken.append(x)
+        frontier = [y for y in (mul[h][x] for h in list(members)) if y not in members]
+        members.update(frontier)
+        while frontier:
+            if images:
+                for y in frontier:
+                    pending += images[y]
+            grown = []
+            for y in frontier:
+                row = mul[y]
+                for h in taken:
+                    z = row[h]
+                    if z not in members:
+                        members.add(z)
+                        grown.append(z)
+            frontier = grown
+    return members, taken
+
+
+def subgroup_closure(g: GroupTable, gens: Iterable[int] | ElementSet, images=()) -> ElementSet:
+    """Smallest subgroup containing the generators (and, with `images`, the
+    images of its members), by `_close`."""
+    return make_set(_close(g, gens, images)[0], g.order)
 
 
 def greedy_generators(
     g: GroupTable, gens: Iterable[int] = (), pool: Iterable[int] | None = None
 ) -> list[int]:
-    """Extend `gens` by the least element of `pool` (default: all of g)
-    outside their closure until that closure contains the whole pool; for a
-    subgroup's sorted members, they then generate the subgroup."""
+    """`gens`, then each element of `pool` (default: all of g) outside the
+    closure of those before it; for a subgroup's sorted members, they then
+    generate the subgroup. Redundant `gens` are kept."""
     gens = list(gens)
-    closed = subgroup_closure(g, gens).members
-    for x in g.elements() if pool is None else pool:
-        if x not in closed:
-            gens.append(x)
-            closed = subgroup_closure(g, gens).members
-    return gens
+    _, taken = _close(g, [*gens, *(g.elements() if pool is None else pool)])
+    return gens + [x for x in taken if x not in gens]
 
 
 def is_subgroup(g: GroupTable, s: ElementSet) -> bool:
@@ -254,11 +272,12 @@ def is_subgroup(g: GroupTable, s: ElementSet) -> bool:
 
 
 def is_normal(g: GroupTable, h: ElementSet) -> bool:
-    """True iff x H x^-1 = H for every x; raises if H is not a subgroup."""
+    """True iff x H x^-1 = H for every x, tested on generators of g as a
+    normalizer is a subgroup; raises if H is not a subgroup."""
     if not is_subgroup(g, h):
         raise errors.NotASubgroup("normality asked of a non-subgroup")
     members = h.members
-    return all(g.conj(x, a) in members for x in g.elements() for a in members)
+    return all(g.conj(x, a) in members for x in greedy_generators(g) for a in members)
 
 
 def quotient_group(g: GroupTable, n: ElementSet) -> tuple[GroupTable, tuple[int, ...]]:
@@ -296,16 +315,22 @@ def _coset_table(g: GroupTable, n: ElementSet) -> tuple[GroupTable, tuple[int, .
 
 
 def center(g: GroupTable) -> ElementSet:
-    mul = g.mul
+    """The x commuting with generators of g, as a centralizer is a subgroup."""
+    mul, gens = g.mul, greedy_generators(g)
     return make_set(
-        (x for x in g.elements() if all(mul[x][a] == mul[a][x] for a in g.elements())),
-        g.order,
+        (x for x in g.elements() if all(mul[x][a] == mul[a][x] for a in gens)), g.order
     )
 
 
-def commutator_set(g: GroupTable, x: ElementSet, y: ElementSet) -> ElementSet:
-    """Subgroup generated by all commutators [a, b], a in X, b in Y."""
-    gens = {g.comm(a, b) for a in x.members for b in y.members}
+def commutator_set(g: GroupTable, x: Iterable[int], y: ElementSet) -> ElementSet:
+    """Subgroup K generated by all commutators [a, b], a in X, b in Y.
+
+    When Y is a subgroup normalized by <X>, X may be a generating set: K is
+    then [<X>, Y]. For a in X and h in <X>, [ah, b] = a m a^-1 . [a, b] with
+    m = [h, b] in Y, and a m a^-1 = [a, m] . m; so by induction on the word
+    length of h, every [ah, b] lies in K.
+    """
+    gens = {g.comm(a, b) for a in x for b in y.members}
     return subgroup_closure(g, gens)
 
 
@@ -341,8 +366,9 @@ def run_chain(kind: str, start, step, ascending: bool = False, plateau: int = 2)
 
 def lower_central_series(g: GroupTable) -> SeriesChain:
     """gamma_1 = G, gamma_{n+1} = [G, gamma_n], computed until it repeats."""
+    gens = greedy_generators(g)
     return run_chain(
-        "group_lower", full_set(g.order), lambda terms: commutator_set(g, terms[0], terms[-1])
+        "group_lower", full_set(g.order), lambda terms: commutator_set(g, gens, terms[-1])
     )
 
 

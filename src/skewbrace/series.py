@@ -172,6 +172,7 @@ def gamma_series(brace: SkewBrace) -> SeriesChain:
         whole, last = terms[0], terms[-1]
         gens = set(star_subgroup(brace, last, whole).members)
         gens |= star_subgroup(brace, whole, last).members
+        # all of A: Gamma_n being normal is what `gamma_equals_gamma_prime` checks
         gens |= {brace.comm_dot(a, x) for a in brace.elements() for x in last.members}
         return dot_subgroup_closure(brace, gens)
 
@@ -237,7 +238,7 @@ def gamma_dot_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "group_lower",
         lambda terms: formula.bc_gamma_dot_step(brace, terms),
-        lambda terms: commutator_set(brace.dot_group, terms[0], terms[-1]),
+        lambda terms: commutator_set(brace.dot_group, brace.generators(), terms[-1]),
         key="gamma_dot",
     )
 
@@ -247,7 +248,7 @@ def gamma_circ_series(brace: SkewBrace) -> SeriesChain:
         brace,
         "group_lower",
         lambda terms: formula.bc_gamma_circ_step(brace, terms),
-        lambda terms: commutator_set(brace.circ_group, terms[0], terms[-1]),
+        lambda terms: commutator_set(brace.circ_group, brace.generators(), terms[-1]),
         key="gamma_circ",
     )
 

@@ -27,7 +27,8 @@ def _as_members(s: ElementSet | PairSpace | Iterable[int]) -> frozenset[int]:
 
 class _DotRows:
     """A dot table stand-in for `subgroup_closure` on braces without tables:
-    row x maps each generator h to x . h, built when x is visited."""
+    row x maps each generator h to x . h, built when read; the closure reads
+    rows at the columns of taken seeds only."""
 
     def __init__(self, brace: SkewBrace, gens: set[int]):
         self.order = brace.order
@@ -132,55 +133,24 @@ def _tables_only(brace: SkewBrace) -> None:
 
 
 def ideal_closure(brace: SkewBrace, seed: Iterable[int] | ElementSet) -> ElementSet:
-    """Least ideal containing the seed set, by one worklist.
+    """Least ideal containing the seed set: the dot subgroup closure of the
+    seed, where each new member y also queues lambda_a(y), a . y . a^-1 and
+    a o y o a-bar for every a in `brace.generators()`.
 
-    The members M are always the dot subgroup generated by the elements taken
-    off the worklist so far. One outside M becomes a generator x, and M grows
-    to <M, x> by the old members times x, then the new members times every
-    generator (a word's first step out of M is h . x with h in M). The
-    lambda_a, conj_dot_a and conj_circ_a images of each new member, for a in
-    `brace.generators()`, join the worklist once.
-
-    - It ends: M only grows, and each member queues finitely many images once.
     - Each element added lies in every ideal holding the seed, as a product
       of members or an image of one.
-    - At the end M is a dot subgroup holding the seed and stable under those
-      maps, so an ideal by the argument of `is_ideal`; hence the least one.
+    - At the end the members form a dot subgroup holding the seed and stable
+      under those maps, so an ideal by the argument of `is_ideal`; hence the
+      least one.
     """
     _tables_only(brace)
-    dot, dot_inv = brace.dot_group.mul, brace.dot_group.inv
-    circ, circ_inv = brace.circ_group.mul, brace.circ_group.inv
-    acting = [
-        (brace.lambda_perm(a), dot[a], dot_inv[a], circ[a], circ_inv[a])
-        for a in brace.generators()
-    ]
-    members = {0}
-    dot_gens: list[int] = []
-    pending = list(_as_members(seed))
-    while pending:
-        x = pending.pop()
-        if x in members:
-            continue
-        dot_gens.append(x)
-        frontier = [y for y in (dot[h][x] for h in list(members)) if y not in members]
-        members.update(frontier)
-        new: list[int] = []
-        while frontier:
-            new += frontier
-            grown = []
-            for y in frontier:
-                row = dot[y]
-                for h in dot_gens:
-                    z = row[h]
-                    if z not in members:
-                        members.add(z)
-                        grown.append(z)
-            frontier = grown
-        # lambda_a(y), a . y . a^-1 and a o y o a-bar, for each generator a
-        for lam_a, dot_a, a_inv, circ_a, a_bar in acting:
-            for y in new:
-                pending += (lam_a[y], dot[dot_a[y]][a_inv], circ[circ_a[y]][a_bar])
-    return make_set(members, brace.order)
+    images = brace._cache.get("ideal_images")
+    if images is None:
+        maps, gens = (brace.lam, brace.conj_dot, brace.conj_circ), brace.generators()
+        images = brace._cache["ideal_images"] = [
+            [f(a, y) for a in gens for f in maps] for y in brace.elements()
+        ]
+    return subgroup_closure(brace.dot_group, seed, images)
 
 
 def huq_commutator(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet:

@@ -80,6 +80,11 @@ def test_analyze_missing_file_is_parse_error(capsys):
         {"kind": "radical_ring", "add": [[0, 1], [1, 0]], "mult": [[0, 0], [0, 0.5]]},
         {"kind": "bc", "p": 3, "d_b": 1, "d_c": 1, "phi": [[[1.5]]], "psi": [[[1]]]},
         {"kind": "bc", "p": 3, "d_b": 1, "d_c": 1, "phi": [[[1]]], "psi": [[[True]]]},
+        # integer fields: "1" != 1 and True == 1 once read past the spec
+        {"kind": "bc", "p": 3, "d_b": "1", "d_c": 1, "phi": [[[1]]], "psi": [[[1]]]},
+        {"kind": "bc", "p": 3, "d_b": True, "d_c": 1, "phi": [[[1]]], "psi": [[[1]]]},
+        {"kind": "pq", "p": 3, "q": 2, "k": True, "variant": "i"},
+        {"kind": "counterexample_F", "p": True},
     ],
     ids=[
         "pq_str_prime",
@@ -90,6 +95,10 @@ def test_analyze_missing_file_is_parse_error(capsys):
         "radical_ring_float_entry",
         "bc_float_entry",
         "bc_bool_entry",
+        "bc_str_dim",
+        "bc_bool_dim",
+        "pq_bool_k",
+        "counterexample_bool_p",
     ],
 )
 def test_analyze_malformed_field_is_parse_error(tmp_path, capsys, spec):

@@ -237,6 +237,55 @@ def test_commutator_set_s3(groups):
     assert len(comm) == 3
 
 
+SMALL_BUILTINS = [f"C{n}" for n in range(1, 17)] + [f"D{n}" for n in range(3, 9)] + (
+    "V4 Q8 C2xC4 C2xC2xC2 C3xC3 C2xC6 A4 C2xC8 C4xC4 C2xD4 C2xQ8 C2xC2xC4 C2xC2xC2xC2"
+).split()
+
+
+def test_commutator_on_generators_matches_all_pairs():
+    """[G, N] from generators of G against the closure of every [a, b], a in
+    G and b in N, for each normal subgroup N of the builtin groups of order
+    <= 16 and three larger ones; normality is swept here too."""
+    checked = 0
+    for name in SMALL_BUILTINS + ["S4", "C2xA4", "S3xS3"]:
+        g = sb.builtin_group(name)
+        gens = sb.groups.greedy_generators(g)
+        for n in sb.groups.all_subgroups(g):
+            normal = all(g.conj(x, a) in n.members for x in g.elements() for a in n.members)
+            assert sb.is_normal(g, n) == normal
+            if normal:
+                expected = naive_closure(g, {g.comm(a, b) for a in g.elements() for b in n})
+                assert set(sb.commutator_set(g, gens, n).members) == expected
+                checked += 1
+    assert checked == 311
+
+
+def repeated_closure_generators(g, gens=(), pool=None):
+    """Reference: re-close after each generator added, as greedy generating
+    sets were once built."""
+    gens = list(gens)
+    closed = naive_closure(g, gens)
+    for x in g.elements() if pool is None else pool:
+        if x not in closed:
+            gens.append(x)
+            closed = naive_closure(g, gens)
+    return gens
+
+
+def test_greedy_generators_match_repeated_closure(groups):
+    rng = random.Random(20)
+    for g in groups.values():
+        assert sb.groups.greedy_generators(g) == repeated_closure_generators(g)
+        for _ in range(20):
+            gens = rng.sample(range(g.order), rng.randint(0, min(3, g.order)))
+            if gens:  # redundant: a product of given generators, and a repeat
+                gens += [g.mul[gens[0]][gens[-1]], gens[0]]
+            pool = rng.sample(range(g.order), rng.randint(0, g.order))
+            expected = repeated_closure_generators(g, gens, pool)
+            assert sb.groups.greedy_generators(g, gens, pool) == expected
+            assert sb.groups.greedy_generators(g, gens, pool)[: len(gens)] == gens
+
+
 def test_lower_central_series_abelian(groups):
     chain = sb.lower_central_series(groups["C6"])
     assert [t.sorted() for t in chain.terms] == [list(range(6)), [0]]
