@@ -4,9 +4,12 @@ brace."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import skewbrace as sb
+from skewbrace.braces import IDENTITY_NAMES
 
 I2 = ((1, 0), (0, 1))
 UNI2 = ((1, 1), (0, 1))
@@ -138,3 +141,27 @@ def sweep12() -> list[tuple[str, sb.TableBrace]]:
         for i, brace in enumerate(sb.enumerate_braces(sb.builtin_group(name), max_order=12)):
             out.append((f"{name}#{i}", brace))
     return out
+
+
+def identity_report_one_at_a_time(brace, triples=None) -> dict:
+    """The identity suite on `triples` (by default every triple of the
+    carrier), each identity evaluated on its own as IDENTITY_NAMES writes it,
+    failures capped at 8."""
+    d, c, s, lm, inv, bar = brace.dot, brace.circ, brace.star, brace.lam, brace.inv, brace.bar
+    identities = (
+        lambda a, x, y: s(a, d(x, y)) == d(d(d(s(a, x), x), s(a, y)), inv(x)),
+        lambda a, x, y: s(c(x, y), a) == d(d(s(x, s(y, a)), s(y, a)), s(x, a)),
+        lambda a, x, y: lm(a, s(x, y)) == s(c(c(a, x), bar(a)), lm(a, y)),
+        lambda a, x, y: c(c(a, x), bar(a)) == d(d(a, lm(a, d(x, s(x, bar(a))))), inv(a)),
+    )
+    failures, checked = [], 0
+    if triples is None:
+        triples = itertools.product(brace.elements(), repeat=3)
+    for triple in triples:
+        checked += 1
+        for name, holds in zip(IDENTITY_NAMES, identities):
+            if not holds(*triple):
+                failures.append({"identity": name, "triple": triple})
+                if len(failures) == 8:
+                    return {"passed": False, "checked": checked, "failures": failures}
+    return {"passed": not failures, "checked": checked, "failures": failures}

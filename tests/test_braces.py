@@ -9,8 +9,7 @@ import pytest
 
 import skewbrace as sb
 from skewbrace import errors
-from skewbrace.braces import IDENTITY_NAMES
-from tests.conftest import radical_z4_tables
+from tests.conftest import identity_report_one_at_a_time, radical_z4_tables
 
 
 def cyclic_table(n):
@@ -228,27 +227,6 @@ def test_check_identities_pq():
     for variant in ("i", "ii"):
         report = sb.check_identities(sb.make_pq_brace(3, 2, 2, variant))
         assert report["passed"], report["failures"]
-
-
-def identity_report_one_at_a_time(brace) -> dict:
-    """The identity suite on every triple of a table brace, each identity
-    evaluated on its own as IDENTITY_NAMES writes it, failures capped at 8."""
-    d, c, s, lm, inv, bar = brace.dot, brace.circ, brace.star, brace.lam, brace.inv, brace.bar
-    identities = (
-        lambda a, x, y: s(a, d(x, y)) == d(d(d(s(a, x), x), s(a, y)), inv(x)),
-        lambda a, x, y: s(c(x, y), a) == d(d(s(x, s(y, a)), s(y, a)), s(x, a)),
-        lambda a, x, y: lm(a, s(x, y)) == s(c(c(a, x), bar(a)), lm(a, y)),
-        lambda a, x, y: c(c(a, x), bar(a)) == d(d(a, lm(a, d(x, s(x, bar(a))))), inv(a)),
-    )
-    failures, checked = [], 0
-    for triple in itertools.product(brace.elements(), repeat=3):
-        checked += 1
-        for name, holds in zip(IDENTITY_NAMES, identities):
-            if not holds(*triple):
-                failures.append({"identity": name, "triple": triple})
-                if len(failures) == 8:
-                    return {"passed": False, "checked": checked, "failures": failures}
-    return {"passed": not failures, "checked": checked, "failures": failures}
 
 
 @pytest.mark.parametrize("entry", [None, (0, 0), (1, 3), (2, 5), (5, 5)])

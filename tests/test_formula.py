@@ -18,7 +18,7 @@ import skewbrace as sb
 from skewbrace import errors, formula, groups, series
 from skewbrace.formula import PairSpace, span_of_units
 from skewbrace.fp import Subspace, mat_identity, mat_vec, unit_vec
-from tests.conftest import I2, UNI2, bc16, bc81
+from tests.conftest import I2, UNI2, bc16, bc81, identity_report_one_at_a_time
 
 SINGULAR = ((1, 1), (1, 1))
 LOWER = ((1, 0), (1, 1))
@@ -364,6 +364,41 @@ def test_f5_factors_hold_five_maps(f5):
         assert len({id(m) for m in part.maps}) == 5
 
 
+def formula_identity_triples(brace, samples: int, seed: int):
+    """The triples check_identities takes on a formula brace: every generator
+    triple, then `samples` seeded ones, a, x and y drawn in that order."""
+    yield from itertools.product(brace.generators(), repeat=3)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield rng.randrange(brace.order), rng.randrange(brace.order), rng.randrange(brace.order)
+
+
+def validate_one_triple_at_a_time(brace, samples: int, seed: int = sb.DEFAULT_SEED) -> dict:
+    """validate_formula_brace with every term of every triple computed afresh:
+    the pool of generators and their pairwise dots, then the seeded samples."""
+    d, c, inv, lam = brace.dot, brace.circ, brace.inv, brace.lam
+    gens = brace.generators()
+    base = list(dict.fromkeys([*gens, *(d(g, h) for g in gens for h in gens)]))
+    rng = random.Random(seed)
+    n = brace.order
+    drawn = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples))
+    checked = 0
+    for a, b, z in itertools.chain(itertools.product(base, repeat=3), drawn):
+        if c(a, d(b, z)) != d(d(c(a, b), inv(a)), c(a, z)):
+            raise errors.BraceRelationFails(a, b, z)
+        if lam(c(a, b), z) != lam(a, lam(b, z)):
+            raise errors.LambdaNotHomomorphism(a, b)
+        checked += 1
+    return {"passed": True, "checked": checked, "seed": seed}
+
+
+def raised(check, brace, samples: int) -> tuple:
+    """The class and args of the AlgebraError that `check` raises."""
+    with pytest.raises(errors.AlgebraError) as info:
+        check(brace, samples=samples)
+    return type(info.value), info.value.args
+
+
 def test_corrupted_shared_map_fails_validation():
     brace = sb.make_counterexample_F(5)
     B, _ = brace._factors()
@@ -372,15 +407,71 @@ def test_corrupted_shared_map_fails_validation():
     shared = B.maps[0]  # phi_c = id for the 5^3 keys c in ker phi
     assert sum(m is shared for m in B.maps) == 125
     shared[1] = (shared[1] + 1) % B.size
-    with pytest.raises((errors.BraceRelationFails, errors.LambdaNotHomomorphism)):
-        sb.validate_formula_brace(brace, samples=2000)
+    got = raised(sb.validate_formula_brace, brace, 2000)
+    assert got[0] in (errors.BraceRelationFails, errors.LambdaNotHomomorphism)
+    assert got == raised(validate_one_triple_at_a_time, brace, 2000)
 
 
 def test_corrupted_add_table_fails_identities():
+    assert not sb.check_identities(corrupt_bc81(None, 1, 1), samples=2000)["passed"]
+
+
+def test_pool_sizes(f5):
+    """8 generators of F5 and 4 of bc81; 47 and 15 pool elements with the dots."""
+    assert sb.check_identities(f5, samples=0)["checked"] == 512
+    assert sb.check_identities(bc81(), samples=0)["checked"] == 64
+    assert sb.validate_formula_brace(bc81(), samples=0)["checked"] == 3375
+    assert sb.validate_formula_brace(f5, samples=0)["checked"] == 47**3
+
+
+@pytest.mark.parametrize("seed", [1, 2, sb.DEFAULT_SEED])
+@pytest.mark.parametrize("name", ["f5", "bc81", "bc16"])
+def test_formula_identity_report_matches_one_at_a_time(f5, name, seed):
+    brace = {"f5": f5, "bc81": bc81(), "bc16": bc16()}[name]
+    report = sb.check_identities(brace, samples=300, seed=seed)
+    assert report["passed"] and report["checked"] == len(brace.generators()) ** 3 + 300
+    assert report == identity_report_one_at_a_time(brace, formula_identity_triples(brace, 300, seed))
+
+
+def corrupt_bc81(part, key: int, index: int) -> sb.BCBrace:
+    """bc81 with one wrong entry: of B's add table (part None), or of the
+    image map of acting key `key` in factor `part`."""
     brace = bc81()
-    B, _ = brace._factors()
-    B.table[1][1] = (B.table[1][1] + 1) % 3
-    assert not sb.check_identities(brace, samples=2000)["passed"]
+    factor = brace._factors()[0 if part is None else part]
+    if part is None:
+        factor.table[key][index] = (factor.table[key][index] + 1) % 3
+    else:
+        factor.act(key, 0)
+        factor.maps[key][index] = (factor.maps[key][index] + 1) % factor.size
+    return brace
+
+
+@pytest.mark.parametrize("part, key, index, pool_fails", [(None, 1, 1, True), (1, 6, 2, False)])
+def test_corrupted_identity_report_matches_one_at_a_time(part, key, index, pool_fails):
+    """The second entry passes every generator triple: only samples catch it."""
+    brace = corrupt_bc81(part, key, index)
+    assert sb.check_identities(brace, samples=0)["passed"] != pool_fails
+    report = sb.check_identities(brace, samples=2000, seed=5)
+    assert len(report["failures"]) == 8 and (report["checked"] <= 64) == pool_fails
+    assert report == identity_report_one_at_a_time(brace, formula_identity_triples(brace, 2000, 5))
+
+
+@pytest.mark.parametrize("make", [bc16, bc81])
+def test_validation_matches_one_triple_at_a_time(make):
+    brace = make()
+    report = sb.validate_formula_brace(brace, samples=500, seed=3)
+    assert report == validate_one_triple_at_a_time(brace, samples=500, seed=3)
+
+
+@pytest.mark.parametrize(
+    "part, key, index, error",
+    [(None, 1, 1, errors.BraceRelationFails), (1, 3, 1, errors.LambdaNotHomomorphism)],
+)
+def test_corrupted_bc81_validation_matches_one_triple_at_a_time(part, key, index, error):
+    brace = corrupt_bc81(part, key, index)
+    got = raised(sb.validate_formula_brace, brace, 500)
+    assert got[0] is error
+    assert got == raised(validate_one_triple_at_a_time, brace, 500)
 
 
 ALL_CHAINS = [
