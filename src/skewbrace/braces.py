@@ -28,7 +28,6 @@ class SkewBrace:
 
     order: int
     backing = "abstract"
-    identity = 0
 
     def __init__(self) -> None:
         self._cache: dict = {}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from . import errors
+from . import errors, groups
 from .braces import (
     SkewBrace,
     TableBrace,
@@ -15,7 +15,7 @@ from .braces import (
 )
 from .formula import BCBrace, bc_brace
 from .fp import is_prime, mat_identity
-from .groups import GroupTable, as_int, builtin_group, validate_group
+from .groups import GroupTable, as_int, builtin_group, builtin_order, validate_group
 
 
 def make_pq_brace(p: int, q: int, k: int, variant: str) -> TableBrace:
@@ -109,6 +109,7 @@ def make_counterexample_F(p: int) -> BCBrace:
 
 def _group_from_field(value: Any) -> GroupTable:
     if isinstance(value, str):
+        groups.check_table_cap(builtin_order(value) ** 2, f"the table of {value}")
         return builtin_group(value)
     if isinstance(value, list):
         return validate_group(value)

@@ -238,10 +238,10 @@ def verify_counterexample_F(p: int) -> dict:
         "p": p,
         "order": brace.order,
         "right_terms_match": right_ok,
-        "right_2_order": len(r2),
-        "right_3_order": len(r3),
+        "right_2_order": r2.order,
+        "right_3_order": r3.order,
         "ann_contains_expected_bounds": ann_ok,
-        "ann_3_order": len(ann.at(3)),
+        "ann_3_order": ann.at(3).order,
         "star_value_matches": star_ok,
         "star_value": brace.encode(*star_val),
         "inclusion_F_fails": not inclusion["holds"],

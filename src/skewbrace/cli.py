@@ -37,11 +37,11 @@ def set_to_json(s: ElementSet | PairSpace) -> dict:
     (the last digit is the most significant). Each vector of U and of V is
     one list, shared by every pair that holds it.
     """
-    out: dict = {"order": len(s)}
+    out: dict = {"order": s.order if isinstance(s, PairSpace) else len(s)}
     if isinstance(s, PairSpace):
         out["b_basis"] = [list(v) for v in s.b.basis]
         out["c_basis"] = [list(v) for v in s.c.basis]
-        if len(s) <= ELEMENT_DUMP_CAP:
+        if s.order <= ELEMENT_DUMP_CAP:
             bs, cs = _index_ordered(s.b), _index_ordered(s.c)
             out["elements"] = [[b, c] for c in cs for b in bs]
     else:

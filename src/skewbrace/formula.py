@@ -21,11 +21,13 @@ the brace's element sets, listed only when read element by element. The
 tests check these paths against the table machinery and element sweeps.
 
 Element operations work on indices b + p^d_b * c, split by one divmod. Each
-factor (`_Component`) adds on two or three digit blocks through one table of
-at most SIZE_CAP entries (mod p for one digit) and applies phi_c or psi_b
-through index maps built from the matrix columns once per distinct matrix.
-lambda is a homomorphism, so phi_c depends only on c modulo ker phi (psi_b on
-b modulo ker psi): F5's 625 acting indices of a factor share 5 maps.
+factor (`_Component`), built on the first of them and refused above SIZE_CAP
+indices, adds on two or three digit blocks through one table of at most
+SIZE_CAP entries (mod p for one digit, which every action fixes) and applies
+phi_c or psi_b through index maps built once per distinct matrix. lambda is
+a homomorphism, so phi_c depends only on c modulo ker phi (psi_b on b modulo
+ker psi): F5's 625 acting indices of a factor share 5 maps. Set-level paths
+build no factor, so they run where SIZE_CAP refuses element operations.
 The tuple forms of the products live only in the tests; `vstar` stays.
 """
 
@@ -35,7 +37,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import errors
+from . import errors, groups
 from .braces import DEFAULT_SEED, SkewBrace, TableBrace, validate_brace
 from .fp import (
     Mat,
@@ -52,10 +54,8 @@ from .fp import (
     vec_neg,
     zero_vec,
 )
-from .groups import as_int
 
-SIZE_CAP = 20_000  # per-component enumeration bound p^d
-MATERIALIZE_MAX_ORDER = 256  # largest formula brace expanded into tables
+SIZE_CAP = 20_000  # most indices p^d of one factor's element tables, read at call time
 PAIR_SET_CAP = 2**23  # largest PairSpace listed element by element (7^8 fits, 11^8 not)
 
 
@@ -73,7 +73,7 @@ class PairSpace:
         self = object.__new__(_FullPairSpace if b.rank == b.dim and c.rank == c.dim else PairSpace)
         object.__setattr__(self, "b", b)  # reading __dict__ would slow later attribute reads
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_order", b.size * c.size)
+        object.__setattr__(self, "order", b.size * c.size)  # len() fails above sys.maxsize
         return self
 
     def __getnewargs__(self):
@@ -88,10 +88,10 @@ class PairSpace:
     def members(self) -> frozenset[int]:
         """The element indices, listed once; refused above PAIR_SET_CAP."""
         if self._members is None:
-            if len(self) > PAIR_SET_CAP:
-                raise errors.TooLarge(f"element sets capped at {PAIR_SET_CAP}, got {len(self)}")
+            if self.order > PAIR_SET_CAP:
+                raise errors.TooLarge(f"element sets capped at {PAIR_SET_CAP}, got {self.order}")
             if self.is_full:  # every index below p^(d_b + d_c)
-                members = frozenset(range(len(self)))
+                members = frozenset(range(self.order))
             else:
                 p = self.b.p
                 b_idx = [_index(b, p) for b in self.b.elements()]
@@ -110,7 +110,7 @@ class PairSpace:
         return iter(self.sorted())
 
     def __len__(self) -> int:
-        return self._order
+        return self.order
 
     def sorted(self) -> list[int]:
         return sorted(self.members)
@@ -138,7 +138,7 @@ class _FullPairSpace(PairSpace):
     """B x C: `in` lists nothing; `members`, `sorted` and `iter` still do."""
 
     def __contains__(self, x: int) -> bool:
-        return 0 <= x < self._order
+        return 0 <= x < self.order
 
 
 class BCBrace(SkewBrace):
@@ -210,9 +210,12 @@ class BCBrace(SkewBrace):
         return _digits(b, self.p, self.d_b), _digits(c, self.p, self.d_c)
 
     def _factors(self) -> tuple["_Component", "_Component"]:
-        """B and C index arithmetic, built on the first element operation."""
+        """B and C index arithmetic, built on the first element operation and
+        refused before any table exists above SIZE_CAP indices per factor."""
         if self._elem is None:
             p, d_b, d_c = self.p, self.d_b, self.d_c
+            if (size := p ** max(d_b, d_c)) > SIZE_CAP:
+                raise errors.TooLarge(f"a factor's element tables need {size} > SIZE_CAP = {SIZE_CAP}")
             self._elem = (_Component(p, d_b, self.phi, d_c), _Component(p, d_c, self.psi, d_b))
         return self._elem
 
@@ -314,11 +317,11 @@ def _digits(idx: int, p: int, dim: int) -> Vec:
 class _Component:
     """Index arithmetic on one factor F_p^d, x = sum x_i p^i.
 
-    A one-digit factor adds mod p and caches the 1 x 1 matrix of each acting
-    index `key`. A wider one adds on blocks of w digits through one H x H table,
-    H = p^w: two blocks (w = ceil(d/2)), or three (w = ceil(d/3)) where H^2
-    would exceed SIZE_CAP; it keeps the images of every block value under each
-    distinct action matrix, and `maps[key]` points at the one for key's matrix.
+    A one-digit factor adds mod p, and every action on it is the identity. A
+    wider one adds on blocks of w digits through one H x H table, H = p^w: two
+    blocks (w = ceil(d/2)), or three (w = ceil(d/3)) where H^2 would exceed
+    SIZE_CAP; it keeps the images of every block value under each distinct
+    action matrix, and `maps[key]` points at the one for key's matrix.
     The two-block add and act are written out apart: they are the common case
     and run ~1.5x faster than the three-block form. `neg` has p^d entries.
     """
@@ -328,17 +331,13 @@ class _Component:
 
         self.size = p**d
         self.neg = [_index(vec_neg(_digits(x, p, d), p), p) for x in range(self.size)]
-        self.table, self.maps = [], [None] * p**acting_dim
-        maps = self.maps
+        self.table, self.maps = [], []
         if d == 1:
-
-            def act1(key: int, x: int) -> int:
-                if maps[key] is None:
-                    maps[key] = action(_digits(key, p, acting_dim))[0][0]
-                return x * maps[key] % p
-
-            self.add, self.act = lambda x, y: (x + y) % p, act1
+            # bc_brace checks a^p = 1 for each 1 x 1 basis matrix [[a]], and
+            # a^p = a by Fermat, so a = 1 and every phi_c (psi_b) is [[1]]
+            self.add, self.act = lambda x, y: (x + y) % p, lambda key, x: x
             return
+        self.maps = maps = [None] * p**acting_dim
         w = -(-d // 2) if p ** (2 * -(-d // 2)) <= SIZE_CAP else -(-d // 3)
         k, h, hh = -(-d // w), p**w, p ** (2 * w)
         block = [_digits(x, p, w) for x in range(h)]
@@ -388,11 +387,11 @@ class _Component:
 def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     """Validate the structural preconditions and build the brace.
 
-    Checks: p prime, matrices square and invertible with order dividing p
-    (without which the digit-defined actions are not homomorphisms and the
-    products are not associative), each family pairwise commuting, and
-    Im(psi_b - id) <= ker(phi) on the basis of B (which makes it hold for
-    every b).
+    Checks: p prime, the p powers of each basis matrix within TABLE_CAP cells,
+    matrices square and invertible with order dividing p (without which the
+    digit-defined actions are not homomorphisms and the products are not
+    associative), each family pairwise commuting, and Im(psi_b - id) <= ker(phi)
+    on the basis of B (which makes it hold for every b); `_factors` checks SIZE_CAP.
 
     These make the result a skew brace for every element, so the sampled
     checks (`validate_formula_brace`, `check_identities`) test the element
@@ -421,14 +420,13 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     if not is_prime(p):
         raise errors.BadPrime(f"{p} is not prime")
     phi_basis, psi_basis = (
-        tuple(tuple(tuple(as_int(x) % p for x in row) for row in m) for m in family)
+        tuple(tuple(tuple(groups.as_int(x) % p for x in row) for row in m) for m in family)
         for family in (phi_basis, psi_basis)
     )
     d_c, d_b = len(phi_basis), len(psi_basis)
     if d_b < 1 or d_c < 1:
         raise errors.BadParameters("both factors need dimension >= 1")
-    if p**d_b > SIZE_CAP or p**d_c > SIZE_CAP:
-        raise errors.TooLarge(f"component enumeration capped at {SIZE_CAP} elements")
+    groups.check_table_cap(p * d_b * d_c * (d_b + d_c), "the basis matrices' power rows")
     families = (("phi", phi_basis, d_b, "d_b"), ("psi", psi_basis, d_c, "d_c"))
     pows: dict[str, list[list[Mat]]] = {"phi": [], "psi": []}
     for name, family, dim, label in families:
@@ -498,9 +496,8 @@ def validate_formula_brace(brace: BCBrace, samples: int = 100_000, seed: int = D
 
 def materialize_table_brace(brace: BCBrace) -> TableBrace:
     """Expand a small formula brace into fully validated Cayley tables."""
-    if brace.order > MATERIALIZE_MAX_ORDER:
-        raise errors.TooLarge(f"table materialization capped at order {MATERIALIZE_MAX_ORDER}")
     n = brace.order
+    groups.check_table_cap(n * n, "table materialization")
     dot_rows = [[brace.dot(a, b) for b in range(n)] for a in range(n)]
     circ_rows = [[brace.circ(a, b) for b in range(n)] for a in range(n)]
     return validate_brace(dot_rows, circ_rows)
@@ -738,17 +735,19 @@ def find_star_witness(brace: BCBrace, x: PairSpace, y: PairSpace, rhs: PairSpace
     live), then factored sweeps that find an escape when one exists. As
     (b, c) * (u, v) = (dphi(-c) u, dpsi(b) v) is linear in u and v, they pair
     each acting element with the moved basis, reversed so as to meet first
-    the witness a sweep over both factors' elements would.
+    the witness a sweep over both factors' elements would; above TABLE_CAP
+    pairs they are refused, once no generator pair escapes.
     """
     zero_b, zero_c = zero_vec(brace.d_b), zero_vec(brace.d_c)
     x_gens = [(u, zero_c) for u in x.b.basis] + [(zero_b, w) for w in x.c.basis]
     y_gens = [(u, zero_c) for u in y.b.basis] + [(zero_b, w) for w in y.c.basis]
-    candidates = itertools.chain(
-        itertools.product(x_gens, y_gens),
-        (((zero_b, c), (u, zero_c)) for c in x.c.elements() for u in reversed(y.b.basis)),
-        (((b, zero_c), (zero_b, v)) for b in x.b.elements() for v in reversed(y.c.basis)),
-    )
-    for a, b in candidates:
+
+    def sweeps():
+        groups.check_table_cap(x.c.size * y.b.rank + x.b.size * y.c.rank, "the star witness sweep")
+        yield from (((zero_b, c), (u, zero_c)) for c in x.c.elements() for u in reversed(y.b.basis))
+        yield from (((b, zero_c), (zero_b, v)) for b in x.b.elements() for v in reversed(y.c.basis))
+
+    for a, b in itertools.chain(itertools.product(x_gens, y_gens), sweeps()):
         val = brace.vstar(a, b)
         if not rhs.contains(*val):
             return a, b, val

@@ -17,6 +17,7 @@ from . import errors
 
 Table = tuple[tuple[int, ...], ...]
 SUBGROUPS_MAX_ORDER = 64  # largest group whose subgroups are enumerated
+TABLE_CAP = 1_000_000  # most cells of one table, or pairs of one sweep (`check_table_cap`)
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,6 @@ class GroupTable:
     order: int
     mul: Table
     inv: tuple[int, ...]
-
-    identity: int = 0
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -79,6 +78,12 @@ def as_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise errors.ParseError(f"expected an integer, got {x!r}")
     return x
+
+
+def check_table_cap(size: int, what: str) -> None:
+    """Refuse a table or sweep of `size` cells or pairs above TABLE_CAP, read per call."""
+    if size > TABLE_CAP:
+        raise errors.TooLarge(f"{what} would take {size} cells or pairs, above TABLE_CAP = {TABLE_CAP}")
 
 
 def validate_group(mul: Sequence[Sequence[int]]) -> GroupTable:

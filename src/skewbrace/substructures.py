@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from . import errors, formula
+from . import errors, formula, groups
 from .braces import SkewBrace, TableBrace
 from .formula import PairSpace
 from .groups import (
@@ -15,8 +15,6 @@ from .groups import (
     make_set,
     subgroup_closure,
 )
-
-PAIRWISE_CAP = 1_000_000  # largest |X| * |Y| swept without product structure
 
 
 def _as_members(s: ElementSet | PairSpace | Iterable[int]) -> frozenset[int]:
@@ -51,8 +49,7 @@ def dot_subgroup_closure(brace: SkewBrace, gens: Iterable[int]) -> ElementSet:
 def _is_dot_subgroup(brace: SkewBrace, members: frozenset[int]) -> bool:
     if 0 not in members:
         return False
-    if len(members) ** 2 > PAIRWISE_CAP:
-        raise errors.TooLarge("subgroup check needs product structure at this size")
+    groups.check_table_cap(len(members) ** 2, "the subgroup check")
     return all(brace.dot(a, b) in members for a in members for b in members)
 
 
@@ -118,8 +115,7 @@ def star_subgroup(brace: SkewBrace, x: ElementSet, y: ElementSet) -> ElementSet:
     cached = brace._cache.get(key)
     if cached is not None:
         return cached
-    if len(xm) * len(ym) > PAIRWISE_CAP:
-        raise errors.TooLarge("star subgroup needs product structure at this size")
+    groups.check_table_cap(len(xm) * len(ym), "the star subgroup sweep")
     values = {brace.star(a, b) for a in xm for b in ym}
     out = dot_subgroup_closure(brace, values)
     if isinstance(brace, TableBrace):

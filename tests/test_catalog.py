@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import skewbrace as sb
-from skewbrace import errors
+from skewbrace import errors, groups
 from tests.conftest import bc16
 
 
@@ -108,6 +108,20 @@ def test_brace_from_spec_rejects_unknown():
         sb.brace_from_spec({"no": "kind"})
     with pytest.raises(errors.ParseError):
         sb.brace_from_spec({"kind": "pq", "p": 3})
+
+
+@pytest.mark.parametrize("kind", ["trivial", "almost_trivial"])
+def test_builtin_spec_group_is_capped_before_building(monkeypatch, kind):
+    """A spec's builtin name gives its order, so its 16-cell C4 table is
+    refused at TABLE_CAP 15 without being built, and built at 16."""
+    built = []
+    monkeypatch.setattr(sb.catalog, "builtin_group", lambda name: built.append(name) or sb.cyclic(4))
+    monkeypatch.setattr(groups, "TABLE_CAP", 15)
+    with pytest.raises(errors.TooLarge, match="TABLE_CAP"):
+        sb.brace_from_spec({"kind": kind, "group": "C4"})
+    assert built == []
+    monkeypatch.setattr(groups, "TABLE_CAP", 16)
+    assert sb.brace_from_spec({"kind": kind, "group": "C4"}).order == 4 and built == ["C4"]
 
 
 def test_spec_of_tables_roundtrip(catalog, corpus8):

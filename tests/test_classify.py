@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewbrace as sb
-from skewbrace import errors, series, substructures
+from skewbrace import errors, groups, series
 from skewbrace.groups import full_set, make_set
 from tests.conftest import EXTENDED_SWEEP
 
@@ -281,7 +281,7 @@ def test_warm_star_subgroups_match_fresh_braces(catalog, corpus8, sweep12):
 
 def test_star_subgroup_refusal_is_not_cached(monkeypatch, pq_i):
     brace, whole = fresh(pq_i), full_set(6)
-    monkeypatch.setattr(substructures, "PAIRWISE_CAP", 35)
+    monkeypatch.setattr(groups, "TABLE_CAP", 35)
     for _ in range(2):
         with pytest.raises(errors.TooLarge):
             sb.star_subgroup(brace, whole, whole)

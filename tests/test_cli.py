@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 import tempfile
 import tracemalloc
 
@@ -349,13 +350,67 @@ def test_oversized_element_set_is_refused(monkeypatch, f5):
     assert peak < 100_000  # listing 5^8 indices would take tens of MB
 
 
-def test_counterexample_11_is_computed(capsys):
-    """The order-11^8 counterexample is checked on subspaces alone; no term
-    is listed, so nothing reaches PAIR_SET_CAP."""
-    code, report = run_json(capsys, ["counterexample", "11", "--json"])
+@pytest.mark.parametrize("p", [11, 13, 17, 31, 101])
+def test_counterexample_is_computed(capsys, p):
+    """The order-p^8 counterexample is checked on subspaces alone; no term
+    is listed and no element table built, so neither PAIR_SET_CAP nor
+    SIZE_CAP (13^4 indices per factor exceed it) is reached."""
+    code, report = run_json(capsys, ["counterexample", str(p), "--json"])
     assert code == 0
-    assert report["all_confirmed"] and report["order"] == 11**8
-    assert report["witness"] == [11**2, 11**5, 11**4]
+    assert report["all_confirmed"] and report["order"] == p**8
+    assert report["witness"] == [p**2, p**5, p**4]
+
+
+def test_element_level_checks_on_f13_exit_3(tmp_path, capsys):
+    """Only the checks that run element operations refuse F13, at SIZE_CAP;
+    its set-level suites pass."""
+    path = write_spec(tmp_path, {"kind": "counterexample_F", "p": 13})
+    for argv in (["counterexample", "13", "--validate", "--samples", "10"],
+                 ["verify", path, "--suite", "identities", "--samples", "10"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "SIZE_CAP" in err and "Traceback" not in err
+    for suite in ("inclusions", "theorems", "ideals"):
+        code, report = run_json(capsys, ["verify", path, "--suite", suite, "--json"])
+        assert code == 0 and report["passed"]
+
+
+def test_term_orders_above_sys_maxsize_are_reported(tmp_path, capsys):
+    """239^8 exceeds sys.maxsize, which len() cannot return: a term's order
+    is read from its subspaces."""
+    path = write_spec(tmp_path, {"kind": "counterexample_F", "p": 239})
+    code, report = run_json(capsys, ["series", path, "--kind", "socle", "--json"])
+    assert code == 0
+    assert [t["order"] for t in report["socle"]["terms"]][-1] == 239**8 > sys.maxsize
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "trivial", "group": "C1500"},
+        {"kind": "almost_trivial", "group": "C1001"},
+        {"kind": "bc", "p": 1_000_003, "d_b": 1, "d_c": 1, "phi": [[[1]]], "psi": [[[1]]]},
+    ],
+)
+def test_spec_tables_above_table_cap_exit_3_before_building(tmp_path, capsys, spec):
+    """A builtin name's n x n table (C1500: 2.25 M cells) and a prime's power
+    rows (2 M cells) are refused at TABLE_CAP before they are built."""
+    path = write_spec(tmp_path, spec)
+    tracemalloc.start()
+    code = main(["series", path, "--kind", "group_lower_dot", "--json"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 3
+    assert peak < 1_000_000  # C1500's table would take ~90 MB
+    err = capsys.readouterr().err
+    assert "TABLE_CAP" in err and "Traceback" not in err
+
+
+def test_builtin_spec_group_at_table_cap_is_built(tmp_path, capsys):
+    path = write_spec(tmp_path, {"kind": "trivial", "group": "C1000"})
+    code, report = run_json(capsys, ["series", path, "--kind", "group_lower_dot", "--json"])
+    assert code == 0
+    assert [t["order"] for t in report["group_lower_dot"]["terms"]] == [1000, 1]
 
 
 Z2 = [[0, 1], [1, 0]]

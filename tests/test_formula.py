@@ -323,13 +323,50 @@ def test_element_tables_are_lazy_and_capped():
             brace.inv(a)
             brace.bar(a)
         for part in brace._elem:
-            # a one-digit factor caches one scalar per acting index; a wider one
-            # shares one map among the acting indices with one matrix
+            # a one-digit factor holds no maps (every action on it is the
+            # identity); a wider one shares one map among the acting indices
+            # with one matrix
             held = {id(m): m for m in part.maps if m is not None}.values()
             built = [[m] if isinstance(m, int) else m for m in held]
             sizes = [sum(map(len, part.table)), len(part.neg), len(part.maps)]
             assert max(sizes + [len(m) for m in built]) <= formula.SIZE_CAP
             assert sum(map(len, built)) <= formula.SIZE_CAP
+
+
+def test_element_tables_are_refused_above_size_cap(monkeypatch):
+    """F13's factors have 13^4 = 28,561 indices: one element operation is
+    refused below that SIZE_CAP, before any table exists, and runs at it.
+    The set-level check of the counterexample builds no table."""
+    f13 = sb.make_counterexample_F(13)
+    assert sb.verify_counterexample_F(13)["all_confirmed"] and f13._elem is None
+    monkeypatch.setattr(formula, "SIZE_CAP", 13**4 - 1)
+    tracemalloc.start()
+    with pytest.raises(errors.TooLarge, match="SIZE_CAP"):
+        f13.dot(1, 13**4)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert f13._elem is None
+    assert peak < 100_000  # one negation list of 28,561 indices holds 228 KB of pointers
+    monkeypatch.undo()
+    with pytest.raises(errors.TooLarge, match="SIZE_CAP"):
+        f13.inv(1)
+    lopsided = sb.make_bc_brace(3, 10, 1, [mat_identity(10)], [((1,),)] * 10)
+    with pytest.raises(errors.TooLarge, match="SIZE_CAP"):
+        lopsided.circ(1, 2)  # B has 3^10 = 59,049 indices, C has 3
+    monkeypatch.setattr(formula, "SIZE_CAP", 13**4)
+    assert f13.dot(1, 13**4) == 1 + 13**4 and f13._elem is not None
+
+
+def test_materialization_is_refused_above_table_cap(monkeypatch):
+    """bc16 has order 16: its 256-cell tables are refused at TABLE_CAP 255,
+    before any element operation, and built at 256."""
+    brace = bc16()
+    monkeypatch.setattr(groups, "TABLE_CAP", 255)
+    with pytest.raises(errors.TooLarge, match="TABLE_CAP"):
+        sb.materialize_table_brace(brace)
+    assert brace._elem is None
+    monkeypatch.setattr(groups, "TABLE_CAP", 256)
+    assert sb.materialize_table_brace(brace).order == 16
 
 
 def kernel_off_units():
@@ -741,6 +778,28 @@ def sweep_star_witness(brace, x, y, rhs):
         if not rhs.contains(*val):
             return a, b, val
     return None
+
+
+def test_star_witness_sweep_is_refused_above_table_cap(monkeypatch, f5):
+    """On F5, phi_{e4} = J, and the generator pair ((0, e4), (e3, 0)) has
+    value (J^-1 - I) e3 = e1 - e2 in rhs, the span of that value. The sweep
+    meets 2 e4 next, whose value (J^-2 - I) e3 = 3 e1 - 2 e2 escapes it. It
+    may walk |<e4>| * 1 = 5 pairs: refused at TABLE_CAP 4, found at 5. A
+    generator-pair witness is found whatever the cap."""
+    x = PairSpace(Subspace.zero(5, 4), span_of_units(5, 4, [4]))
+    y = PairSpace(span_of_units(5, 4, [3]), Subspace.zero(5, 4))
+    rhs = _generator_span(f5, x, y)
+    monkeypatch.setattr(groups, "TABLE_CAP", 4)
+    with pytest.raises(errors.TooLarge, match="TABLE_CAP"):
+        formula.find_star_witness(f5, x, y, rhs)
+    monkeypatch.setattr(groups, "TABLE_CAP", 0)
+    assert formula.find_star_witness(f5, x, y, f5.trivial_pair()) == sweep_star_witness(
+        f5, x, y, f5.trivial_pair()
+    )
+    monkeypatch.setattr(groups, "TABLE_CAP", 5)
+    found = formula.find_star_witness(f5, x, y, rhs)
+    assert found == sweep_star_witness(f5, x, y, rhs)
+    assert found == (((0,) * 4, (0, 0, 0, 2)), ((0, 0, 1, 0), (0,) * 4), ((3, 3, 0, 0), (0,) * 4))
 
 
 def _generator_span(brace, x, y):
