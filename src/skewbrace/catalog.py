@@ -24,6 +24,7 @@ def make_pq_brace(p: int, q: int, k: int, variant: str) -> TableBrace:
     Variant "i" keeps the componentwise product and twists circ by k^j;
     variant "ii" twists the dot product instead and double-twists circ.
     """
+    groups.check_table_cap((p * q) ** 2, "each pq table")
     if variant not in ("i", "ii"):
         raise errors.BadParameters(f"variant must be 'i' or 'ii', got {variant!r}")
     if not is_prime(p) or not is_prime(q):
@@ -81,9 +82,9 @@ def make_counterexample_F(p: int) -> BCBrace:
 
     Both factors are F_p^4; phi sends only the last basis vector of C to a
     unipotent Jordan block and psi sends only the third basis vector of B to
-    a two-step unipotent. Requires a prime p >= 5.
+    a two-step unipotent. Needs p >= 5; `bc_brace` then tests primality.
     """
-    if not is_prime(p) or p < 5:
+    if p < 5:
         raise errors.BadPrime(f"the construction needs a prime p >= 5, got {p}")
     ident = mat_identity(4)
     phi_e4 = (

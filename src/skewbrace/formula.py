@@ -21,14 +21,14 @@ the brace's element sets, listed only when read element by element. The
 tests check these paths against the table machinery and element sweeps.
 
 Element operations work on indices b + p^d_b * c, split by one divmod. Each
-factor (`_Component`), built on the first of them and refused above SIZE_CAP
-indices, adds on two or three digit blocks through one table of at most
-SIZE_CAP entries (mod p for one digit, which every action fixes) and applies
-phi_c or psi_b through index maps built once per distinct matrix. lambda is
-a homomorphism, so phi_c depends only on c modulo ker phi (psi_b on b modulo
-ker psi): F5's 625 acting indices of a factor share 5 maps. Set-level paths
-build no factor, so they run where SIZE_CAP refuses element operations.
-The tuple forms of the products live only in the tests; `vstar` stays.
+factor (`_Component`) adds on two digit blocks through one table (mod p for
+one digit, which every action fixes) and applies phi_c or psi_b through index
+maps built once per distinct matrix. lambda is a homomorphism, so phi_c
+depends only on c modulo ker phi (psi_b on b modulo ker psi): F5's 625
+acting indices of a factor share 5 maps. `BCBrace._factors` builds both on
+the first element operation once each table passes groups.TABLE_CAP; set-level
+paths build none. The tuple forms of the products live only in the tests;
+`vstar` stays.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ from .fp import (
     vec_neg,
     zero_vec,
 )
-
-SIZE_CAP = 20_000  # most indices p^d of one factor's element tables, read at call time
-PAIR_SET_CAP = 2**23  # largest PairSpace listed element by element (7^8 fits, 11^8 not)
 
 
 @dataclass(frozen=True, init=False)
@@ -86,10 +83,9 @@ class PairSpace:
 
     @property
     def members(self) -> frozenset[int]:
-        """The element indices, listed once; refused above PAIR_SET_CAP."""
+        """The element indices, listed once; refused above groups.TABLE_CAP."""
         if self._members is None:
-            if self.order > PAIR_SET_CAP:
-                raise errors.TooLarge(f"element sets capped at {PAIR_SET_CAP}, got {self.order}")
+            groups.check_table_cap(self.order, "listing a formula set")
             if self.is_full:  # every index below p^(d_b + d_c)
                 members = frozenset(range(self.order))
             else:
@@ -210,12 +206,21 @@ class BCBrace(SkewBrace):
         return _digits(b, self.p, self.d_b), _digits(c, self.p, self.d_c)
 
     def _factors(self) -> tuple["_Component", "_Component"]:
-        """B and C index arithmetic, built on the first element operation and
-        refused before any table exists above SIZE_CAP indices per factor."""
+        """B and C index arithmetic, built on the first element operation once
+        each table passes groups.TABLE_CAP: a one-digit factor's p negations,
+        else, H = p^ceil(d/2), the H x H add table (above the p^d negations)
+        and 2H image-map entries per action matrix, at most p^m of them for m
+        non-identity acting basis matrices of order dividing p. A `maps` list
+        is no longer than the other factor's negations."""
         if self._elem is None:
             p, d_b, d_c = self.p, self.d_b, self.d_c
-            if (size := p ** max(d_b, d_c)) > SIZE_CAP:
-                raise errors.TooLarge(f"a factor's element tables need {size} > SIZE_CAP = {SIZE_CAP}")
+            for d, acting in ((d_b, self.phi_basis), (d_c, self.psi_basis)):
+                if d == 1:
+                    groups.check_table_cap(p, "a one-digit factor's negations")
+                    continue
+                h, m = p ** -(-d // 2), sum(mat != mat_identity(d) for mat in acting)
+                groups.check_table_cap(h * h, f"a {h} x {h} factor add table")
+                groups.check_table_cap(2 * h * p**m, f"the image maps of {p}^{m} action matrices")
             self._elem = (_Component(p, d_b, self.phi, d_c), _Component(p, d_c, self.psi, d_b))
         return self._elem
 
@@ -318,12 +323,10 @@ class _Component:
     """Index arithmetic on one factor F_p^d, x = sum x_i p^i.
 
     A one-digit factor adds mod p, and every action on it is the identity. A
-    wider one adds on blocks of w digits through one H x H table, H = p^w: two
-    blocks (w = ceil(d/2)), or three (w = ceil(d/3)) where H^2 would exceed
-    SIZE_CAP; it keeps the images of every block value under each distinct
-    action matrix, and `maps[key]` points at the one for key's matrix.
-    The two-block add and act are written out apart: they are the common case
-    and run ~1.5x faster than the three-block form. `neg` has p^d entries.
+    wider one adds on two blocks of w = ceil(d/2) digits, the top one short
+    when d is odd, through one H x H table, H = p^w; it keeps the images of
+    every block value under each distinct action matrix, and `maps[key]`
+    points at the one for key's matrix. `neg` has p^d entries.
     """
 
     def __init__(self, p: int, d: int, action, acting_dim: int):
@@ -338,29 +341,18 @@ class _Component:
             self.add, self.act = lambda x, y: (x + y) % p, lambda key, x: x
             return
         self.maps = maps = [None] * p**acting_dim
-        w = -(-d // 2) if p ** (2 * -(-d // 2)) <= SIZE_CAP else -(-d // 3)
-        k, h, hh = -(-d // w), p**w, p ** (2 * w)
+        w = -(-d // 2)
+        h = p**w
         block = [_digits(x, p, w) for x in range(h)]
         self.table = table = [[_index(vec_add(x, y, p), p) for y in block] for x in block]
-        if k == 2:
 
-            def add(x: int, y: int) -> int:
-                return table[x % h][y % h] + h * table[x // h][y // h]
+        def add(x: int, y: int) -> int:
+            return table[x % h][y % h] + h * table[x // h][y // h]
 
-            def act(key: int, x: int) -> int:
-                m = maps[key] or image_map(key)
-                y, z = m[x % h], m[h + x // h]
-                return table[y % h][z % h] + h * table[y // h][z // h]
-
-        else:
-
-            def add(x: int, y: int) -> int:
-                low = table[x % h][y % h] + h * table[x // h % h][y // h % h]
-                return low + hh * table[x // hh][y // hh]
-
-            def act(key: int, x: int) -> int:
-                m = maps[key] or image_map(key)
-                return add(add(m[x % h], m[h + x // h % h]), m[2 * h + x // hh])
+        def act(key: int, x: int) -> int:
+            m = maps[key] or image_map(key)
+            y, z = m[x % h], m[h + x // h]
+            return table[y % h][z % h] + h * table[y // h][z // h]
 
         by_matrix: dict[Mat, array] = {}
 
@@ -369,9 +361,9 @@ class _Component:
             from its columns on the first key with that matrix."""
             mat = action(_digits(key, p, acting_dim))
             if mat not in by_matrix:
-                cols = [_index(col, p) for col in zip(*mat)] + [0] * (k * w - d)
+                cols = [_index(col, p) for col in zip(*mat)]
                 by_matrix[mat] = out = array("I")
-                for j in range(0, k * w, w):
+                for j in (0, w):
                     img = [0]
                     for col in cols[j : j + w]:
                         n = len(img)
@@ -387,11 +379,12 @@ class _Component:
 def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     """Validate the structural preconditions and build the brace.
 
-    Checks: p prime, the p powers of each basis matrix within TABLE_CAP cells,
-    matrices square and invertible with order dividing p (without which the
+    Checks, in order (a huge p is refused before its primality test): the p
+    powers of each basis matrix within TABLE_CAP cells, p prime, matrices
+    square and invertible with order dividing p (without which the
     digit-defined actions are not homomorphisms and the products are not
     associative), each family pairwise commuting, and Im(psi_b - id) <= ker(phi)
-    on the basis of B (which makes it hold for every b); `_factors` checks SIZE_CAP.
+    on the basis of B (which makes it hold for every b); `_factors` bounds the rest.
 
     These make the result a skew brace for every element, so the sampled
     checks (`validate_formula_brace`, `check_identities`) test the element
@@ -417,16 +410,16 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     = (a o a') o a'', and a o (y . z) = a . lambda_a(y) . lambda_a(z)
     = (a o y) . a^-1 . (a o z) is the brace relation.
     """
+    d_c, d_b = len(phi_basis), len(psi_basis)
+    groups.check_table_cap(p * d_b * d_c * (d_b + d_c), "the basis matrices' power rows")
     if not is_prime(p):
         raise errors.BadPrime(f"{p} is not prime")
     phi_basis, psi_basis = (
         tuple(tuple(tuple(groups.as_int(x) % p for x in row) for row in m) for m in family)
         for family in (phi_basis, psi_basis)
     )
-    d_c, d_b = len(phi_basis), len(psi_basis)
     if d_b < 1 or d_c < 1:
         raise errors.BadParameters("both factors need dimension >= 1")
-    groups.check_table_cap(p * d_b * d_c * (d_b + d_c), "the basis matrices' power rows")
     families = (("phi", phi_basis, d_b, "d_b"), ("psi", psi_basis, d_c, "d_c"))
     pows: dict[str, list[list[Mat]]] = {"phi": [], "psi": []}
     for name, family, dim, label in families:

@@ -81,6 +81,16 @@ def bc81() -> sb.BCBrace:
     return sb.make_bc_brace(3, 2, 2, (I2, u3), (I2, u3))
 
 
+def injective_phi_spec(p: int) -> dict:
+    """A bc spec on F_p^4 x F_p^4 whose phi is injective: phi_{e_j} = id + E_j
+    for the four commuting square-zero units E_13, E_14, E_23, E_24, and psi
+    trivial (ker phi = 0). Each of the p^4 values of c has its own matrix."""
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    phi = [[[int(i == j or (i, j) == unit) for j in range(4)] for i in range(4)]
+           for unit in ((0, 2), (0, 3), (1, 2), (1, 3))]
+    return {"kind": "bc", "p": p, "d_b": 4, "d_c": 4, "phi": phi, "psi": [ident] * 4}
+
+
 @pytest.fixture(scope="session")
 def f5() -> sb.BCBrace:
     return sb.make_counterexample_F(5)

@@ -124,6 +124,20 @@ def test_builtin_spec_group_is_capped_before_building(monkeypatch, kind):
     assert sb.brace_from_spec({"kind": kind, "group": "C4"}).order == 4 and built == ["C4"]
 
 
+def test_pq_tables_are_capped_before_building(monkeypatch):
+    """The order-6 pq brace's two 36-cell tables are refused at TABLE_CAP 35
+    before p and q are tested for primality, and built at 36."""
+    tested = []
+    monkeypatch.setattr(sb.catalog, "is_prime", lambda n: tested.append(n) or sb.fp.is_prime(n))
+    monkeypatch.setattr(groups, "TABLE_CAP", 35)
+    for variant in ("i", "ii"):
+        with pytest.raises(errors.TooLarge, match="TABLE_CAP"):
+            sb.make_pq_brace(3, 2, 2, variant)
+    assert tested == []
+    monkeypatch.setattr(groups, "TABLE_CAP", 36)
+    assert sb.make_pq_brace(3, 2, 2, "i").order == 6 and tested == [3, 2]
+
+
 def test_spec_of_tables_roundtrip(catalog, corpus8):
     """Every table brace of the catalog (a radical ring among them), the
     order <= 8 corpus and a materialized formula brace."""

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewbrace as sb
-from skewbrace import classify, cli, errors, formula
+from skewbrace import classify, cli, errors, formula, fp, groups
 from skewbrace.cli import main
-from tests.conftest import I2, UNI2, bc16, bc81
+from tests.conftest import I2, UNI2, bc16, bc81, injective_phi_spec
 
 PQ_SPEC = {"kind": "pq", "p": 3, "q": 2, "k": 2, "variant": "i"}
 
@@ -333,46 +333,74 @@ def test_memory_error_is_resource_limit(monkeypatch, capsys):
 
 
 def test_oversized_element_set_is_refused(monkeypatch, f5):
-    """Listing a formula term above PAIR_SET_CAP is refused before the set is
+    """Listing a formula term above TABLE_CAP is refused before the set is
     built; its size, bases, the subspace tests and membership in the full
-    term (a bound check) stay available."""
-    monkeypatch.setattr(formula, "PAIR_SET_CAP", 5**8 - 1)
+    term (a bound check) stay available. At the bound it is listed."""
+    monkeypatch.setattr(groups, "TABLE_CAP", 5**8 - 1)
     term = f5.full_pair()
     assert len(term) == 5**8 and term.is_full and term.contains_pair(f5.trivial_pair())
     tracemalloc.start()
     assert [x in term for x in (1, 5**8 - 1, -1, 5**8)] == [True, True, False, False]
     for read in (lambda: list(term), lambda: term.members, term.sorted):
-        with pytest.raises(errors.TooLarge, match="element sets capped"):
+        with pytest.raises(errors.TooLarge, match="formula set.*TABLE_CAP"):
             read()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert term._members is None
     assert peak < 100_000  # listing 5^8 indices would take tens of MB
+    monkeypatch.setattr(groups, "TABLE_CAP", 5**8)
+    assert len(term.members) == 5**8 and term.sorted()[-1] == 5**8 - 1
 
 
 @pytest.mark.parametrize("p", [11, 13, 17, 31, 101])
 def test_counterexample_is_computed(capsys, p):
     """The order-p^8 counterexample is checked on subspaces alone; no term
-    is listed and no element table built, so neither PAIR_SET_CAP nor
-    SIZE_CAP (13^4 indices per factor exceed it) is reached."""
+    is listed and no element table built, so TABLE_CAP is not reached,
+    though every carrier's listing and p = 101's add tables exceed it."""
     code, report = run_json(capsys, ["counterexample", str(p), "--json"])
     assert code == 0
     assert report["all_confirmed"] and report["order"] == p**8
     assert report["witness"] == [p**2, p**5, p**4]
 
 
-def test_element_level_checks_on_f13_exit_3(tmp_path, capsys):
-    """Only the checks that run element operations refuse F13, at SIZE_CAP;
-    its set-level suites pass."""
+def test_element_level_checks_run_up_to_table_cap(tmp_path, capsys):
+    """F13's element tables fit TABLE_CAP, so every suite passes and
+    `counterexample 13 --validate` validates. F37's add tables and the image
+    maps of an injective phi at p = 11 do not: the checks that run element
+    operations exit 3 naming TABLE_CAP before any table is built."""
     path = write_spec(tmp_path, {"kind": "counterexample_F", "p": 13})
-    for argv in (["counterexample", "13", "--validate", "--samples", "10"],
-                 ["verify", path, "--suite", "identities", "--samples", "10"]):
-        assert main(argv) == 3
+    code, report = run_json(capsys, ["verify", path, "--suite", "all", "--samples", "100", "--json"])
+    assert code == 0 and report["passed"]
+    code, report = run_json(capsys, ["counterexample", "13", "--validate", "--samples", "10", "--json"])
+    assert code == 0 and report["all_confirmed"] and report["validated"]
+    f37 = write_spec(tmp_path, {"kind": "counterexample_F", "p": 37}, "f37.json")
+    injective = write_spec(tmp_path, injective_phi_spec(11), "injective.json")
+    for argv in (["counterexample", "37", "--validate", "--samples", "10"],
+                 ["verify", f37, "--suite", "identities", "--samples", "10"],
+                 ["verify", injective, "--suite", "identities", "--samples", "10"]):
+        tracemalloc.start()
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 3
+        assert peak < 1_000_000  # F37's two add tables would take ~30 MB
         err = capsys.readouterr().err
-        assert "SIZE_CAP" in err and "Traceback" not in err
-    for suite in ("inclusions", "theorems", "ideals"):
-        code, report = run_json(capsys, ["verify", path, "--suite", suite, "--json"])
-        assert code == 0 and report["passed"]
+        assert "TABLE_CAP" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p, code", [(4, 2), (6, 2), (10**14, 3), (10**14 + 31, 3)])
+def test_counterexample_p_is_bounded_before_primality(monkeypatch, tmp_path, capsys, p, code):
+    """A huge p, prime or not, is refused at the power-row bound without a
+    primality test (trial division to sqrt(10^14) takes about a second);
+    a small composite p is still a bad prime."""
+    tested = []
+    for module in (sb.catalog, formula):
+        monkeypatch.setattr(module, "is_prime", lambda n: tested.append(n) or fp.is_prime(n))
+    path = write_spec(tmp_path, {"kind": "counterexample_F", "p": p})
+    assert main(["analyze", path]) == code
+    assert tested == ([6] if p == 6 else [])
+    err = capsys.readouterr().err
+    assert ("TABLE_CAP" if code == 3 else "prime") in err and "Traceback" not in err
 
 
 def test_term_orders_above_sys_maxsize_are_reported(tmp_path, capsys):
@@ -390,11 +418,13 @@ def test_term_orders_above_sys_maxsize_are_reported(tmp_path, capsys):
         {"kind": "trivial", "group": "C1500"},
         {"kind": "almost_trivial", "group": "C1001"},
         {"kind": "bc", "p": 1_000_003, "d_b": 1, "d_c": 1, "phi": [[[1]]], "psi": [[[1]]]},
+        {"kind": "pq", "p": 1009, "q": 2, "k": 1008, "variant": "i"},
     ],
 )
 def test_spec_tables_above_table_cap_exit_3_before_building(tmp_path, capsys, spec):
-    """A builtin name's n x n table (C1500: 2.25 M cells) and a prime's power
-    rows (2 M cells) are refused at TABLE_CAP before they are built."""
+    """A builtin name's n x n table (C1500: 2.25 M cells), a prime's power
+    rows (2 M cells) and the two pq tables of order 2018 (4.1 M cells each)
+    are refused at TABLE_CAP before they are built."""
     path = write_spec(tmp_path, spec)
     tracemalloc.start()
     code = main(["series", path, "--kind", "group_lower_dot", "--json"])

@@ -18,7 +18,7 @@ import skewbrace as sb
 from skewbrace import errors, formula, groups, series
 from skewbrace.formula import PairSpace, span_of_units
 from skewbrace.fp import Subspace, mat_identity, mat_vec, unit_vec
-from tests.conftest import I2, UNI2, bc16, bc81, identity_report_one_at_a_time
+from tests.conftest import I2, UNI2, bc16, bc81, identity_report_one_at_a_time, injective_phi_spec
 
 SINGULAR = ((1, 1), (1, 1))
 LOWER = ((1, 0), (1, 1))
@@ -266,8 +266,8 @@ def random_bc(rng, p, d_b, d_c):
     return sb.make_bc_brace(p, d_b, d_c, family(d_b, big_n, a), family(d_c, big_m, psi_coeffs))
 
 
-# (p, d_b, d_c): one-digit factors, an empty top block (d = 2), three full
-# blocks (d = 3), a short top block (d = 5, 14), unequal dimensions.
+# (p, d_b, d_c): one-digit factors, two full blocks (d = 2, 14), a short top
+# block (d = 3, 5), unequal dimensions.
 RANDOM_SHAPES = [(2, 1, 3), (3, 3, 1), (5, 3, 2), (13, 3, 1), (13, 1, 3), (7, 5, 1), (2, 14, 1)]
 
 
@@ -304,17 +304,24 @@ def test_f5_group_laws(f5):
         assert f5.circ(a, f5.dot(b, c)) == f5.dot(f5.dot(f5.circ(a, b), f5.inv(a)), f5.circ(a, c))
 
 
-def test_element_tables_are_lazy_and_capped():
+def test_element_tables_are_lazy_and_capped(monkeypatch):
+    """Each corner builds its element tables at the TABLE_CAP its largest
+    table needs, and every table it then holds stays within it."""
     rng = random.Random(sb.DEFAULT_SEED + 3)
     one = (((1,),),)
-    corners = [random_bc(rng, 2, 14, 1), random_bc(rng, 7, 5, 1)]
-    corners.append(sb.make_bc_brace(19997, 1, 1, one, one))
+    corners = [
+        (random_bc(rng, 2, 14, 1), 128**2),  # B's add table, H = 2^7
+        (random_bc(rng, 7, 5, 1), 343**2),  # B's add table, H = 7^3
+        (sb.make_bc_brace(19997, 1, 1, one, one), 19997),  # each factor's negations
+        (sb.brace_from_spec(injective_phi_spec(3)), 2 * 9 * 3**4),  # B's image maps
+    ]
     small = bc81()
     sb.right_series(small)
     sb.socle_series(small)
     assert small._elem is None
-    for brace in corners:
+    for brace, bound in corners:
         assert brace._elem is None
+        monkeypatch.setattr(groups, "TABLE_CAP", bound)
         n = brace.order
         pairs = [(n - 2, n // 3)] + [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]
         for a, y in pairs:
@@ -329,32 +336,55 @@ def test_element_tables_are_lazy_and_capped():
             held = {id(m): m for m in part.maps if m is not None}.values()
             built = [[m] if isinstance(m, int) else m for m in held]
             sizes = [sum(map(len, part.table)), len(part.neg), len(part.maps)]
-            assert max(sizes + [len(m) for m in built]) <= formula.SIZE_CAP
-            assert sum(map(len, built)) <= formula.SIZE_CAP
+            assert max(sizes + [len(m) for m in built]) <= groups.TABLE_CAP
+            assert sum(map(len, built)) <= groups.TABLE_CAP
 
 
-def test_element_tables_are_refused_above_size_cap(monkeypatch):
-    """F13's factors have 13^4 = 28,561 indices: one element operation is
-    refused below that SIZE_CAP, before any table exists, and runs at it.
-    The set-level check of the counterexample builds no table."""
+def test_element_tables_are_refused_above_table_cap(monkeypatch):
+    """One element operation is refused one below the largest table's size,
+    before any table exists, and runs at it: F13's 169 x 169 add table (its
+    13^4-entry maps list ties), a lopsided 3^10 x 3 brace's 243 x 243 one, a
+    3^3 x 3 brace's 9 x 9 one (above its 27 negations), the 2 * 9 entries of
+    each of the 3^4 image maps of an injective phi at p = 3, and a one-digit
+    factor's 19,997 negations."""
+    one = (((1,),),)
+    cases = [
+        (sb.make_counterexample_F(13), 169**2, "add table"),
+        (sb.make_bc_brace(3, 10, 1, [mat_identity(10)], [((1,),)] * 10), 243**2, "add table"),
+        (sb.make_bc_brace(3, 3, 1, [mat_identity(3)], [((1,),)] * 3), 9**2, "add table"),
+        (sb.brace_from_spec(injective_phi_spec(3)), 2 * 9 * 3**4, "image maps"),
+        (sb.make_bc_brace(19997, 1, 1, one, one), 19997, "negations"),
+    ]
+    for brace, bound, table in cases:
+        monkeypatch.setattr(groups, "TABLE_CAP", bound - 1)
+        for op in (lambda: brace.dot(1, brace.order - 1), lambda: brace.inv(1), lambda: brace.circ(2, 1)):
+            tracemalloc.start()
+            with pytest.raises(errors.TooLarge, match=f"{table}.*TABLE_CAP"):
+                op()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert brace._elem is None
+            assert peak < 100_000  # F13's negation list alone holds 228 KB of pointers
+        monkeypatch.setattr(groups, "TABLE_CAP", bound)
+        assert_ops_match_tuple_forms(brace, [(1, brace.order - 1), (brace.order // 3, 2)])
+        assert brace._elem is not None
+
+
+def test_element_tables_above_the_default_table_cap_are_refused():
+    """F37's 1369 x 1369 add tables (1.9 M cells) and the 11^4 image maps of
+    an injective phi at p = 11 (3.5 M entries) are refused at the default
+    TABLE_CAP before any table exists; the set-level check of F13 builds no
+    table."""
     f13 = sb.make_counterexample_F(13)
     assert sb.verify_counterexample_F(13)["all_confirmed"] and f13._elem is None
-    monkeypatch.setattr(formula, "SIZE_CAP", 13**4 - 1)
-    tracemalloc.start()
-    with pytest.raises(errors.TooLarge, match="SIZE_CAP"):
-        f13.dot(1, 13**4)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert f13._elem is None
-    assert peak < 100_000  # one negation list of 28,561 indices holds 228 KB of pointers
-    monkeypatch.undo()
-    with pytest.raises(errors.TooLarge, match="SIZE_CAP"):
-        f13.inv(1)
-    lopsided = sb.make_bc_brace(3, 10, 1, [mat_identity(10)], [((1,),)] * 10)
-    with pytest.raises(errors.TooLarge, match="SIZE_CAP"):
-        lopsided.circ(1, 2)  # B has 3^10 = 59,049 indices, C has 3
-    monkeypatch.setattr(formula, "SIZE_CAP", 13**4)
-    assert f13.dot(1, 13**4) == 1 + 13**4 and f13._elem is not None
+    for brace, size in ((sb.make_counterexample_F(37), 1369**2),
+                        (sb.brace_from_spec(injective_phi_spec(11)), 2 * 121 * 11**4)):
+        tracemalloc.start()
+        with pytest.raises(errors.TooLarge, match=f"take {size} cells.*TABLE_CAP = {groups.TABLE_CAP}"):
+            brace.dot(1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert brace._elem is None and peak < 100_000
 
 
 def test_materialization_is_refused_above_table_cap(monkeypatch):
@@ -1131,7 +1161,7 @@ def test_membership_matches_subspace_test(make):
 def test_full_term_membership_lists_nothing():
     """Reading every F5 chain term by membership, as the formula_p8 bench
     workload does, lists the partial terms but not the 5^8-element full
-    term; on 11^8 the full term answers without reaching PAIR_SET_CAP."""
+    term; on 11^8 the full term answers without reaching TABLE_CAP."""
     brace = sb.make_counterexample_F(5)
     terms = _chain_terms(brace)
     tracemalloc.start()
