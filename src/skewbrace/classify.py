@@ -22,7 +22,7 @@ from .series import (
     smoktunowicz_series,
     socle_series,
 )
-from .substructures import ideal_closure, product_of_ideals, star_subgroup
+from .substructures import _tables_only, ideal_closure, product_of_ideals, star_subgroup
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,7 @@ def is_rel_ann_nilpotent(brace: SkewBrace, ideal: ElementSet) -> int | None:
 
 def fitting_ideal(brace: SkewBrace) -> ElementSet:
     """Ideal generated by all ideals that are relatively annihilator nilpotent."""
-    if not isinstance(brace, TableBrace):
-        raise errors.TooLargeForIdealEnumeration("ideal enumeration needs a table brace")
+    _tables_only(brace, "fitting_ideal")
     nil_ideals = [
         i for i in enumerate_ideals(brace) if is_rel_ann_nilpotent(brace, i) is not None
     ]

@@ -308,13 +308,16 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    report = classify.verify_counterexample_F(args.p)
+    """With --validate, the sampled element-level check runs first, so a
+    brace whose element tables are refused exits 3 before the set-level one."""
     if args.validate:
         from .catalog import make_counterexample_F
 
         validate_formula_brace(
             make_counterexample_F(args.p), samples=args.samples, seed=args.seed
         )
+    report = classify.verify_counterexample_F(args.p)
+    if args.validate:
         report["validated"] = True
     _emit(args, report)
     return 0 if report["all_confirmed"] else 2
@@ -406,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except errors.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (errors.TooLarge, errors.QuotientTooLarge) as exc:
+    except errors.TooLarge as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

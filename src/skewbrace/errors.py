@@ -82,10 +82,6 @@ class NotAnIdeal(AlgebraError):
     """The given set is not an ideal."""
 
 
-class QuotientTooLarge(AlgebraError):
-    """Quotient materialization was requested beyond the table threshold."""
-
-
 class TooLarge(AlgebraError):
     """The computation exceeds the size limits of this implementation."""
 

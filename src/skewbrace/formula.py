@@ -50,7 +50,6 @@ from .fp import (
     mat_sub,
     mat_vec,
     unit_vec,
-    vec_add,
     vec_neg,
     zero_vec,
 )
@@ -319,6 +318,28 @@ def _digits(idx: int, p: int, dim: int) -> Vec:
     return tuple(idx // p**i % p for i in range(dim))
 
 
+def _block_neg(p: int, w: int) -> list[int]:
+    """-x digit by digit mod p for each x below p^w, one top digit at a time."""
+    neg = [0]
+    for n in (p**i for i in range(w)):
+        neg = [v + n * (-s % p) for s in range(p) for v in neg]
+    return neg
+
+
+def _block_sums(p: int, w: int) -> list[list[int]]:
+    """The p^w x p^w table of x + y digit by digit mod p, one top digit at a
+    time: (x + n s) + (y + n t) = (x + y) + n (s + t mod p) for x, y below n."""
+    table = [[0]]
+    for n in (p**i for i in range(w)):
+        shifted = [[[v + n * s for v in row] for s in range(p)] for row in table]
+        table = [
+            [v for part in rows[s:] + rows[:s] for v in part]
+            for s in range(p)
+            for rows in shifted
+        ]
+    return table
+
+
 class _Component:
     """Index arithmetic on one factor F_p^d, x = sum x_i p^i.
 
@@ -326,14 +347,18 @@ class _Component:
     wider one adds on two blocks of w = ceil(d/2) digits, the top one short
     when d is odd, through one H x H table, H = p^w; it keeps the images of
     every block value under each distinct action matrix, and `maps[key]`
-    points at the one for key's matrix. `neg` has p^d entries.
+    points at the one for key's matrix. `neg` has p^d entries, one block
+    negation per digit block.
     """
 
     def __init__(self, p: int, d: int, action, acting_dim: int):
         from array import array  # loaded on the first element op, not on import
 
         self.size = p**d
-        self.neg = [_index(vec_neg(_digits(x, p, d), p), p) for x in range(self.size)]
+        w = -(-d // 2)
+        h = p**w
+        neg = _block_neg(p, w)
+        self.neg = [lo + h * hi for hi in neg[: self.size // h] for lo in neg]
         self.table, self.maps = [], []
         if d == 1:
             # bc_brace checks a^p = 1 for each 1 x 1 basis matrix [[a]], and
@@ -341,10 +366,7 @@ class _Component:
             self.add, self.act = lambda x, y: (x + y) % p, lambda key, x: x
             return
         self.maps = maps = [None] * p**acting_dim
-        w = -(-d // 2)
-        h = p**w
-        block = [_digits(x, p, w) for x in range(h)]
-        self.table = table = [[_index(vec_add(x, y, p), p) for y in block] for x in block]
+        self.table = table = _block_sums(p, w)
 
         def add(x: int, y: int) -> int:
             return table[x % h][y % h] + h * table[x // h][y // h]

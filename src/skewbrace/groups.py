@@ -221,8 +221,6 @@ def _close(g: GroupTable, seeds: Iterable[int], images=()) -> tuple[set[int], li
     `images[y]`, when given, lists elements that join the worklist once y
     becomes a member. The members are what right products by the taken
     elements reach from 0, which on a group is the subgroup they generate.
-    Only `g.mul` is read, row h at the column of a taken element; `g` may be
-    a view that builds rows on demand (see `substructures`).
     """
     mul = g.mul
     members = {0}

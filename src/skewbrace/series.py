@@ -24,15 +24,10 @@ from .groups import (
     full_set,
     lifted_step,
     run_chain,
+    subgroup_closure,
     trivial_set,
 )
-from .substructures import (
-    _commutator,
-    dot_subgroup_closure,
-    is_ideal,
-    quotient_brace,
-    star_subgroup,
-)
+from .substructures import _commutator, _tables_only, is_ideal, quotient_brace, star_subgroup
 
 
 def _series(
@@ -96,7 +91,7 @@ def smoktunowicz_series(brace: SkewBrace) -> SeriesChain:
         union: set[int] = set()
         for i in range(n):
             union |= star_subgroup(brace, terms[i], terms[n - 1 - i]).members
-        return dot_subgroup_closure(brace, union)
+        return subgroup_closure(brace.dot_group, union)
 
     return _series(
         brace,
@@ -152,8 +147,7 @@ def socle_quotient_tower(brace: SkewBrace) -> list[TableBrace]:
     Stops once the socle becomes trivial (the chain is then constant) or the
     quotient collapses to the one-element brace.
     """
-    if not isinstance(brace, TableBrace):
-        raise errors.QuotientTooLarge("quotient materialization needs a table brace")
+    _tables_only(brace, "socle_quotient_tower")
     chain = [brace]
     for _ in range(brace.order + 1):
         current = chain[-1]
@@ -174,13 +168,14 @@ def gamma_series(brace: SkewBrace) -> SeriesChain:
         gens |= star_subgroup(brace, whole, last).members
         # all of A: Gamma_n being normal is what `gamma_equals_gamma_prime` checks
         gens |= {brace.comm_dot(a, x) for a in brace.elements() for x in last.members}
-        return dot_subgroup_closure(brace, gens)
+        return subgroup_closure(brace.dot_group, gens)
 
     return _series(brace, "gamma", lambda terms: formula.bc_gamma_step(brace, terms), set_step)
 
 
 def gamma_prime_series(brace: SkewBrace) -> SeriesChain:
     """Gamma'_1 = A, Gamma'_{n+1} = [A, Gamma'_n]^A: the relative series of A."""
+    _tables_only(brace, "gamma_prime_series")
     return relative_gamma_series(brace, full_set(brace.order))
 
 
@@ -191,8 +186,7 @@ def relative_gamma_series(brace: SkewBrace, ideal: ElementSet) -> SeriesChain:
     Cached per brace on the members of I. I is checked only when its chain
     is computed, so a non-ideal is never cached and always raises.
     """
-    if not isinstance(brace, TableBrace):
-        raise errors.TooLarge("the relative series needs a table brace")
+    _tables_only(brace, "relative_gamma_series")
     key = ("relative_gamma", ideal.members)
     chain = brace._cache.get(key)
     if chain is None:

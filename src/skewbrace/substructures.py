@@ -17,33 +17,11 @@ from .groups import (
 )
 
 
-def _as_members(s: ElementSet | PairSpace | Iterable[int]) -> frozenset[int]:
-    if isinstance(s, (ElementSet, PairSpace)):
-        return s.members
-    return frozenset(s)
-
-
-class _DotRows:
-    """A dot table stand-in for `subgroup_closure` on braces without tables:
-    row x maps each generator h to x . h, built when read; the closure reads
-    rows at the columns of taken seeds only."""
-
-    def __init__(self, brace: SkewBrace, gens: set[int]):
-        self.order = brace.order
-        self.mul = self
-        self._dot = brace.dot
-        self._gens = gens
-
-    def __getitem__(self, x: int) -> dict[int, int]:
-        return {h: self._dot(x, h) for h in self._gens}
-
-
-def dot_subgroup_closure(brace: SkewBrace, gens: Iterable[int]) -> ElementSet:
-    """Closure under the dot product, via the table when one is present."""
-    if isinstance(brace, TableBrace):
-        return subgroup_closure(brace.dot_group, gens)
-    gens = set(gens) | {0}
-    return subgroup_closure(_DotRows(brace, gens), gens)
+def _tables_only(brace: SkewBrace, what: str) -> None:
+    """The one refusal of a formula brace, before any work: the operations
+    that call it need Cayley tables."""
+    if not isinstance(brace, TableBrace):
+        raise errors.TooLarge(f"{what} needs a table brace")
 
 
 def _is_dot_subgroup(brace: SkewBrace, members: frozenset[int]) -> bool:
@@ -56,7 +34,7 @@ def _is_dot_subgroup(brace: SkewBrace, members: frozenset[int]) -> bool:
 def is_subbrace(brace: SkewBrace, s: ElementSet) -> bool:
     if isinstance(s, PairSpace):
         return formula.bc_is_subbrace(brace, s)
-    members = _as_members(s)
+    members = s.members
     if not _is_dot_subgroup(brace, members):
         return False
     return all(brace.circ(a, b) in members for a in members for b in members)
@@ -70,7 +48,7 @@ def is_left_ideal(brace: SkewBrace, s: ElementSet) -> bool:
     """
     if isinstance(s, PairSpace):
         return formula.bc_is_left_ideal(brace, s)
-    members = _as_members(s)
+    members = s.members
     if not _is_dot_subgroup(brace, members):
         return False
     return all(brace.lam(a, x) in members for a in brace.generators() for x in members)
@@ -82,7 +60,7 @@ def is_ideal(brace: SkewBrace, s: ElementSet) -> bool:
         return formula.bc_is_ideal(brace, s)
     if not is_left_ideal(brace, s):
         return False
-    members = _as_members(s)
+    members = s.members
     return all(
         brace.conj_dot(a, x) in members and brace.conj_circ(a, x) in members
         for a in brace.generators()
@@ -105,27 +83,21 @@ def coset_agreement(brace: SkewBrace, ideal: ElementSet, a: int) -> bool:
 def star_subgroup(brace: SkewBrace, x: ElementSet, y: ElementSet) -> ElementSet:
     """Subgroup of (A, .) generated by {a * b : a in X, b in Y}.
 
-    Cached per table brace on the two member sets, as the series and the
-    inclusion sweeps ask for the same pairs again.
+    Two `PairSpace`s take the formula path; plain element sets need a table
+    brace. Cached per table brace on the two member sets, as the series and
+    the inclusion sweeps ask for the same pairs again.
     """
     if isinstance(x, PairSpace) and isinstance(y, PairSpace):
         return brace.pair_to_set(formula.star_subgroup_pair(brace, x, y))
-    xm, ym = _as_members(x), _as_members(y)
+    xm, ym = x.members, y.members
     key = ("star", xm, ym)
-    cached = brace._cache.get(key)
-    if cached is not None:
-        return cached
-    groups.check_table_cap(len(xm) * len(ym), "the star subgroup sweep")
-    values = {brace.star(a, b) for a in xm for b in ym}
-    out = dot_subgroup_closure(brace, values)
-    if isinstance(brace, TableBrace):
-        brace._cache[key] = out
+    out = brace._cache.get(key)
+    if out is None:
+        _tables_only(brace, "star_subgroup of element sets")
+        groups.check_table_cap(len(xm) * len(ym), "the star subgroup sweep")
+        values = {brace.star(a, b) for a in xm for b in ym}
+        out = brace._cache[key] = subgroup_closure(brace.dot_group, values)
     return out
-
-
-def _tables_only(brace: SkewBrace) -> None:
-    if not isinstance(brace, TableBrace):
-        raise errors.TooLarge("ideal closure is only materialized for table braces")
 
 
 def ideal_closure(brace: SkewBrace, seed: Iterable[int] | ElementSet) -> ElementSet:
@@ -139,7 +111,7 @@ def ideal_closure(brace: SkewBrace, seed: Iterable[int] | ElementSet) -> Element
       under those maps, so an ideal by the argument of `is_ideal`; hence the
       least one.
     """
-    _tables_only(brace)
+    _tables_only(brace, "ideal_closure")
     images = brace._cache.get("ideal_images")
     if images is None:
         maps, gens = (brace.lam, brace.conj_dot, brace.conj_circ), brace.generators()
@@ -156,13 +128,14 @@ def huq_commutator(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet
     are ideals by construction call `_commutator`. The tests check that the
     presentation via [I,J], I*J, J*I and the swapped arguments agree.
     """
+    _tables_only(brace, "huq_commutator")
     if not is_ideal(brace, i) or not is_ideal(brace, j):
         raise errors.NotAnIdeal("commutator of non-ideals")
     return _commutator(brace, i, j)
 
 
 def _commutator(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet:
-    """[I, J]_A for ideals I and J, unchecked.
+    """[I, J]_A for ideals I and J of a table brace, unchecked.
 
     x and y run over generators of I and of J under both operations. The
     closure K is normal in both groups and a left ideal, so by
@@ -174,7 +147,6 @@ def _commutator(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet:
     Cached per brace on the ordered pair of members, so the swapped
     arguments are computed on their own (the tests compare the two).
     """
-    _tables_only(brace)
     key = ("commutator", i.members, j.members)
     cached = brace._cache.get(key)
     if cached is not None:
@@ -195,8 +167,7 @@ def quotient_brace(brace: SkewBrace, ideal: ElementSet) -> tuple[TableBrace, tup
     Only table braces are materialized; series that conceptually need
     quotients of formula braces use lifted predicates instead.
     """
-    if not isinstance(brace, TableBrace):
-        raise errors.QuotientTooLarge("quotients of formula braces are not materialized")
+    _tables_only(brace, "quotient_brace")
     if not is_ideal(brace, ideal):
         raise errors.NotAnIdeal("quotient by a non-ideal")
     # An ideal is normal in (A, .), so the cosets need no second check.

@@ -388,6 +388,21 @@ def test_element_level_checks_run_up_to_table_cap(tmp_path, capsys):
         assert "TABLE_CAP" in err and "Traceback" not in err
 
 
+def test_counterexample_validates_before_the_set_level_check(monkeypatch, capsys):
+    """--validate runs the element-level check first: F37's refused tables
+    exit 3 before `verify_counterexample_F` is called. When validation
+    passes, the report is the plain one with `validated` added."""
+    calls = []
+    verify = classify.verify_counterexample_F
+    monkeypatch.setattr(classify, "verify_counterexample_F", lambda p: calls.append(p) or verify(p))
+    assert main(["counterexample", "37", "--validate", "--samples", "10"]) == 3
+    assert calls == [] and "TABLE_CAP" in capsys.readouterr().err
+    _, plain = run_json(capsys, ["counterexample", "11", "--json"])
+    code, report = run_json(capsys, ["counterexample", "11", "--validate", "--samples", "10", "--json"])
+    assert code == 0 and calls == [11, 11]
+    assert report == {**plain, "validated": True}
+
+
 @pytest.mark.parametrize("p, code", [(4, 2), (6, 2), (10**14, 3), (10**14 + 31, 3)])
 def test_counterexample_p_is_bounded_before_primality(monkeypatch, tmp_path, capsys, p, code):
     """A huge p, prime or not, is refused at the power-row bound without a

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import skewbrace as sb
 from skewbrace import errors, formula, groups, series
 from skewbrace.formula import PairSpace, span_of_units
-from skewbrace.fp import Subspace, mat_identity, mat_vec, unit_vec
+from skewbrace.fp import Subspace, mat_identity, mat_vec, unit_vec, vec_add, vec_neg
 from tests.conftest import I2, UNI2, bc16, bc81, identity_report_one_at_a_time, injective_phi_spec
 
 SINGULAR = ((1, 1), (1, 1))
@@ -302,6 +302,19 @@ def test_f5_group_laws(f5):
         assert f5.dot(a, 0) == f5.dot(0, a) == f5.circ(a, 0) == f5.circ(0, a) == a
         assert f5.dot(a, f5.inv(a)) == 0 == f5.circ(a, f5.bar(a))
         assert f5.circ(a, f5.dot(b, c)) == f5.dot(f5.dot(f5.circ(a, b), f5.inv(a)), f5.circ(a, c))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_factor_tables_match_digit_tuples(p):
+    """A factor's negations and its block add table, built by index
+    arithmetic, equal the digit-tuple forms, odd d (short top block) included."""
+    for d in range(1, 6):
+        factor = formula._Component(p, d, None, 1)
+        negs = [formula._index(vec_neg(formula._digits(x, p, d), p), p) for x in range(p**d)]
+        assert factor.neg == negs, d
+        if d > 1:
+            block = [formula._digits(x, p, -(-d // 2)) for x in range(p ** -(-d // 2))]
+            assert factor.table == [[formula._index(vec_add(x, y, p), p) for y in block] for x in block], d
 
 
 def test_element_tables_are_lazy_and_capped(monkeypatch):
@@ -652,25 +665,35 @@ def test_pair_members_match_encoded_pairs(make):
     assert brace.full_pair().is_full and len(brace.full_pair().members) == brace.order
 
 
-@pytest.mark.parametrize("make", [bc16, bc81])
-def test_star_subgroup_without_pairs_matches_tables(make):
-    """Sets stripped of their PairSpace take the generic star path, whose dot
-    closure builds each visited row from `dot` instead of reading a table."""
-    brace = make()
-    table = sb.materialize_table_brace(brace)
-    terms = {
-        sb.groups.make_set(term.members, brace.order)
-        for fn in (sb.left_series, sb.right_series, sb.socle_series, sb.gamma_series)
-        for term in fn(brace).terms
-    }
-    assert len(terms) >= 3
-    grown = 0
-    for x in terms:
-        for y in terms:
-            fast = sb.star_subgroup(brace, x, y)
-            assert fast == sb.star_subgroup(table, x, y)
-            grown += len(fast) > 1
-    assert grown > 0
+TABLE_ONLY = {
+    "quotient_brace": lambda b, one, whole, plain: sb.quotient_brace(b, one),
+    "socle_quotient_tower": lambda b, one, whole, plain: sb.socle_quotient_tower(b),
+    "relative_gamma_series": lambda b, one, whole, plain: sb.relative_gamma_series(b, whole),
+    "gamma_prime_series": lambda b, one, whole, plain: sb.gamma_prime_series(b),
+    "ideal_closure": lambda b, one, whole, plain: sb.ideal_closure(b, {1}),
+    "huq_commutator": lambda b, one, whole, plain: sb.huq_commutator(b, whole, whole),
+    "fitting_ideal": lambda b, one, whole, plain: sb.fitting_ideal(b),
+    "star_subgroup": lambda b, one, whole, plain: sb.star_subgroup(b, *plain),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_ONLY)
+def test_table_only_operations_refuse_formula_braces_before_any_work(name):
+    """Each operation that needs Cayley tables refuses F13 (order 13^8) by
+    name before it allocates anything: no element table, no listing of a
+    term, no cache entry. star_subgroup takes the formula path only on two
+    PairSpaces; plain element sets of a formula brace are refused."""
+    brace = sb.make_counterexample_F(13)
+    one, whole = brace.pair_to_set(brace.trivial_pair()), brace.pair_to_set(brace.full_pair())
+    plain = sb.groups.make_set({0}, brace.order), sb.groups.make_set({0, 1}, brace.order)
+    cached = dict(brace._cache)
+    tracemalloc.start()
+    with pytest.raises(errors.TooLarge, match=f"^{name}.* needs a table brace$"):
+        TABLE_ONLY[name](brace, one, whole, plain)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 100_000
+    assert brace._elem is None and brace._cache == cached
 
 
 def _subspaces(p: int, dim: int) -> set[Subspace]:
@@ -684,7 +707,9 @@ def _subspaces(p: int, dim: int) -> set[Subspace]:
 
 @pytest.mark.parametrize("make", [bc16, bc81])
 def test_ideal_predicates_match_tables(make):
-    """Every U x V, series terms among them; most are not ideals."""
+    """Every U x V, series terms among them; most are not ideals. The
+    predicates need only dot and circ, so the plain element set of each term
+    gives the same answer on the formula brace."""
     brace = make()
     table = sb.materialize_table_brace(brace)
     outcomes = {pred: set() for pred in (sb.is_subbrace, sb.is_left_ideal, sb.is_ideal)}
@@ -694,7 +719,7 @@ def test_ideal_predicates_match_tables(make):
             plain = sb.groups.make_set(term.members, table.order)
             for pred, seen in outcomes.items():
                 fast = pred(brace, term)
-                assert fast == pred(table, plain), (pred.__name__, u.basis, v.basis)
+                assert fast == pred(table, plain) == pred(brace, plain), (pred.__name__, u.basis, v.basis)
                 seen.add(fast)
     assert all(seen == {False, True} for seen in outcomes.values())
 
@@ -1121,9 +1146,9 @@ def test_identity_psi_kills_second_star_component():
 
 
 def test_quotients_of_formula_braces_are_refused(f5):
-    with pytest.raises(errors.QuotientTooLarge):
+    with pytest.raises(errors.TooLarge, match="quotient_brace needs a table brace"):
         sb.quotient_brace(f5, sb.annihilator_series(f5).at(1))
-    with pytest.raises(errors.QuotientTooLarge):
+    with pytest.raises(errors.TooLarge, match="socle_quotient_tower needs a table brace"):
         sb.socle_quotient_tower(f5)
 
 
