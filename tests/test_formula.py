@@ -665,6 +665,31 @@ def test_pair_members_match_encoded_pairs(make):
     assert brace.full_pair().is_full and len(brace.full_pair().members) == brace.order
 
 
+@pytest.mark.parametrize("make", [bc16, bc81])
+def test_star_subgroup_without_pairs_matches_tables(make):
+    """Sets stripped of their PairSpace take the generic star path on the
+    materialized tables, and it agrees with the formula path on the pairs.
+    On the formula brace itself those plain sets are refused."""
+    brace = make()
+    table = sb.materialize_table_brace(brace)
+    terms = {
+        term
+        for fn in (sb.left_series, sb.right_series, sb.socle_series, sb.gamma_series)
+        for term in fn(brace).terms
+    }
+    assert len(terms) >= 3
+    grown = 0
+    for x in terms:
+        for y in terms:
+            fast = sb.star_subgroup(brace, x, y).members
+            plain = [sb.groups.make_set(t.members, brace.order) for t in (x, y)]
+            assert fast == sb.star_subgroup(table, *plain).members
+            grown += len(fast) > 1
+    assert grown > 0
+    with pytest.raises(errors.TooLarge, match="needs a table brace$"):
+        sb.star_subgroup(brace, *plain)
+
+
 TABLE_ONLY = {
     "quotient_brace": lambda b, one, whole, plain: sb.quotient_brace(b, one),
     "socle_quotient_tower": lambda b, one, whole, plain: sb.socle_quotient_tower(b),
