@@ -12,12 +12,12 @@ every enumerated brace of order <= 12.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import errors
 from .braces import TableBrace, validate_brace
-from .groups import GroupTable, greedy_generators, subgroup_closure, validate_group
+from .groups import GroupTable, check_table_cap, greedy_generators, subgroup_closure, validate_group
 
-AUT_MAX_ORDER = 64
 ENUMERATE_MAX_ORDER = 12
 ORACLE_MAX_ORDER = 6
 
@@ -30,14 +30,18 @@ def automorphism_group(g: GroupTable) -> list[tuple[int, ...]]:
     from 0 over right products by those generators: x.h -> phi(x).phi(h).
     A consistent closure is a homomorphism there, as every element is such
     a product, and an injective one on all of g is an automorphism.
+
+    An automorphism is fixed by its generator images, each among the
+    elements of the generator's order, so |g| times the product of the
+    candidate counts bounds the search's leaves and the listing; it is
+    checked against TABLE_CAP before the search.
     """
-    if g.order > AUT_MAX_ORDER:
-        raise errors.TooLarge(f"automorphism listing capped at order {AUT_MAX_ORDER}")
     gens = greedy_generators(g)
     orders = [len(subgroup_closure(g, (x,))) for x in g.elements()]
     candidates = [
         [y for y in g.elements() if orders[y] == orders[gen]] for gen in gens
     ]
+    check_table_cap(g.order * math.prod(map(len, candidates)), "the automorphism search")
     mul = g.mul
 
     def extend(images: tuple[int, ...]) -> dict[int, int] | None:

@@ -477,40 +477,39 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     return GroupTable(n * m, mul, inv)
 
 
+def _extension(base: GroupTable, r: int, tau: Sequence[int], w: int = 0) -> GroupTable:
+    """The group of words h g^a, h in `base` and 0 <= a < r, at index
+    h + |base| * a, where g h g^-1 = tau(h) and g^r = w.
+
+    (h g^a)(k g^b) = h tau^a(k) g^(a+b), times w with the exponent dropped
+    by r when a + b >= r. This is a group when tau is an automorphism of
+    `base`, tau(w) = w and tau^r is conjugation by w. Every finite solvable
+    group is an iterated extension of this kind with prime r.
+    """
+    m, mul = base.order, base.mul
+    twists = [tuple(range(m))]  # tau^a
+    for _ in range(1, r):
+        twists.append(tuple(tau[x] for x in twists[-1]))
+
+    def mul_fn(x: int, y: int) -> int:
+        (a, h), (b, k) = divmod(x, m), divmod(y, m)
+        z = mul[h][twists[a][k]]
+        return (z if a + b < r else mul[z][w]) + m * ((a + b) % r)
+
+    n = m * r
+    return GroupTable.from_trusted([[mul_fn(x, y) for y in range(n)] for x in range(n)])
+
+
 def dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n; index r^i s^e -> i + n * e."""
     if n < 1:
         raise errors.BadParameters("dihedral group needs n >= 1")
-
-    def mul_fn(x: int, y: int) -> int:
-        i, e = x % n, x // n
-        j, f = y % n, y // n
-        rot = (i + j) % n if e == 0 else (i - j) % n
-        return rot + n * (e ^ f)
-
-    size = 2 * n
-    mul = tuple(tuple(mul_fn(x, y) for y in range(size)) for x in range(size))
-    return GroupTable.from_trusted(mul)
+    return _extension(cyclic(n), 2, [-i % n for i in range(n)])
 
 
 def quaternion8() -> GroupTable:
-    """Quaternion group {±1, ±i, ±j, ±k}; index unit u with sign s -> u + 4s."""
-    # Product table on units 1, i, j, k: entry (value, sign).
-    unit_mul = {
-        (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
-        (1, 0): (1, 0), (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
-        (2, 0): (2, 0), (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
-        (3, 0): (3, 0), (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
-    }
-
-    def mul_fn(x: int, y: int) -> int:
-        u, s = x % 4, x // 4
-        v, t = y % 4, y // 4
-        w, extra = unit_mul[(u, v)]
-        return w + 4 * ((s + t + extra) % 2)
-
-    mul = tuple(tuple(mul_fn(x, y) for y in range(8)) for x in range(8))
-    return GroupTable.from_trusted(mul)
+    """Quaternion group, D4 with s^2 = r^2 = -1; index i^t j^e -> t + 4e."""
+    return _extension(cyclic(4), 2, (0, 3, 2, 1), 2)
 
 
 def symmetric(n: int) -> GroupTable:

@@ -143,22 +143,14 @@ def _commutator(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet:
     in (A, o), x * (y1 . y2) = (x * y1) . y1 (x * y2) y1^-1 and
     (x1 o x2) * y = lambda_x1(x2 * y) . (x1 * y), it contains every value on
     all of I x J.
-
-    Cached per brace on the ordered pair of members, so the swapped
-    arguments are computed on their own (the tests compare the two).
     """
-    key = ("commutator", i.members, j.members)
-    cached = brace._cache.get(key)
-    if cached is not None:
-        return cached
     gens, j_gens = set(), brace.generators_of(j.members)
     for x in brace.generators_of(i.members):
         for y in j_gens:
             gens.add(brace.comm_dot(x, y))
             gens.add(brace.comm_circ(x, y))
             gens.add(brace.star(x, y))
-    out = brace._cache[key] = ideal_closure(brace, gens)
-    return out
+    return ideal_closure(brace, gens)
 
 
 def quotient_brace(brace: SkewBrace, ideal: ElementSet) -> tuple[TableBrace, tuple[int, ...]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import pytest
@@ -92,9 +93,26 @@ def test_automorphism_counts_order12(name, count):
         )
 
 
-def test_automorphism_group_too_large():
-    with pytest.raises(errors.TooLarge):
-        automorphism_group(sb.cyclic(100))
+def test_automorphism_search_is_bounded_by_table_cap(monkeypatch):
+    """|g| times the product of the generators' candidate counts is checked
+    against TABLE_CAP before the search: C100 (100 * 40) lists its phi(100)
+    automorphisms, C2^5 (32 * 31^5) is refused, and C2^4 (16 * 15^4) runs at
+    exactly that cap and is refused one below it, with nothing listed."""
+    assert len(automorphism_group(sb.cyclic(100))) == 40
+    with pytest.raises(errors.TooLarge, match="TABLE_CAP"):
+        automorphism_group(sb.builtin_group("C2xC2xC2xC2xC2"))
+    c2_4 = sb.builtin_group("C2xC2xC2xC2")
+    monkeypatch.setattr(sb.groups, "TABLE_CAP", 16 * 15**4)
+    assert len(automorphism_group(c2_4)) == 20160  # |GL(4, 2)|
+    monkeypatch.setattr(sb.groups, "TABLE_CAP", 16 * 15**4 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.TooLarge, match="TABLE_CAP"):
+            automorphism_group(c2_4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the 20,160 listed tuples take ~3.7 MB
 
 
 def test_enumerate_c2_single_brace(groups):
@@ -210,7 +228,7 @@ def test_order_one_enumeration():
 
 def iso_class_count(g: sb.GroupTable) -> int:
     auts = automorphism_group(g)
-    tables = {b.circ_group.mul for b in enumerate_braces(g)}
+    tables = {b.circ_group.mul for b in enumerate_braces(g, max_order=g.order)}
     seen: set = set()
     classes = 0
     for t in sorted(tables):
@@ -234,6 +252,99 @@ def test_iso_class_counts_order8(groups):
     got = {name: iso_class_count(groups[name]) for name in ISO_CLASS_COUNTS_ORDER8}
     assert got == ISO_CLASS_COUNTS_ORDER8
     assert sum(got.values()) == 47
+
+
+def inversion(n: int) -> list[int]:
+    return [-x % n for x in range(n)]
+
+
+# The groups of order 12 and 16 that `builtin_group` does not name, as cyclic
+# extensions h g^a (g h g^-1 = tau(h), g^r = w), with their element counts
+# per order, center size, |Aut| and number of skew brace isomorphism classes.
+# x generates the base when it is cyclic.
+EXTENSION_GROUPS = {
+    # Dic3: the squares (x^h g)^2 = x^h x^-h g^2 = x^3, so all six x^h g have
+    # order 4; the center is {1, x^3}, the two h fixed by inversion. An
+    # automorphism sends x to x^+-1 (x, x^5 are the only elements of order 6)
+    # and g to any of the six x^h g: 12.
+    "Dic3": (
+        lambda: sb.groups._extension(sb.cyclic(6), 2, inversion(6), 3),
+        {1: 1, 2: 1, 3: 2, 4: 6, 6: 2}, 2, 12, 10,
+    ),
+    # Q16: (x^h g)^2 = x^4, so all eight x^h g have order 4; center {1, x^4}.
+    # x goes to any of the four elements of order 8, all in <x>, and g to any
+    # of the eight x^h g: 32.
+    "Q16": (
+        lambda: sb.groups._extension(sb.cyclic(8), 2, inversion(8), 4),
+        {1: 1, 2: 1, 4: 10, 8: 4}, 2, 32, 80,
+    ),
+    # SD16: (x^h g)^2 = x^(h + 3h) = x^4h, order 2 for even h and 4 for odd h;
+    # 3h = h (mod 8) only for h = 0, 4. x goes to any of the four elements of
+    # order 8, all in <x>, and g to any of the four involutions x^2k g: 16.
+    "SD16": (
+        lambda: sb.groups._extension(sb.cyclic(8), 2, [3 * x % 8 for x in range(8)]),
+        {1: 1, 2: 5, 4: 6, 8: 4}, 2, 16, 144,
+    ),
+    # M16: (x^h g)^2 = x^6h, so x^h g has order 2 for h = 0, 4, order 4 for
+    # h = 2, 6 and order 8 for odd h; 5h = h (mod 8) for every even h. x goes
+    # to any of the eight elements of order 8 and g to one of the two
+    # non-central involutions g, x^4 g: 16.
+    "M16": (
+        lambda: sb.groups._extension(sb.cyclic(8), 2, [5 * x % 8 for x in range(8)]),
+        {1: 1, 2: 3, 4: 4, 8: 8}, 4, 16, 66,
+    ),
+    # C4 x| C4: g^2 is central, (x^h g^2)^2 = x^2h and (x^h g^a)^2 = g^2 for
+    # odd a, so the involutions are x^2, g^2, x^2 g^2, which with 1 are the
+    # center. |Aut| = 32, the order of Aut(SmallGroup(16, 4)).
+    "C4:C4": (
+        lambda: sb.groups._extension(sb.cyclic(4), 4, inversion(4)),
+        {1: 1, 2: 3, 4: 12}, 4, 32, 190,
+    ),
+    # C2^2 x| C4, tau swapping the two factors of V4 (index a + 2b): g^2 is
+    # central and (v g^2)^2 = 1, so the eight v g^a with a even are 1 and the
+    # seven involutions, and the eight with a odd have order 4; the center is
+    # {0, 3} x {1, g^2}. |Aut| = 32, the order of Aut(SmallGroup(16, 3)).
+    "C2^2:C4": (
+        lambda: sb.groups._extension(sb.builtin_group("V4"), 4, (0, 2, 1, 3)),
+        {1: 1, 2: 7, 4: 8}, 4, 32, 191,
+    ),
+    # C4 o D4 on C4 x C2 (index a + 4b), tau (a, b) -> (a + 2b, b): the base
+    # has three involutions, and (h g)^2 = h tau(h) = (2a + 2b, 0) is 1 for the
+    # four h with a + b even; the center is the fixed C4. Aut(C4 o D4) is
+    # C2 x S4, of order 48.
+    "C4oD4": (
+        lambda: sb.groups._extension(
+            sb.direct_product(sb.cyclic(4), sb.cyclic(2)),
+            2,
+            [(a + 2 * b) % 4 + 4 * b for b in range(2) for a in range(4)],
+        ),
+        {1: 1, 2: 7, 4: 8}, 4, 48, 152,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_GROUPS))
+def test_extension_groups_have_their_invariants(name):
+    build, element_orders, center, aut_order, _ = EXTENSION_GROUPS[name]
+    g = build()
+    assert sb.validate_group([list(row) for row in g.mul]) == g
+    orders = [len(sb.subgroup_closure(g, (x,))) for x in g.elements()]
+    assert {k: orders.count(k) for k in sorted(set(orders))} == element_orders
+    assert len(sb.center(g)) == center
+    assert len(automorphism_group(g)) == aut_order
+
+
+def test_published_class_counts_of_orders_12_and_16():
+    """Guarnieri-Vendramin count 38 skew braces of order 12 and 1,605 of
+    order 16, up to isomorphism. Dic3 completes order 12 with the four
+    builtin groups; the six extension groups of order 16 give the 823 that
+    the eight builtin groups (782 classes) leave."""
+    got = {name: iso_class_count(entry[0]()) for name, entry in EXTENSION_GROUPS.items()}
+    assert got == {name: entry[4] for name, entry in EXTENSION_GROUPS.items()}
+    order12 = ["C12", "C2xC6", "A4", "D6"]
+    assert [iso_class_count(sb.builtin_group(name)) for name in order12] == [5, 5, 8, 10]
+    assert got["Dic3"] + 5 + 5 + 8 + 10 == 38
+    assert sum(got.values()) - got["Dic3"] == 823 == 1605 - 782
 
 
 def test_iso_class_counts_small(groups):

@@ -400,6 +400,48 @@ def test_builtin_group_names():
         sb.groups.builtin_order("C2xS6")
 
 
+def formula_dihedral(n: int) -> sb.GroupTable:
+    """D_n from r^i s^e (r^j s^f) = r^(i +- j) s^(e + f), index i + n * e."""
+
+    def mul(x: int, y: int) -> int:
+        (e, i), (f, j) = divmod(x, n), divmod(y, n)
+        return (i + j if e == 0 else i - j) % n + n * (e ^ f)
+
+    return sb.GroupTable.from_trusted([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)])
+
+
+def unit_table_quaternion8() -> sb.GroupTable:
+    """Q8 from the products of the units 1, i, j, k (value, sign), index
+    unit u with sign s -> u + 4s."""
+    unit_mul = {
+        (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
+        (1, 0): (1, 0), (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
+        (2, 0): (2, 0), (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
+        (3, 0): (3, 0), (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
+    }
+
+    def mul(x: int, y: int) -> int:
+        (s, u), (t, v) = divmod(x, 4), divmod(y, 4)
+        w, extra = unit_mul[(u, v)]
+        return w + 4 * ((s + t + extra) % 2)
+
+    return sb.GroupTable.from_trusted([[mul(x, y) for y in range(8)] for x in range(8)])
+
+
+def test_cyclic_extensions_rebuild_dihedral_and_quaternion_tables():
+    """`dihedral` keeps the r^i s^e table, inverse row included. `quaternion8`
+    labels i^t j^e as t + 4e, so the unit table's labels are sigma of it:
+    1, i, -1, -i, j, k, -j, -k sit at 0, 1, 4, 5, 2, 3, 6, 7 there."""
+    for n in range(1, 51):
+        assert sb.dihedral(n) == formula_dihedral(n), n
+    new, old = sb.quaternion8(), unit_table_quaternion8()
+    sigma = (0, 1, 4, 5, 2, 3, 6, 7)
+    for a in range(8):
+        assert old.inv[sigma[a]] == sigma[new.inv[a]]
+        for b in range(8):
+            assert old.mul[sigma[a]][sigma[b]] == sigma[new.mul[a][b]]
+
+
 @pytest.mark.parametrize("ascending", [False, True])
 def test_run_chain_raises_algebra_error_when_steps_alternate(ascending):
     a = sb.groups.make_set({0, 1}, 4)
