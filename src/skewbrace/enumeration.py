@@ -41,7 +41,7 @@ def automorphism_group(g: GroupTable) -> list[tuple[int, ...]]:
     candidates = [
         [y for y in g.elements() if orders[y] == orders[gen]] for gen in gens
     ]
-    check_table_cap(g.order * math.prod(map(len, candidates)), "the automorphism search")
+    check_table_cap(g.order * math.prod(map(len, candidates)), "the automorphism search", "search leaves")
     mul = g.mul
 
     def extend(images: tuple[int, ...]) -> dict[int, int] | None:

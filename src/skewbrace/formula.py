@@ -16,6 +16,10 @@ and generated subgroups are invariant-subspace closures of basis differences
 (`_closure`, `_diff_span`); the lifted step of the four ascending chains
 (`bc_lifted_step`) and the kernels of phi and psi are kernels of linear maps
 given by basis images (`_lift`, `_fixers`), so none sweeps a factor's vectors.
+Each `_fixers` and `_diff_span` solve is memoized in the brace's `_cache` on
+its side ("phi" or "psi") and the RREF bases of its subspaces: the result is
+a function of the brace's maps and those canonical bases, so `bc_brace`'s
+kernel check, the chains and the inclusion checks share one solve each.
 `series` runs the chain steps through `groups.run_chain` on `PairSpace` terms,
 the brace's element sets, listed only when read element by element. The
 tests check these paths against the table machinery and element sweeps.
@@ -280,10 +284,10 @@ class BCBrace(SkewBrace):
         return PairSpace(Subspace.zero(self.p, self.d_b), Subspace.zero(self.p, self.d_c))
 
     def ker_phi(self) -> Subspace:
-        return _fixers(self.dphi, Subspace.zero(self.p, self.d_b), _units(self.dphi, self.d_c))
+        return _fixers(self, "phi", Subspace.zero(self.p, self.d_b))
 
     def ker_psi(self) -> Subspace:
-        return _fixers(self.dpsi, Subspace.zero(self.p, self.d_c), _units(self.dpsi, self.d_b))
+        return _fixers(self, "psi", Subspace.zero(self.p, self.d_c))
 
     def pair_to_set(self, pair: PairSpace) -> PairSpace:
         """The first term equal to `pair`, so equal terms share one listing."""
@@ -552,10 +556,10 @@ def _lift(domain: Subspace, space: Subspace, units) -> Subspace:
     return domain.kernel([_mod(space, _images(units, [v], space.p)) for v in domain.basis])
 
 
-def _fixers(diff, space: Subspace, units: list[Mat]) -> Subspace:
+def _fixers(brace: BCBrace, side: str, space: Subspace) -> Subspace:
     """{g : Im diff(g) <= space}, g over the whole acting factor, for diff =
-    dphi or dpsi with `units` = `_units(diff, ...)` and `space` invariant
-    under the action (else AlgebraError).
+    dphi (`side` "phi") or dpsi ("psi") and `space` invariant under the
+    action (else AlgebraError).
 
     Not linear in g (J and J^-1, J a 3 x 3 Jordan block, acting on one factor
     show it), so solved level by level. If `space` is everything, so is the
@@ -563,13 +567,25 @@ def _fixers(diff, space: Subspace, units: list[Mat]) -> Subspace:
     p-group fixes a nonzero vector of V / space), each fixer of `space` fixes
     W+, and D = diff maps W+ into `space`. So on the fixers of W+, D_{g+h} =
     D_g D_h + D_g + D_h makes g -> D_g mod `space` additive: take its kernel.
+
+    Memoized per brace on (side, RREF basis of `space`): the answer is a
+    function of the brace's maps and the subspace, whose basis is canonical.
+    A refusal raises before anything is stored.
     """
-    if not _invariant(space, units):
-        raise errors.AlgebraError("internal: lifted part expected to be invariant")
-    if space.rank == space.dim:
-        return Subspace.full(space.p, len(units))
-    kept = _fixers(diff, _lift(Subspace.full(space.p, space.dim), space, units), units)
-    return kept.kernel([_mod(space, zip(*diff(g))) for g in kept.basis])
+    key = ("fixers", side, space.basis)
+    out = brace._cache.get(key)
+    if out is None:
+        diff, dim = (brace.dphi, brace.d_c) if side == "phi" else (brace.dpsi, brace.d_b)
+        units = _units(diff, dim)
+        if not _invariant(space, units):
+            raise errors.AlgebraError("internal: lifted part expected to be invariant")
+        if space.rank == space.dim:
+            out = Subspace.full(space.p, len(units))
+        else:
+            kept = _fixers(brace, side, _lift(Subspace.full(space.p, space.dim), space, units))
+            out = kept.kernel([_mod(space, zip(*diff(g))) for g in kept.basis])
+        brace._cache[key] = out
+    return out
 
 
 def _closure(start: Subspace, mats) -> Subspace:
@@ -581,16 +597,24 @@ def _closure(start: Subspace, mats) -> Subspace:
         start = grown
 
 
-def _diff_span(diff, acting: Subspace, moved: Subspace) -> Subspace:
-    """Span of diff(c) u over c in `acting` and u in `moved` (diff is dphi or
-    dpsi). With D_c = diff(c), phi_{c+c'} = phi_c phi_{c'} gives
-    D_{c+c'} = D_c D_{c'} + D_c + D_{c'} (psi likewise). So the span is
-    invariant under each D_g, and the closure of {D_g u} (g, u over bases)
-    under the D_g, invariant under every phi_c, holds D_{c+g} u once it holds
-    D_c u: the two agree."""
-    diffs = [diff(g) for g in acting.basis]
-    start = Subspace.from_vectors(moved.p, moved.dim, _images(diffs, moved.basis, moved.p))
-    return _closure(start, diffs)
+def _diff_span(brace: BCBrace, side: str, acting: Subspace, moved: Subspace) -> Subspace:
+    """Span of diff(c) u over c in `acting` and u in `moved`, for diff = dphi
+    (`side` "phi") or dpsi ("psi"). With D_c = diff(c), phi_{c+c'} = phi_c
+    phi_{c'} gives D_{c+c'} = D_c D_{c'} + D_c + D_{c'} (psi likewise). So the
+    span is invariant under each D_g, and the closure of {D_g u} (g, u over
+    bases) under the D_g, invariant under every phi_c, holds D_{c+g} u once
+    it holds D_c u: the two agree.
+
+    Memoized per brace on (side, RREF bases of `acting` and `moved`), sound
+    for the reason `_fixers` is."""
+    key = ("diff_span", side, acting.basis, moved.basis)
+    out = brace._cache.get(key)
+    if out is None:
+        diff = brace.dphi if side == "phi" else brace.dpsi
+        diffs = [diff(g) for g in acting.basis]
+        start = Subspace.from_vectors(moved.p, moved.dim, _images(diffs, moved.basis, moved.p))
+        out = brace._cache[key] = _closure(start, diffs)
+    return out
 
 
 def close_pair(brace: BCBrace, b_span: Subspace, c_span: Subspace) -> PairSpace:
@@ -603,19 +627,19 @@ def star_span(brace: BCBrace, x: PairSpace, y: PairSpace) -> tuple[Subspace, Sub
     """Componentwise span of {a * b : a in X, b in Y} (a product set), two
     closures of basis differences. The B part takes dphi(c) where the product
     has dphi(-c): -c runs over X.c exactly when c does."""
-    return _diff_span(brace.dphi, x.c, y.b), _diff_span(brace.dpsi, x.b, y.c)
+    return _diff_span(brace, "phi", x.c, y.b), _diff_span(brace, "psi", x.b, y.c)
 
 
 def comm_dot_span(brace: BCBrace, x: PairSpace, y: PairSpace) -> Subspace:
     """Span of the B components of [X, Y] in (A, .); the C components vanish.
     It is the union of two closures of basis differences (`_diff_span`)."""
-    return _diff_span(brace.dphi, y.c, x.b).union_span(_diff_span(brace.dphi, x.c, y.b))
+    return _diff_span(brace, "phi", y.c, x.b).union_span(_diff_span(brace, "phi", x.c, y.b))
 
 
 def comm_circ_span(brace: BCBrace, x: PairSpace, y: PairSpace) -> Subspace:
     """Span of the C components of the circ commutators [X, Y]_o, the union
     of two closures of basis differences (`_diff_span`)."""
-    return _diff_span(brace.dpsi, x.b, y.c).union_span(_diff_span(brace.dpsi, y.b, x.c))
+    return _diff_span(brace, "psi", x.b, y.c).union_span(_diff_span(brace, "psi", y.b, x.c))
 
 
 def star_subgroup_pair(brace: BCBrace, x: PairSpace, y: PairSpace) -> PairSpace:
@@ -663,21 +687,20 @@ def bc_lifted_step(brace: BCBrace, prev: PairSpace, maps) -> PairSpace:
     These need `prev.b` phi- and `prev.c` psi-invariant; the chain terms are
     normal in the group concerned, so a failure is internal.
     """
-    dphi_units, dpsi_units = _units(brace.dphi, brace.d_c), _units(brace.dpsi, brace.d_b)
     b_kept, c_kept = Subspace.full(brace.p, brace.d_b), Subspace.full(brace.p, brace.d_c)
     if "star" in maps or "comm_circ" in maps:
         # (b, 0) * (u, v) and [(b, 0), (u, v)]_o are (0, (psi_b - id) v).
-        b_kept = _fixers(brace.dpsi, prev.c, dpsi_units)
+        b_kept = _fixers(brace, "psi", prev.c)
     if "star" in maps or "comm_dot" in maps:
         # (0, c) * (u, v) = ((phi_{-c} - id) u, 0) and [(0, c), (u, v)] =
         # ((phi_c - id) u, 0); the fixers form a subgroup, closed under c -> -c.
-        c_kept = _fixers(brace.dphi, prev.b, dphi_units)
+        c_kept = _fixers(brace, "phi", prev.b)
     if "comm_dot" in maps:
         # [(b, 0), (u, e_j)] = ((id - phi_{e_j}) b, 0).
-        b_kept = _lift(b_kept, prev.b, dphi_units)
+        b_kept = _lift(b_kept, prev.b, _units(brace.dphi, brace.d_c))
     if "comm_circ" in maps:
         # [(0, c), (e_i, v)]_o = (0, -(psi_{e_i} - id) c).
-        c_kept = _lift(c_kept, prev.c, dpsi_units)
+        c_kept = _lift(c_kept, prev.c, _units(brace.dpsi, brace.d_b))
     return PairSpace(b_kept, c_kept)
 
 

@@ -29,10 +29,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def vec_add(u: Vec, v: Vec, p: int) -> Vec:
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
 def vec_neg(u: Vec, p: int) -> Vec:
     return tuple((-a) % p for a in u)
 

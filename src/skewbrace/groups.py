@@ -80,10 +80,10 @@ def as_int(x) -> int:
     return x
 
 
-def check_table_cap(size: int, what: str) -> None:
-    """Refuse a table or sweep of `size` cells or pairs above TABLE_CAP, read per call."""
+def check_table_cap(size: int, what: str, unit: str = "cells or pairs") -> None:
+    """Refuse a table or sweep of `size` units above TABLE_CAP, read per call."""
     if size > TABLE_CAP:
-        raise errors.TooLarge(f"{what} would take {size} cells or pairs, above TABLE_CAP = {TABLE_CAP}")
+        raise errors.TooLarge(f"{what} would take {size} {unit}, above TABLE_CAP = {TABLE_CAP}")
 
 
 def validate_group(mul: Sequence[Sequence[int]]) -> GroupTable:

@@ -232,6 +232,15 @@ def test_enumerate_too_large_exits_3(capsys):
     assert out == [sb.spec_of_tables(b) for b in sb.enumerate_braces(sb.cyclic(6))]
 
 
+def test_enumerate_automorphism_search_above_table_cap_names_search_leaves(capsys):
+    """C2^5 has 32 * 31^5 automorphism search leaves; the refusal counts them
+    as leaves, not as table cells."""
+    assert main(["enumerate", "--builtin", "C2xC2xC2xC2xC2", "--max-order", "32"]) == 3
+    err = capsys.readouterr().err
+    assert f"the automorphism search would take {32 * 31**5} search leaves" in err
+    assert "TABLE_CAP" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["C100000000", "D50000000", "C10000xC10000"])
 def test_enumerate_huge_builtin_is_refused_before_building(capsys, name):
     """The order a name denotes is read off the name and checked against

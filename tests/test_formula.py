@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import skewbrace as sb
 from skewbrace import errors, formula, groups, series
 from skewbrace.formula import PairSpace, span_of_units
-from skewbrace.fp import Subspace, mat_identity, mat_vec, unit_vec, vec_add, vec_neg
+from skewbrace.fp import Subspace, mat_identity, mat_vec, unit_vec, vec_neg
 from tests.conftest import I2, UNI2, bc16, bc81, identity_report_one_at_a_time, injective_phi_spec
 
 SINGULAR = ((1, 1), (1, 1))
@@ -302,6 +303,10 @@ def test_f5_group_laws(f5):
         assert f5.dot(a, 0) == f5.dot(0, a) == f5.circ(a, 0) == f5.circ(0, a) == a
         assert f5.dot(a, f5.inv(a)) == 0 == f5.circ(a, f5.bar(a))
         assert f5.circ(a, f5.dot(b, c)) == f5.dot(f5.dot(f5.circ(a, b), f5.inv(a)), f5.circ(a, c))
+
+
+def vec_add(u, v, p: int):
+    return tuple((a + b) % p for a, b in zip(u, v))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -1015,6 +1020,91 @@ def test_lifted_steps_and_kernels_match_sweeps(f5):
         assert count * len(MAP_SETS) > refused
     assert psi_jordan_pair().ker_psi() == Subspace.from_vectors(3, 2, [(1, 1)])
     assert phi_jordan_pair().ker_phi() == Subspace.from_vectors(3, 2, [(1, 1)])
+
+
+def _rebuilt(seed, shape):
+    """A maker that builds the same seeded random brace on every call."""
+    return lambda: random_bc(random.Random(seed), *shape)
+
+
+MEMO_BRACES = {
+    "bc16": bc16,
+    "bc81": bc81,
+    "F5": lambda: sb.make_counterexample_F(5),
+    "F7": lambda: sb.make_counterexample_F(7),
+    **{f"random{shape}": _rebuilt(sb.DEFAULT_SEED + i, shape) for i, shape in enumerate(LIFT_SHAPES)},
+}
+
+
+@pytest.mark.parametrize("name", MEMO_BRACES)
+def test_memoized_solves_do_not_depend_on_chain_order(name):
+    """The fixer and difference-span solves are memoized per brace, so a chain
+    may read solves another chain stored. All ten chains, computed in list
+    order on one brace and in reverse order on another, equal each chain
+    computed on a fresh brace; bc16 and bc81 also equal the table chains."""
+    make = MEMO_BRACES[name]
+    fresh = {fn: fn(make()) for fn in ALL_CHAINS}
+    table = sb.materialize_table_brace(make()) if name in ("bc16", "bc81") else None
+    for order in (ALL_CHAINS, ALL_CHAINS[::-1]):
+        brace = make()
+        for fn in order:
+            chain = fn(brace)
+            assert chain == fresh[fn], fn.__name__
+            if table is not None:
+                slow = fn(table)
+                assert [t.sorted() for t in chain.terms] == [t.sorted() for t in slow.terms], fn.__name__
+                assert chain.reaches_terminal == slow.reaches_terminal
+                assert chain.stabilized_at == slow.stabilized_at
+
+
+def test_jordan_pair_memos_never_answer_for_each_other():
+    """The two Jordan-pair braces mirror each other: ker(phi) is all of C on
+    one and span((1, 1)) on the other, ker(psi) the reverse, and both are
+    solved from the zero subspace, whose basis is empty on either side of
+    either brace. Interleaved, each brace keeps its own kernels and the chains
+    of its own tables, so a memo keyed without the side, or shared between
+    braces, would show. A refused solve stores nothing and is refused again."""
+    line = Subspace.from_vectors(3, 2, [(1, 1)])
+    braces = [psi_jordan_pair(), phi_jordan_pair()]
+    kernels = [(Subspace.full(3, 3), line), (line, Subspace.full(3, 3))]
+    tables = [sb.materialize_table_brace(make()) for make in (psi_jordan_pair, phi_jordan_pair)]
+    for i in (0, 1, 1, 0):
+        assert (braces[i].ker_phi(), braces[i].ker_psi()) == kernels[i]
+    for fn in ALL_CHAINS:
+        for brace, table in zip(braces, tables):
+            fast, slow = fn(brace), fn(table)
+            assert [t.sorted() for t in fast.terms] == [t.sorted() for t in slow.terms], fn.__name__
+    # J e_3 = e_2 + e_3, so span(e_3) is not phi-invariant on phi_jordan_pair.
+    brace = braces[1]
+    cached = dict(brace._cache)
+    for _ in range(2):
+        with pytest.raises(errors.AlgebraError):
+            formula._fixers(brace, "phi", span_of_units(3, 3, [3]))
+    assert brace._cache == cached
+
+
+def test_each_fixer_solve_runs_once_per_brace(monkeypatch):
+    """Building F7 solves ker(phi) level by level, and its socle series asks
+    for it again with the other fixer sets; every (side, space) is solved
+    once. A solve below the full space lifts `space` once, so `_lift` calls
+    made by `_fixers` count solves."""
+    solves = []
+    lift = formula._lift
+
+    def counted(domain, space, units):
+        if sys._getframe(1).f_code.co_name == "_fixers":
+            solves.append((units, space.basis))
+        return lift(domain, space, units)
+
+    monkeypatch.setattr(formula, "_lift", counted)
+    brace = sb.make_counterexample_F(7)
+    built = len(solves)
+    sb.socle_series(brace)
+    sides = {"phi": formula._units(brace.dphi, brace.d_c), "psi": formula._units(brace.dpsi, brace.d_b)}
+    assert sides["phi"] != sides["psi"]
+    keys = [(next(s for s, u in sides.items() if u == units), basis) for units, basis in solves]
+    assert len(keys) == len(set(keys)) > built, keys
+    assert ("phi", ()) in keys[:built]
 
 
 def test_star_closed_form_matches_generic_definition(f5):
