@@ -5,21 +5,17 @@ one carrier, either table-backed or formula-backed on a product of
 prime-field vector spaces. On top of that: every classical series (left,
 right, mixed-index, socle, annihilator, lower central), ideal machinery with
 the commutator of ideals, nilpotency classification with the comparison
-theorems as executable checks, exhaustive enumeration with an independent
-oracle, and a CLI.
+theorems as executable checks, exhaustive enumeration, and a CLI.
 """
 
 from .braces import (
     DEFAULT_SEED,
     SkewBrace,
     TableBrace,
-    bar,
     build_almost_trivial,
     build_from_radical_ring,
     build_trivial,
     check_identities,
-    lambda_of,
-    star,
     validate_brace,
 )
 from .catalog import (
@@ -42,7 +38,7 @@ from .classify import (
     nilpotency_profile,
     verify_counterexample_F,
 )
-from .enumeration import automorphism_group, brute_force_oracle, enumerate_braces
+from .enumeration import automorphism_group, enumerate_braces
 from .formula import BCBrace, materialize_table_brace, validate_formula_brace
 from .groups import (
     ElementSet,

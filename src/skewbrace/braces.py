@@ -76,23 +76,6 @@ class SkewBrace:
     def conj_circ(self, g: int, x: int) -> int:
         return self.circ(self.circ(g, x), self.bar(g))
 
-    def lambda_perm(self, a: int) -> tuple[int, ...]:
-        """lambda_a as a permutation of the carrier."""
-        return tuple(self.lam(a, b) for b in self.elements())
-
-
-def lambda_of(brace: SkewBrace, a: int) -> tuple[int, ...]:
-    """The automorphism lambda_a of (A, .) as a permutation tuple."""
-    return brace.lambda_perm(a)
-
-
-def star(brace: SkewBrace, a: int, b: int) -> int:
-    return brace.star(a, b)
-
-
-def bar(brace: SkewBrace, a: int) -> int:
-    return brace.bar(a)
-
 
 class TableBrace(SkewBrace):
     """A brace backed by two Cayley tables on the same carrier."""
@@ -126,9 +109,6 @@ class TableBrace(SkewBrace):
 
     def star(self, a: int, b: int) -> int:
         return (self._star_table or self._tabulate()[1])[a][b]
-
-    def lambda_perm(self, a: int) -> tuple[int, ...]:
-        return (self._lam_table or self._tabulate()[0])[a]
 
     def _tabulate(self) -> tuple[Table, Table]:
         """The lambda and star tables, built on the first lam or star call."""

@@ -2,24 +2,20 @@
 
 `enumerate_braces` backtracks over assignments of the lambda map with the
 homomorphism constraint propagated eagerly, and builds each brace from the
-lambda map it reaches; `brute_force_oracle` instead enumerates every group
-table sharing the identity and filters by the brace relation. The two must
-agree on every group small enough for the oracle, which is the acceptance
-gate for the enumerator; the tests also run the full `validate_brace` on
-every enumerated brace of order <= 12.
+lambda map it reaches. The tests hold its oracles: the unpruned search, a
+brute-force filter of every group table sharing the identity (orders <= 6),
+and the full `validate_brace` on every enumerated brace of order <= 12.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from . import errors
-from .braces import TableBrace, validate_brace
-from .groups import GroupTable, check_table_cap, greedy_generators, subgroup_closure, validate_group
+from .braces import TableBrace
+from .groups import GroupTable, check_table_cap, greedy_generators, subgroup_closure
 
 ENUMERATE_MAX_ORDER = 12
-ORACLE_MAX_ORDER = 6
 
 
 def automorphism_group(g: GroupTable) -> list[tuple[int, ...]]:
@@ -206,112 +202,4 @@ def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> lis
         for lam in maps
     ]
     braces.sort(key=lambda b: b.circ_group.mul)
-    return braces
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle.
-
-
-def _all_group_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every group table on 0..n-1 with identity 0, by cell backtracking
-    with Latin and incremental associativity pruning."""
-    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
-    table = [[-1] * n for _ in range(n)]
-    for x in range(n):
-        table[0][x] = x
-        table[x][0] = x
-    # Row x already holds x (column 0); column b already holds b (row 0).
-    row_used = [{x} for x in range(n)]
-    col_used = [{b} for b in range(n)]
-    results: list[tuple[tuple[int, ...], ...]] = []
-
-    def assoc_ok(a: int, b: int) -> bool:
-        t = table
-        for c in range(n):
-            ab = t[a][b]
-            bc = t[b][c]
-            if bc >= 0 and t[a][bc] >= 0 and t[ab][c] >= 0 and t[ab][c] != t[a][bc]:
-                return False
-            xa = t[c][a]
-            if xa >= 0 and t[xa][b] >= 0 and t[c][ab] >= 0 and t[xa][b] != t[c][ab]:
-                return False
-        return True
-
-    def fill(i: int) -> None:
-        if i == len(cells):
-            results.append(tuple(tuple(row) for row in table))
-            return
-        a, b = cells[i]
-        for v in range(n):
-            if v in row_used[a] or v in col_used[b]:
-                continue
-            table[a][b] = v
-            row_used[a].add(v)
-            col_used[b].add(v)
-            if assoc_ok(a, b):
-                fill(i + 1)
-            table[a][b] = -1
-            row_used[a].remove(v)
-            col_used[b].remove(v)
-
-    fill(0)
-    checked = []
-    for t in results:
-        if _fully_associative(t, n):
-            checked.append(t)
-    return checked
-
-
-def _fully_associative(t: tuple[tuple[int, ...], ...], n: int) -> bool:
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            for c in range(n):
-                if t[ab][c] != t[a][t[b][c]]:
-                    return False
-    return True
-
-
-def brute_force_oracle(g: GroupTable) -> list[TableBrace]:
-    """Filter every identity-sharing group table by the brace relation.
-
-    Also closes the table list under relabelings fixing 0 as a completeness
-    self-check before filtering.
-    """
-    n = g.order
-    if n > ORACLE_MAX_ORDER:
-        raise errors.TooLarge(f"oracle capped at order {ORACLE_MAX_ORDER}")
-    tables = set(_all_group_tables(n))
-    for t in list(tables):
-        for perm_rest in itertools.permutations(range(1, n)):
-            sigma = (0,) + perm_rest
-            inv = [0] * n
-            for i, s in enumerate(sigma):
-                inv[s] = i
-            relabeled = tuple(
-                tuple(inv[t[sigma[a]][sigma[b]]] for b in range(n)) for a in range(n)
-            )
-            if relabeled not in tables:
-                raise AssertionError("oracle table set is not relabel-closed")
-
-    mul = g.mul
-    dinv = g.inv
-    braces = []
-    for t in sorted(tables):
-        ok = True
-        for a in range(n):
-            ia = dinv[a]
-            for b in range(n):
-                ab = t[a][b]
-                for c in range(n):
-                    if t[a][mul[b][c]] != mul[mul[ab][ia]][t[a][c]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            braces.append(validate_brace(g, validate_group(t)))
     return braces

@@ -13,9 +13,9 @@ import pytest
 
 import skewbrace as sb
 from skewbrace import series
-from skewbrace.enumeration import brute_force_oracle, enumerate_braces
+from skewbrace.enumeration import enumerate_braces
 from skewbrace.formula import PairSpace, span_of_units
-from tests.test_enumeration import ORACLE_COUNTS
+from tests.test_enumeration import ORACLE_COUNTS, brute_force_oracle
 
 C3 = [0, 1, 2]
 ALL6 = list(range(6))

@@ -11,7 +11,7 @@ import pytest
 
 import skewbrace as sb
 from skewbrace import errors
-from skewbrace.enumeration import automorphism_group, brute_force_oracle, enumerate_braces
+from skewbrace.enumeration import automorphism_group, enumerate_braces
 from skewbrace.groups import GroupTable
 
 # Labeled brace counts per additive table, frozen from the oracle runs.
@@ -398,6 +398,101 @@ def unpruned_enumeration(g: sb.GroupTable) -> list[sb.TableBrace]:
                 stack.append(trial)
     braces.sort(key=lambda b: b.circ_group.mul)
     return braces
+
+
+ORACLE_MAX_ORDER = 6
+
+
+def _all_group_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every group table on 0..n-1 with identity 0, by cell backtracking
+    with Latin and incremental associativity pruning."""
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+    table = [[-1] * n for _ in range(n)]
+    for x in range(n):
+        table[0][x] = x
+        table[x][0] = x
+    # Row x already holds x (column 0); column b already holds b (row 0).
+    row_used = [{x} for x in range(n)]
+    col_used = [{b} for b in range(n)]
+    results: list[tuple[tuple[int, ...], ...]] = []
+
+    def assoc_ok(a: int, b: int) -> bool:
+        t = table
+        for c in range(n):
+            ab = t[a][b]
+            bc = t[b][c]
+            if bc >= 0 and t[a][bc] >= 0 and t[ab][c] >= 0 and t[ab][c] != t[a][bc]:
+                return False
+            xa = t[c][a]
+            if xa >= 0 and t[xa][b] >= 0 and t[c][ab] >= 0 and t[xa][b] != t[c][ab]:
+                return False
+        return True
+
+    def fill(i: int) -> None:
+        if i == len(cells):
+            results.append(tuple(tuple(row) for row in table))
+            return
+        a, b = cells[i]
+        for v in range(n):
+            if v in row_used[a] or v in col_used[b]:
+                continue
+            table[a][b] = v
+            row_used[a].add(v)
+            col_used[b].add(v)
+            if assoc_ok(a, b):
+                fill(i + 1)
+            table[a][b] = -1
+            row_used[a].remove(v)
+            col_used[b].remove(v)
+
+    fill(0)
+    return [t for t in results if _fully_associative(t, n)]
+
+
+def _fully_associative(t: tuple[tuple[int, ...], ...], n: int) -> bool:
+    for a in range(n):
+        for b in range(n):
+            ab = t[a][b]
+            for c in range(n):
+                if t[ab][c] != t[a][t[b][c]]:
+                    return False
+    return True
+
+
+def brute_force_oracle(g: GroupTable) -> list[sb.TableBrace]:
+    """Independent oracle for `enumerate_braces`: filter every
+    identity-sharing group table by the brace relation.
+
+    Also closes the table list under relabelings fixing 0 as a completeness
+    self-check before filtering.
+    """
+    n = g.order
+    if n > ORACLE_MAX_ORDER:
+        raise errors.TooLarge(f"oracle capped at order {ORACLE_MAX_ORDER}")
+    tables = set(_all_group_tables(n))
+    for t in list(tables):
+        for perm_rest in itertools.permutations(range(1, n)):
+            sigma = (0,) + perm_rest
+            inv = [0] * n
+            for i, s in enumerate(sigma):
+                inv[s] = i
+            relabeled = tuple(
+                tuple(inv[t[sigma[a]][sigma[b]]] for b in range(n)) for a in range(n)
+            )
+            if relabeled not in tables:
+                raise AssertionError("oracle table set is not relabel-closed")
+
+    mul, dinv, carrier = g.mul, g.inv, range(n)
+    return [
+        sb.validate_brace(g, sb.validate_group(t))
+        for t in sorted(tables)
+        if all(
+            t[a][mul[b][c]] == mul[mul[t[a][b]][dinv[a]]][t[a][c]]
+            for a in carrier
+            for b in carrier
+            for c in carrier
+        )
+    ]
 
 
 @pytest.mark.parametrize("name", PRUNING_GROUPS + ["C16", "C2xC8", "D8"])

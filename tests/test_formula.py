@@ -18,11 +18,21 @@ from hypothesis import strategies as st
 import skewbrace as sb
 from skewbrace import errors, formula, groups, series
 from skewbrace.formula import PairSpace, span_of_units
-from skewbrace.fp import Subspace, mat_identity, mat_vec, unit_vec, vec_neg
+from skewbrace.fp import Subspace, mat_identity, mat_mul, mat_vec, unit_vec, vec_neg
 from tests.conftest import I2, UNI2, bc16, bc81, identity_report_one_at_a_time, injective_phi_spec
 
 SINGULAR = ((1, 1), (1, 1))
 LOWER = ((1, 0), (1, 1))
+
+
+def ker_phi(brace):
+    """ker(phi) <= C, the fixer solve of the zero subspace of B."""
+    return formula._fixers(brace, "phi", Subspace.zero(brace.p, brace.d_b))
+
+
+def ker_psi(brace):
+    """ker(psi) <= B, the fixer solve of the zero subspace of C."""
+    return formula._fixers(brace, "psi", Subspace.zero(brace.p, brace.d_c))
 
 
 def test_construction_rejects_composite_p():
@@ -46,6 +56,55 @@ def test_construction_rejects_condition_violation():
     psi = (I2, UNI2)
     with pytest.raises(errors.ConditionViolated):
         sb.make_bc_brace(2, 2, 2, phi, psi)
+
+
+def unipotent_family(rng, p, dim, count):
+    """`count` commuting dim x dim matrices: all the identity, or each
+    id + s N + t N^2 for one random strictly upper-triangular N, with N
+    redrawn until every member has order dividing p."""
+    ident = mat_identity(dim)
+    if rng.random() < 0.25:
+        return (ident,) * count
+    while True:
+        big_n = [[rng.randrange(p) if j > i else 0 for j in range(dim)] for i in range(dim)]
+        n_sq = mat_mul(big_n, big_n, p)
+        family = []
+        for _ in range(count):
+            s, t = rng.randrange(p), rng.randrange(p)
+            family.append(tuple(
+                tuple((ident[i][j] + s * big_n[i][j] + t * n_sq[i][j]) % p for j in range(dim))
+                for i in range(dim)
+            ))
+        if all(mat_mul(formula._power_row(m, p)[-1], m, p) == ident for m in family):
+            return tuple(family)
+
+
+def test_condition_column_check_matches_kernel_solve():
+    """`bc_brace` tests Im(psi_{e_i} - id) <= ker(phi) by phi(col) = id on
+    each column. On 2,000 seeded specs (p in {2, 3, 5}, d_b, d_c <= 3)
+    built without that check, ker(phi) is solved by `_fixers`: `bc_brace`
+    accepts exactly the specs whose every column of each psi_{e_i} - id lies
+    in it, and refuses the rest at the first basis index with a column
+    outside; 243 are refused, at indices 0, 1 and 2."""
+    rng = random.Random(sb.DEFAULT_SEED + 27)
+    refused = []  # the first escaping basis index of each refused spec
+    for _ in range(2000):
+        p, d_b, d_c = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(1, 3)
+        phi, psi = unipotent_family(rng, p, d_b, d_c), unipotent_family(rng, p, d_c, d_b)
+        unchecked = formula.BCBrace(p, *([formula._power_row(m, p) for m in fam] for fam in (phi, psi)))
+        kernel = ker_phi(unchecked)
+        escapes = [
+            i for i in range(d_b)
+            if not all(kernel.contains(col) for col in zip(*unchecked.dpsi(unit_vec(d_b, i))))
+        ]
+        if escapes:
+            refused.append(escapes[0])
+            with pytest.raises(errors.ConditionViolated) as info:
+                formula.bc_brace(p, phi, psi)
+            assert info.value.basis_index == escapes[0], (p, phi, psi)
+        else:
+            assert formula.bc_brace(p, phi, psi).order == unchecked.order
+    assert len(refused) >= 100 and set(refused) == {0, 1, 2}, refused
 
 
 def test_wrong_matrix_counts():
@@ -147,8 +206,8 @@ def test_counterexample_rejects_small_or_composite_p():
 
 def test_counterexample_kernels():
     brace = sb.make_counterexample_F(5)
-    assert brace.ker_phi() == span_of_units(5, 4, (1, 2, 3))
-    assert brace.ker_psi() == span_of_units(5, 4, (1, 2, 4))
+    assert ker_phi(brace) == span_of_units(5, 4, (1, 2, 3))
+    assert ker_psi(brace) == span_of_units(5, 4, (1, 2, 4))
 
 
 @pytest.mark.parametrize("make", [bc16, bc81])
@@ -987,8 +1046,8 @@ def check_lifted_steps_and_kernels(brace):
     the action a map set reads must be refused instead."""
     p = brace.p
     ident_b, ident_c = mat_identity(brace.d_b), mat_identity(brace.d_c)
-    assert brace.ker_phi() == _kept(p, brace.d_c, [lambda c: brace.phi(c) == ident_b])
-    assert brace.ker_psi() == _kept(p, brace.d_b, [lambda b: brace.psi(b) == ident_c])
+    assert ker_phi(brace) == _kept(p, brace.d_c, [lambda c: brace.phi(c) == ident_b])
+    assert ker_psi(brace) == _kept(p, brace.d_b, [lambda b: brace.psi(b) == ident_c])
     terms = {t.pair for fn in ALL_CHAINS for t in fn(brace).terms}
     refused = 0
     for prev in terms:
@@ -1018,8 +1077,8 @@ def test_lifted_steps_and_kernels_match_sweeps(f5):
     for brace in braces:
         count, refused = check_lifted_steps_and_kernels(brace)
         assert count * len(MAP_SETS) > refused
-    assert psi_jordan_pair().ker_psi() == Subspace.from_vectors(3, 2, [(1, 1)])
-    assert phi_jordan_pair().ker_phi() == Subspace.from_vectors(3, 2, [(1, 1)])
+    assert ker_psi(psi_jordan_pair()) == Subspace.from_vectors(3, 2, [(1, 1)])
+    assert ker_phi(phi_jordan_pair()) == Subspace.from_vectors(3, 2, [(1, 1)])
 
 
 def _rebuilt(seed, shape):
@@ -1069,7 +1128,7 @@ def test_jordan_pair_memos_never_answer_for_each_other():
     kernels = [(Subspace.full(3, 3), line), (line, Subspace.full(3, 3))]
     tables = [sb.materialize_table_brace(make()) for make in (psi_jordan_pair, phi_jordan_pair)]
     for i in (0, 1, 1, 0):
-        assert (braces[i].ker_phi(), braces[i].ker_psi()) == kernels[i]
+        assert (ker_phi(braces[i]), ker_psi(braces[i])) == kernels[i]
     for fn in ALL_CHAINS:
         for brace, table in zip(braces, tables):
             fast, slow = fn(brace), fn(table)
@@ -1084,10 +1143,11 @@ def test_jordan_pair_memos_never_answer_for_each_other():
 
 
 def test_each_fixer_solve_runs_once_per_brace(monkeypatch):
-    """Building F7 solves ker(phi) level by level, and its socle series asks
-    for it again with the other fixer sets; every (side, space) is solved
-    once. A solve below the full space lifts `space` once, so `_lift` calls
-    made by `_fixers` count solves."""
+    """Building F7 solves no fixer set, as `bc_brace` tests its condition
+    column by column; its socle series solves ker(phi) level by level with
+    the other fixer sets, and every (side, space) is solved once. A solve
+    below the full space lifts `space` once, so `_lift` calls made by
+    `_fixers` count solves."""
     solves = []
     lift = formula._lift
 
@@ -1104,7 +1164,7 @@ def test_each_fixer_solve_runs_once_per_brace(monkeypatch):
     assert sides["phi"] != sides["psi"]
     keys = [(next(s for s, u in sides.items() if u == units), basis) for units, basis in solves]
     assert len(keys) == len(set(keys)) > built, keys
-    assert ("phi", ()) in keys[:built]
+    assert built == 0
 
 
 def test_star_closed_form_matches_generic_definition(f5):

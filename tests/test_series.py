@@ -91,8 +91,7 @@ def test_socle_matches_kernel_center_characterization(catalog):
     for name, brace in catalog:
         if brace.order > 64:
             continue
-        identity_perm = tuple(range(brace.order))
-        kernel = {x for x in brace.elements() if sb.lambda_of(brace, x) == identity_perm}
+        kernel = {x for x in brace.elements() if all(brace.lam(x, a) == a for a in brace.elements())}
         z_dot = {
             x
             for x in brace.elements()
