@@ -25,15 +25,20 @@ condition on the columns of the basis differences.
 the brace's element sets, listed only when read element by element. The
 tests check these paths against the table machinery and element sweeps.
 
-Element operations work on indices b + p^d_b * c, split by one divmod. Each
-factor (`_Component`) adds on two digit blocks through one table (mod p for
-one digit, which every action fixes) and applies phi_c or psi_b through index
-maps built once per distinct matrix. lambda is a homomorphism, so phi_c
-depends only on c modulo ker phi (psi_b on b modulo ker psi): F5's 625
-acting indices of a factor share 5 maps. `BCBrace._factors` builds both on
-the first element operation once each table passes groups.TABLE_CAP; set-level
-paths build none. The tuple forms of the products live only in the tests;
-`vstar` stays.
+Element operations work on indices b + p^d_b * c, split by quotient and
+remainder. Each factor (`_Component`) adds on two digit blocks through one
+table (mod p for one digit, which every action fixes) and applies phi_c or
+psi_b through index maps built once per distinct matrix. lambda is a
+homomorphism, so phi_c depends only on c modulo ker phi (psi_b on b modulo
+ker psi): F5's 625 acting indices of a factor share 5 maps.
+`BCBrace._factors` builds both on the first element operation once each table
+passes groups.TABLE_CAP; set-level paths build none. When both factors have
+dimension >= 2 it also puts six kernels (`_kernels`: dot, circ, inv, bar,
+lam, star) in the brace's instance dict, each one body over both factors'
+tables with no further call once the maps it reads are built; with a
+one-digit factor the methods stay, as that factor adds mod p with no table,
+so it needs none at any p. The tuple forms of the products live only in the
+tests; `vstar` stays.
 """
 
 from __future__ import annotations
@@ -215,7 +220,13 @@ class BCBrace(SkewBrace):
         else, H = p^ceil(d/2), the H x H add table (above the p^d negations)
         and 2H image-map entries per action matrix, at most p^m of them for m
         non-identity acting basis matrices of order dividing p. A `maps` list
-        is no longer than the other factor's negations."""
+        is no longer than the other factor's negations.
+
+        With both factors of dimension >= 2 it then sets `_kernels` as the
+        instance's dot, circ, inv, bar, lam and star, so later calls skip the
+        methods below; they hold the factors, not the brace. A one-digit
+        factor keeps the methods: it adds mod p and every action on it is the
+        identity, so it has no add table or maps for a kernel to read."""
         if self._elem is None:
             p, d_b, d_c = self.p, self.d_b, self.d_c
             for d, acting in ((d_b, self.phi_basis), (d_c, self.psi_basis)):
@@ -225,7 +236,12 @@ class BCBrace(SkewBrace):
                 h, m = p ** -(-d // 2), sum(mat != mat_identity(d) for mat in acting)
                 groups.check_table_cap(h * h, f"a {h} x {h} factor add table")
                 groups.check_table_cap(2 * h * p**m, f"the image maps of {p}^{m} action matrices")
-            self._elem = (_Component(p, d_b, self.phi, d_c), _Component(p, d_c, self.psi, d_b))
+            self._elem = (
+                _Component(p, d_b, _cached_family(self._phi, self._phi_pows, p), d_c),
+                _Component(p, d_c, _cached_family(self._psi, self._psi_pows, p), d_b),
+            )
+            if d_b > 1 and d_c > 1:
+                vars(self).update(_kernels(*self._elem))
         return self._elem
 
     # -- SkewBrace surface: an element is b + p^d_b * c ---------------------------
@@ -306,6 +322,20 @@ def _family_product(pow_rows: list[list[Mat]], coeffs: Vec, p: int) -> Mat:
     return out
 
 
+def _cached_family(cache: dict[Vec, Mat], pow_rows: list[list[Mat]], p: int):
+    """`BCBrace.phi` (psi) over the brace's cache, for the factors' image maps:
+    a bound method would hold the brace, and the brace its factors, a cycle
+    that only a full collection frees."""
+
+    def action(coeffs: Vec) -> Mat:
+        m = cache.get(coeffs)
+        if m is None:
+            m = cache[coeffs] = _family_product(pow_rows, coeffs, p)
+        return m
+
+    return action
+
+
 def _index(vec: Vec, p: int) -> int:
     idx = 0
     for digit in reversed(vec):
@@ -346,8 +376,10 @@ class _Component:
     wider one adds on two blocks of w = ceil(d/2) digits, the top one short
     when d is odd, through one H x H table, H = p^w; it keeps the images of
     every block value under each distinct action matrix, and `maps[key]`
-    points at the one for key's matrix. `neg` has p^d entries, one block
-    negation per digit block.
+    points at the one for key's matrix, built by `image_map(key)` on first
+    use. `neg` has p^d entries, one block negation per digit block. `add`
+    and `act` serve the brace's methods; `_kernels` inline them, reading the
+    same `table`, `maps` and `neg` objects in the same order.
     """
 
     def __init__(self, p: int, d: int, action, acting_dim: int):
@@ -355,7 +387,7 @@ class _Component:
 
         self.size = p**d
         w = -(-d // 2)
-        h = p**w
+        self.h = h = p**w
         neg = _block_neg(p, w)
         self.neg = [lo + h * hi for hi in neg[: self.size // h] for lo in neg]
         self.table, self.maps = [], []
@@ -394,7 +426,75 @@ class _Component:
             maps[key] = out = by_matrix[mat]
             return out
 
-        self.add, self.act = add, act
+        self.add, self.act, self.image_map = add, act, image_map
+
+
+def _kernels(B: _Component, C: _Component) -> dict:
+    """dot, circ, inv, bar, lam and star for two factors of dimension >= 2,
+    each the methods' `add`/`act` calls inlined into one body: the same
+    reads of the same tables, maps and negations, so an edited entry shows
+    alike. An action on x reads its map at both blocks of x, then adds the
+    two images; a sum adds block by block."""
+    n, hb, tb, mb, nb, ib = B.size, B.h, B.table, B.maps, B.neg, B.image_map
+    hc, tc, mc, nc, ic = C.h, C.table, C.maps, C.neg, C.image_map
+
+    def dot(a: int, y: int) -> int:  # (b + phi_c(u), c + v)
+        c, b = a // n, a % n
+        v, u = y // n, y % n
+        m = mb[c] or ib(c)
+        s, t = m[u % hb], m[hb + u // hb]
+        x = tb[s % hb][t % hb] + hb * tb[s // hb][t // hb]
+        z = tc[c % hc][v % hc] + hc * tc[c // hc][v // hc]
+        return tb[b % hb][x % hb] + hb * tb[b // hb][x // hb] + n * z
+
+    def circ(a: int, y: int) -> int:  # (b + u, c + psi_b(v))
+        c, b = a // n, a % n
+        v, u = y // n, y % n
+        m = mc[b] or ic(b)
+        s, t = m[v % hc], m[hc + v // hc]
+        z = tc[s % hc][t % hc] + hc * tc[s // hc][t // hc]
+        z = tc[c % hc][z % hc] + hc * tc[c // hc][z // hc]
+        return tb[b % hb][u % hb] + hb * tb[b // hb][u // hb] + n * z
+
+    def inv(a: int) -> int:  # (phi_{-c}(-b), -c)
+        c, b = a // n, a % n
+        k, x = nc[c], nb[b]
+        m = mb[k] or ib(k)
+        s, t = m[x % hb], m[hb + x // hb]
+        return tb[s % hb][t % hb] + hb * tb[s // hb][t // hb] + n * k
+
+    def bar(a: int) -> int:  # (-b, -psi_{-b}(c))
+        c, b = a // n, a % n
+        k = nb[b]
+        m = mc[k] or ic(k)
+        s, t = m[c % hc], m[hc + c // hc]
+        return k + n * nc[tc[s % hc][t % hc] + hc * tc[s // hc][t // hc]]
+
+    def lam(a: int, y: int) -> int:  # (phi_{-c}(u), psi_b(v))
+        c, b = a // n, a % n
+        v, u = y // n, y % n
+        k = nc[c]
+        m = mb[k] or ib(k)
+        s, t = m[u % hb], m[hb + u // hb]
+        x = tb[s % hb][t % hb] + hb * tb[s // hb][t // hb]
+        m = mc[b] or ic(b)
+        s, t = m[v % hc], m[hc + v // hc]
+        return x + n * (tc[s % hc][t % hc] + hc * tc[s // hc][t // hc])
+
+    def star(a: int, y: int) -> int:  # (phi_{-c}(u) - u, psi_b(v) - v)
+        c, b = a // n, a % n
+        v, u = y // n, y % n
+        k = nc[c]
+        m = mb[k] or ib(k)
+        s, t = m[u % hb], m[hb + u // hb]
+        x, w = tb[s % hb][t % hb] + hb * tb[s // hb][t // hb], nb[u]
+        m = mc[b] or ic(b)
+        s, t = m[v % hc], m[hc + v // hc]
+        z, e = tc[s % hc][t % hc] + hc * tc[s // hc][t // hc], nc[v]
+        z = tc[z % hc][e % hc] + hc * tc[z // hc][e // hc]
+        return tb[x % hb][w % hb] + hb * tb[x // hb][w // hb] + n * z
+
+    return {"dot": dot, "circ": circ, "inv": inv, "bar": bar, "lam": lam, "star": star}
 
 
 def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import itertools
 import pickle
 import random
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -326,9 +328,14 @@ def random_bc(rng, p, d_b, d_c):
     return sb.make_bc_brace(p, d_b, d_c, family(d_b, big_n, a), family(d_c, big_m, psi_coeffs))
 
 
-# (p, d_b, d_c): one-digit factors, two full blocks (d = 2, 14), a short top
-# block (d = 3, 5), unequal dimensions.
-RANDOM_SHAPES = [(2, 1, 3), (3, 3, 1), (5, 3, 2), (13, 3, 1), (13, 1, 3), (7, 5, 1), (2, 14, 1)]
+# (p, d_b, d_c): one-digit factors (the methods), two full blocks (d = 2, 14),
+# a short top block (d = 3, 5), unequal dimensions, and the kernels of two
+# wide factors with short top blocks on both sides or on one.
+RANDOM_SHAPES = [
+    (2, 1, 3), (3, 3, 1), (5, 3, 2), (13, 3, 1), (13, 1, 3), (7, 5, 1), (2, 14, 1), (3, 3, 3), (2, 5, 4),
+]
+
+KERNELS = ("dot", "circ", "inv", "bar", "lam", "star")
 
 
 def test_index_ops_match_tuple_forms(f5):
@@ -395,9 +402,9 @@ def test_element_tables_are_lazy_and_capped(monkeypatch):
     small = bc81()
     sb.right_series(small)
     sb.socle_series(small)
-    assert small._elem is None
+    assert small._elem is None and not set(KERNELS) & set(vars(small))
     for brace, bound in corners:
-        assert brace._elem is None
+        assert brace._elem is None and not set(KERNELS) & set(vars(brace))
         monkeypatch.setattr(groups, "TABLE_CAP", bound)
         n = brace.order
         pairs = [(n - 2, n // 3)] + [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]
@@ -406,6 +413,9 @@ def test_element_tables_are_lazy_and_capped(monkeypatch):
                 getattr(brace, name)(a, y)
             brace.inv(a)
             brace.bar(a)
+        # two wide factors get the kernels; a one-digit factor keeps the methods
+        wide = brace.d_b > 1 and brace.d_c > 1
+        assert all((name in vars(brace)) == wide for name in KERNELS)
         for part in brace._elem:
             # a one-digit factor holds no maps (every action on it is the
             # identity); a wider one shares one map among the acting indices
@@ -440,11 +450,36 @@ def test_element_tables_are_refused_above_table_cap(monkeypatch):
                 op()
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            assert brace._elem is None
+            assert brace._elem is None and not set(KERNELS) & set(vars(brace))
             assert peak < 100_000  # F13's negation list alone holds 228 KB of pointers
         monkeypatch.setattr(groups, "TABLE_CAP", bound)
         assert_ops_match_tuple_forms(brace, [(1, brace.order - 1), (brace.order // 3, 2)])
         assert brace._elem is not None
+
+
+def test_formula_braces_are_freed_without_gc():
+    """The kernels and the factors' image maps hold no reference to the
+    brace: after element operations, bc81, bc16 and a fresh F5 die by
+    reference counting with the collector off, and leave no cyclic garbage.
+    (F5's validation pool takes seconds, so it gets the identities only.)"""
+    gc.collect()
+    gc.disable()
+    try:
+        made = [bc81(), bc16(), sb.make_counterexample_F(5)]
+        for brace in made:
+            sb.check_identities(brace, samples=200)
+            if brace.order < 5**8:
+                sb.validate_formula_brace(brace, samples=200)
+            a = brace.order - 1
+            assert brace.circ(a, 7) == brace.dot(a, brace.lam(a, 7))
+            assert brace.dot(brace.bar(a), brace.inv(brace.bar(a))) == 0
+            assert "dot" in vars(brace) and brace._elem is not None
+        refs = [weakref.ref(b) for b in made]
+        del made, brace
+        assert [r() for r in refs] == [None] * len(refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_element_tables_above_the_default_table_cap_are_refused():
