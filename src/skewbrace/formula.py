@@ -27,17 +27,17 @@ tests check these paths against the table machinery and element sweeps.
 
 Element operations work on indices b + p^d_b * c, split by quotient and
 remainder. Each factor (`_Component`) adds on two digit blocks through one
-table (mod p for one digit, which every action fixes) and applies phi_c or
-psi_b through index maps built once per distinct matrix. lambda is a
-homomorphism, so phi_c depends only on c modulo ker phi (psi_b on b modulo
-ker psi): F5's 625 acting indices of a factor share 5 maps.
-`BCBrace._factors` builds both on the first element operation once each table
-passes groups.TABLE_CAP; set-level paths build none. When both factors have
-dimension >= 2 it also puts six kernels (`_kernels`: dot, circ, inv, bar,
-lam, star) in the brace's instance dict, each one body over both factors'
-tables with no further call once the maps it reads are built; with a
-one-digit factor the methods stay, as that factor adds mod p with no table,
-so it needs none at any p. The tuple forms of the products live only in the
+table (p x p for one digit) and applies phi_c or psi_b through index maps
+built once per distinct matrix. lambda is a homomorphism, so phi_c depends
+only on c modulo ker phi (psi_b on b modulo ker psi): F5's 625 acting
+indices of a factor share 5 maps, and a one-digit factor's all share its
+identity map. The first element operation builds both factors in
+`BCBrace._factors` once each table passes groups.TABLE_CAP (set-level paths
+build none) and puts six kernels (`_kernels`: dot, circ, inv, bar, lam,
+star) in the brace's instance dict, each one body over both factors' tables
+with no further call once the maps it reads are built. A (1, 1) brace is
+the trivial brace on F_p^2 and gets closed forms instead (`_trivial_kernels`),
+with no table at any p. The tuple forms of the products live only in the
 tests; `vstar` stays.
 """
 
@@ -146,6 +146,19 @@ class _FullPairSpace(PairSpace):
         return 0 <= x < self.order
 
 
+def _first_call(name: str):
+    """BCBrace's element operation `name` until the brace's first one, which
+    builds its factors (`BCBrace._factors`) and so puts its kernels in the
+    instance dict, where later calls find them."""
+
+    def op(self, *args):
+        self._factors()
+        return vars(self)[name](*args)
+
+    op.__name__ = op.__qualname__ = name
+    return op
+
+
 class BCBrace(SkewBrace):
     """Skew brace on B x C defined by the two matrix actions."""
 
@@ -169,7 +182,7 @@ class BCBrace(SkewBrace):
         self._ident_c = mat_identity(self.d_c)
         self._phi_pows, self._psi_pows = phi_pows, psi_pows
         self._sets: dict[tuple, PairSpace] = {}
-        self._elem: tuple[_Component, _Component] | None = None
+        self._elem: tuple[_Component, ...] | None = None
 
     # -- vector-level operations ---------------------------------------------
 
@@ -214,79 +227,39 @@ class BCBrace(SkewBrace):
         c, b = divmod(idx, self.p**self.d_b)
         return _digits(b, self.p, self.d_b), _digits(c, self.p, self.d_c)
 
-    def _factors(self) -> tuple["_Component", "_Component"]:
+    def _factors(self) -> tuple["_Component", ...]:
         """B and C index arithmetic, built on the first element operation once
-        each table passes groups.TABLE_CAP: a one-digit factor's p negations,
-        else, H = p^ceil(d/2), the H x H add table (above the p^d negations)
-        and 2H image-map entries per action matrix, at most p^m of them for m
+        each table passes groups.TABLE_CAP: for a factor of dimension d, H =
+        p^ceil(d/2), the H x H add table (above the p^d negations) and 2H
+        image-map entries per action matrix, at most p^m of them for m
         non-identity acting basis matrices of order dividing p. A `maps` list
-        is no longer than the other factor's negations.
+        is no longer than the other factor's negations, and a one-digit
+        factor's p x p table no larger than a wide one's (H >= p).
 
-        With both factors of dimension >= 2 it then sets `_kernels` as the
-        instance's dot, circ, inv, bar, lam and star, so later calls skip the
-        methods below; they hold the factors, not the brace. A one-digit
-        factor keeps the methods: it adds mod p and every action on it is the
-        identity, so it has no add table or maps for a kernel to read."""
+        It then sets `_kernels` as the instance's dot, circ, inv, bar, lam and
+        star, so later calls skip the first-call methods below; they hold the
+        factors, not the brace. A (1, 1) brace has no factors: bc_brace forces
+        each 1 x 1 basis matrix [[a]] to a^p = a = 1, so it is the trivial
+        brace on F_p^2 and gets the closed forms of `_trivial_kernels`."""
         if self._elem is None:
             p, d_b, d_c = self.p, self.d_b, self.d_c
-            for d, acting in ((d_b, self.phi_basis), (d_c, self.psi_basis)):
-                if d == 1:
-                    groups.check_table_cap(p, "a one-digit factor's negations")
-                    continue
-                h, m = p ** -(-d // 2), sum(mat != mat_identity(d) for mat in acting)
+            if d_b == d_c == 1:
+                vars(self).update(_trivial_kernels(p))
+                self._elem = ()
+                return self._elem
+            for d, pow_rows in ((d_b, self._phi_pows), (d_c, self._psi_pows)):
+                h, m = p ** -(-d // 2), sum(row[1] != row[0] for row in pow_rows)
                 groups.check_table_cap(h * h, f"a {h} x {h} factor add table")
                 groups.check_table_cap(2 * h * p**m, f"the image maps of {p}^{m} action matrices")
-            self._elem = (
-                _Component(p, d_b, _cached_family(self._phi, self._phi_pows, p), d_c),
-                _Component(p, d_c, _cached_family(self._psi, self._psi_pows, p), d_b),
-            )
-            if d_b > 1 and d_c > 1:
-                vars(self).update(_kernels(*self._elem))
+            self._elem = (_Component(p, d_b, self._phi_pows), _Component(p, d_c, self._psi_pows))
+            vars(self).update(_kernels(*self._elem))
         return self._elem
 
     # -- SkewBrace surface: an element is b + p^d_b * c ---------------------------
 
-    def dot(self, a: int, y: int) -> int:
-        B, C = self._elem or self._factors()
-        (c, b), (v, u) = divmod(a, B.size), divmod(y, B.size)
-        return B.add(b, B.act(c, u)) + B.size * C.add(c, v)
-
-    def circ(self, a: int, y: int) -> int:
-        B, C = self._elem or self._factors()
-        (c, b), (v, u) = divmod(a, B.size), divmod(y, B.size)
-        return B.add(b, u) + B.size * C.add(c, C.act(b, v))
-
-    def inv(self, a: int) -> int:
-        B, C = self._elem or self._factors()
-        c, b = divmod(a, B.size)
-        nc = C.neg[c]
-        return B.act(nc, B.neg[b]) + B.size * nc
-
-    def bar(self, a: int) -> int:
-        B, C = self._elem or self._factors()
-        c, b = divmod(a, B.size)
-        nb = B.neg[b]
-        return nb + B.size * C.neg[C.act(nb, c)]
-
-    def lam(self, a: int, y: int) -> int:
-        B, C = self._elem or self._factors()
-        (c, b), (v, u) = divmod(a, B.size), divmod(y, B.size)
-        return B.act(C.neg[c], u) + B.size * C.act(b, v)
-
-    def star(self, a: int, y: int) -> int:
-        B, C = self._elem or self._factors()
-        (c, b), (v, u) = divmod(a, B.size), divmod(y, B.size)
-        return B.add(B.act(C.neg[c], u), B.neg[u]) + B.size * C.add(C.act(b, v), C.neg[v])
-
-    def comm_dot(self, a: int, y: int) -> int:
-        B, C = self._elem or self._factors()
-        (c, b), (v, u) = divmod(a, B.size), divmod(y, B.size)
-        return B.add(B.add(b, B.neg[B.act(v, b)]), B.add(B.act(c, u), B.neg[u]))
-
-    def comm_circ(self, a: int, y: int) -> int:
-        B, C = self._elem or self._factors()
-        (c, b), (v, u) = divmod(a, B.size), divmod(y, B.size)
-        return B.size * C.add(C.add(C.act(b, v), C.neg[v]), C.add(c, C.neg[C.act(u, c)]))
+    dot, circ, inv, bar, lam, star = map(_first_call, ("dot", "circ", "inv", "bar", "lam", "star"))
+    # bench/tracer.py hooks these names in the class dict
+    comm_dot, comm_circ = SkewBrace.comm_dot, SkewBrace.comm_circ
 
     def generators(self) -> tuple[int, ...]:
         """The unit vectors of B, then of C."""
@@ -320,20 +293,6 @@ def _family_product(pow_rows: list[list[Mat]], coeffs: Vec, p: int) -> Mat:
         if row[t % p] != ident:
             out = row[t % p] if out is ident else mat_mul(out, row[t % p], p)
     return out
-
-
-def _cached_family(cache: dict[Vec, Mat], pow_rows: list[list[Mat]], p: int):
-    """`BCBrace.phi` (psi) over the brace's cache, for the factors' image maps:
-    a bound method would hold the brace, and the brace its factors, a cycle
-    that only a full collection frees."""
-
-    def action(coeffs: Vec) -> Mat:
-        m = cache.get(coeffs)
-        if m is None:
-            m = cache[coeffs] = _family_product(pow_rows, coeffs, p)
-        return m
-
-    return action
 
 
 def _index(vec: Vec, p: int) -> int:
@@ -372,17 +331,19 @@ def _block_sums(p: int, w: int) -> list[list[int]]:
 class _Component:
     """Index arithmetic on one factor F_p^d, x = sum x_i p^i.
 
-    A one-digit factor adds mod p, and every action on it is the identity. A
-    wider one adds on two blocks of w = ceil(d/2) digits, the top one short
-    when d is odd, through one H x H table, H = p^w; it keeps the images of
-    every block value under each distinct action matrix, and `maps[key]`
-    points at the one for key's matrix, built by `image_map(key)` on first
-    use. `neg` has p^d entries, one block negation per digit block. `add`
-    and `act` serve the brace's methods; `_kernels` inline them, reading the
-    same `table`, `maps` and `neg` objects in the same order.
+    It adds on two blocks of w = ceil(d/2) digits, the top one short (empty
+    for one digit) when d is odd, through one H x H table, H = p^w. It keeps
+    the images of every block value under each distinct action matrix, and
+    `maps[key]` points at the one for key's matrix, the product of the
+    acting power rows `pow_rows` that key's digits pick, built by
+    `image_map(key)` on first use. When every acting basis matrix is the
+    identity (always on one digit, see `BCBrace._factors`), all keys share
+    one identity map, built with the factor. `neg` has p^d entries, one
+    block negation per digit block. `_kernels` reads `table`, `maps`, `neg`
+    and `image_map`.
     """
 
-    def __init__(self, p: int, d: int, action, acting_dim: int):
+    def __init__(self, p: int, d: int, pow_rows: list[list[Mat]]):
         from array import array  # loaded on the first element op, not on import
 
         self.size = p**d
@@ -390,29 +351,17 @@ class _Component:
         self.h = h = p**w
         neg = _block_neg(p, w)
         self.neg = [lo + h * hi for hi in neg[: self.size // h] for lo in neg]
-        self.table, self.maps = [], []
-        if d == 1:
-            # bc_brace checks a^p = 1 for each 1 x 1 basis matrix [[a]], and
-            # a^p = a by Fermat, so a = 1 and every phi_c (psi_b) is [[1]]
-            self.add, self.act = lambda x, y: (x + y) % p, lambda key, x: x
-            return
-        self.maps = maps = [None] * p**acting_dim
         self.table = table = _block_sums(p, w)
+        self.maps = maps = [None] * p ** len(pow_rows)
+        by_matrix: dict[Mat, array] = {}
 
         def add(x: int, y: int) -> int:
             return table[x % h][y % h] + h * table[x // h][y // h]
 
-        def act(key: int, x: int) -> int:
-            m = maps[key] or image_map(key)
-            y, z = m[x % h], m[h + x // h]
-            return table[y % h][z % h] + h * table[y // h][z // h]
-
-        by_matrix: dict[Mat, array] = {}
-
         def image_map(key: int) -> array:
             """Images of every value of each block under key's matrix, built
             from its columns on the first key with that matrix."""
-            mat = action(_digits(key, p, acting_dim))
+            mat = _family_product(pow_rows, _digits(key, p, len(pow_rows)), p)
             if mat not in by_matrix:
                 cols = [_index(col, p) for col in zip(*mat)]
                 by_matrix[mat] = out = array("I")
@@ -426,15 +375,17 @@ class _Component:
             maps[key] = out = by_matrix[mat]
             return out
 
-        self.add, self.act, self.image_map = add, act, image_map
+        self.image_map = image_map
+        if all(row[1] == row[0] for row in pow_rows):
+            maps[:] = [image_map(0)] * len(maps)
 
 
 def _kernels(B: _Component, C: _Component) -> dict:
-    """dot, circ, inv, bar, lam and star for two factors of dimension >= 2,
-    each the methods' `add`/`act` calls inlined into one body: the same
-    reads of the same tables, maps and negations, so an edited entry shows
-    alike. An action on x reads its map at both blocks of x, then adds the
-    two images; a sum adds block by block."""
+    """dot, circ, inv, bar, lam and star on B x C, each one body over both
+    factors' tables, maps and negations. An action on x reads its map at
+    both blocks of x, then adds the two images; a sum adds block by block.
+    A one-digit factor runs the same body: its top block is empty, so x's
+    second read is entry H = p of the map, 0, and adds nothing."""
     n, hb, tb, mb, nb, ib = B.size, B.h, B.table, B.maps, B.neg, B.image_map
     hc, tc, mc, nc, ic = C.h, C.table, C.maps, C.neg, C.image_map
 
@@ -495,6 +446,20 @@ def _kernels(B: _Component, C: _Component) -> dict:
         return tb[x % hb][w % hb] + hb * tb[x // hb][w // hb] + n * z
 
     return {"dot": dot, "circ": circ, "inv": inv, "bar": bar, "lam": lam, "star": star}
+
+
+def _trivial_kernels(p: int) -> dict:
+    """The six operations of the trivial brace on F_p^2, a (1, 1) brace:
+    dot = circ add digit-wise mod p, inv = bar negate, lam(a, y) = y and
+    star = 0. They build no table."""
+
+    def add(a: int, y: int) -> int:
+        return (a + y) % p + p * ((a // p + y // p) % p)
+
+    def neg(a: int) -> int:
+        return -a % p + p * (-(a // p) % p)
+
+    return {"dot": add, "circ": add, "inv": neg, "bar": neg, "lam": lambda a, y: y, "star": lambda a, y: 0}
 
 
 def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:

@@ -328,11 +328,13 @@ def random_bc(rng, p, d_b, d_c):
     return sb.make_bc_brace(p, d_b, d_c, family(d_b, big_n, a), family(d_c, big_m, psi_coeffs))
 
 
-# (p, d_b, d_c): one-digit factors (the methods), two full blocks (d = 2, 14),
-# a short top block (d = 3, 5), unequal dimensions, and the kernels of two
-# wide factors with short top blocks on both sides or on one.
+# (p, d_b, d_c): one-digit factors next to wide ones (p x p add tables, one
+# of them at p >= 13 in each orientation), two full blocks (d = 2, 14), a
+# short top block (d = 3, 5), unequal dimensions, and two wide factors with
+# short top blocks on both sides or on one.
 RANDOM_SHAPES = [
     (2, 1, 3), (3, 3, 1), (5, 3, 2), (13, 3, 1), (13, 1, 3), (7, 5, 1), (2, 14, 1), (3, 3, 3), (2, 5, 4),
+    (13, 1, 2), (17, 2, 1),
 ]
 
 KERNELS = ("dot", "circ", "inv", "bar", "lam", "star")
@@ -357,6 +359,12 @@ def test_index_ops_match_tuple_forms(f5):
                 m != mat_identity(brace.d_c) for m in brace.psi_basis
             )
             assert_ops_match_tuple_forms(brace, random_pairs(brace.order, 300))
+    one = (((1,),),)
+    for p in (2, 3, 5, 19997):  # (1, 1): the closed forms of the trivial brace
+        brace = sb.make_bc_brace(p, 1, 1, one, one)
+        n = brace.order
+        pairs = [(a, y) for a in range(n) for y in range(n)] if n <= 25 else random_pairs(n, 300)
+        assert_ops_match_tuple_forms(brace, pairs + [(n - 1, n - 1)])
 
 
 def test_f5_group_laws(f5):
@@ -380,12 +388,11 @@ def test_factor_tables_match_digit_tuples(p):
     """A factor's negations and its block add table, built by index
     arithmetic, equal the digit-tuple forms, odd d (short top block) included."""
     for d in range(1, 6):
-        factor = formula._Component(p, d, None, 1)
+        factor = formula._Component(p, d, [formula._power_row(mat_identity(d), p)])
         negs = [formula._index(vec_neg(formula._digits(x, p, d), p), p) for x in range(p**d)]
         assert factor.neg == negs, d
-        if d > 1:
-            block = [formula._digits(x, p, -(-d // 2)) for x in range(p ** -(-d // 2))]
-            assert factor.table == [[formula._index(vec_add(x, y, p), p) for y in block] for x in block], d
+        block = [formula._digits(x, p, -(-d // 2)) for x in range(p ** -(-d // 2))]
+        assert factor.table == [[formula._index(vec_add(x, y, p), p) for y in block] for x in block], d
 
 
 def test_element_tables_are_lazy_and_capped(monkeypatch):
@@ -396,8 +403,9 @@ def test_element_tables_are_lazy_and_capped(monkeypatch):
     corners = [
         (random_bc(rng, 2, 14, 1), 128**2),  # B's add table, H = 2^7
         (random_bc(rng, 7, 5, 1), 343**2),  # B's add table, H = 7^3
-        (sb.make_bc_brace(19997, 1, 1, one, one), 19997),  # each factor's negations
+        (sb.make_bc_brace(19997, 1, 1, one, one), 1),  # closed forms, no table
         (sb.brace_from_spec(injective_phi_spec(3)), 2 * 9 * 3**4),  # B's image maps
+        (random_bc(rng, 13, 1, 3), 169**2),  # C's add table, next to B's 13 x 13 one
     ]
     small = bc81()
     sb.right_series(small)
@@ -413,15 +421,13 @@ def test_element_tables_are_lazy_and_capped(monkeypatch):
                 getattr(brace, name)(a, y)
             brace.inv(a)
             brace.bar(a)
-        # two wide factors get the kernels; a one-digit factor keeps the methods
-        wide = brace.d_b > 1 and brace.d_c > 1
-        assert all((name in vars(brace)) == wide for name in KERNELS)
+        # every brace gets the kernels; a (1, 1) brace has no factors
+        assert all(name in vars(brace) for name in KERNELS)
+        assert (brace._elem == ()) == (brace.d_b == brace.d_c == 1)
         for part in brace._elem:
-            # a one-digit factor holds no maps (every action on it is the
-            # identity); a wider one shares one map among the acting indices
-            # with one matrix
-            held = {id(m): m for m in part.maps if m is not None}.values()
-            built = [[m] if isinstance(m, int) else m for m in held]
+            # the acting indices with one matrix share one map, so a one-digit
+            # factor (every action on it the identity) holds a single map
+            built = {id(m): m for m in part.maps if m is not None}.values()
             sizes = [sum(map(len, part.table)), len(part.neg), len(part.maps)]
             assert max(sizes + [len(m) for m in built]) <= groups.TABLE_CAP
             assert sum(map(len, built)) <= groups.TABLE_CAP
@@ -431,17 +437,18 @@ def test_element_tables_are_refused_above_table_cap(monkeypatch):
     """One element operation is refused one below the largest table's size,
     before any table exists, and runs at it: F13's 169 x 169 add table (its
     13^4-entry maps list ties), a lopsided 3^10 x 3 brace's 243 x 243 one, a
-    3^3 x 3 brace's 9 x 9 one (above its 27 negations), the 2 * 9 entries of
-    each of the 3^4 image maps of an injective phi at p = 3, and a one-digit
-    factor's 19,997 negations."""
+    3^3 x 3 brace's 9 x 9 one (above its 27 negations and its one-digit
+    factor's 3 x 3 one), and the 2 * 9 entries of each of the 3^4 image maps
+    of an injective phi at p = 3. A (1, 1) brace builds no table: at p =
+    19,997 it runs at TABLE_CAP = 1."""
     one = (((1,),),)
     cases = [
         (sb.make_counterexample_F(13), 169**2, "add table"),
         (sb.make_bc_brace(3, 10, 1, [mat_identity(10)], [((1,),)] * 10), 243**2, "add table"),
         (sb.make_bc_brace(3, 3, 1, [mat_identity(3)], [((1,),)] * 3), 9**2, "add table"),
         (sb.brace_from_spec(injective_phi_spec(3)), 2 * 9 * 3**4, "image maps"),
-        (sb.make_bc_brace(19997, 1, 1, one, one), 19997, "negations"),
     ]
+    trivial = sb.make_bc_brace(19997, 1, 1, one, one)
     for brace, bound, table in cases:
         monkeypatch.setattr(groups, "TABLE_CAP", bound - 1)
         for op in (lambda: brace.dot(1, brace.order - 1), lambda: brace.inv(1), lambda: brace.circ(2, 1)):
@@ -455,17 +462,28 @@ def test_element_tables_are_refused_above_table_cap(monkeypatch):
         monkeypatch.setattr(groups, "TABLE_CAP", bound)
         assert_ops_match_tuple_forms(brace, [(1, brace.order - 1), (brace.order // 3, 2)])
         assert brace._elem is not None
+    monkeypatch.setattr(groups, "TABLE_CAP", 1)
+    assert_ops_match_tuple_forms(trivial, [(1, trivial.order - 1), (trivial.order // 3, 2)])
+    assert trivial._elem == () and set(KERNELS) <= set(vars(trivial))
 
 
 def test_formula_braces_are_freed_without_gc():
     """The kernels and the factors' image maps hold no reference to the
-    brace: after element operations, bc81, bc16 and a fresh F5 die by
-    reference counting with the collector off, and leave no cyclic garbage.
-    (F5's validation pool takes seconds, so it gets the identities only.)"""
+    brace: after element operations, bc81, bc16, a fresh F5, a 3 x 3^2
+    brace (a one-digit factor) and a (1, 1) brace die by reference counting
+    with the collector off, and leave no cyclic garbage. (F5's validation
+    pool takes seconds, so it gets the identities only.)"""
     gc.collect()
     gc.disable()
     try:
-        made = [bc81(), bc16(), sb.make_counterexample_F(5)]
+        one = ((1,),)
+        made = [
+            bc81(),
+            bc16(),
+            sb.make_counterexample_F(5),
+            sb.make_bc_brace(3, 1, 2, [one, one], [UNI2]),
+            sb.make_bc_brace(5, 1, 1, [one], [one]),
+        ]
         for brace in made:
             sb.check_identities(brace, samples=200)
             if brace.order < 5**8:
@@ -516,6 +534,16 @@ def kernel_off_units():
     return sb.make_bc_brace(3, 2, 2, (UNI2, UNI2), (I2, I2))
 
 
+def act(part, key: int, x: int) -> int:
+    """x's image under acting index `key`'s matrix in factor `part`, read from
+    its map (built on first use) at both blocks of x and added as the
+    kernels do."""
+    h, table = part.h, part.table
+    m = part.maps[key] or part.image_map(key)
+    y, z = m[x % h], m[h + x // h]
+    return table[y % h][z % h] + h * table[y // h][z // h]
+
+
 @pytest.mark.parametrize("make", [bc16, bc81, kernel_off_units])
 def test_image_maps_are_shared_per_matrix(make):
     brace = make()
@@ -528,7 +556,7 @@ def test_image_maps_are_shared_per_matrix(make):
             mat = action(formula._digits(key, p, acting_dim))
             for x in range(part.size):
                 image = mat_vec(mat, formula._digits(x, p, d), p)
-                assert part.act(key, x) == formula._index(image, p)
+                assert act(part, key, x) == formula._index(image, p)
             assert part.maps[key] is held.setdefault(mat, part.maps[key])
         assert len({id(m) for m in part.maps}) == len(held)
     if make is kernel_off_units:
@@ -538,7 +566,7 @@ def test_image_maps_are_shared_per_matrix(make):
 def test_f5_factors_hold_five_maps(f5):
     for part in f5._factors():
         for key in range(len(part.maps)):
-            part.act(key, 0)
+            act(part, key, 0)
         assert len(part.maps) == 625
         assert len({id(m) for m in part.maps}) == 5
 
@@ -582,7 +610,7 @@ def test_corrupted_shared_map_fails_validation():
     brace = sb.make_counterexample_F(5)
     B, _ = brace._factors()
     for key in range(len(B.maps)):
-        B.act(key, 0)
+        act(B, key, 0)
     shared = B.maps[0]  # phi_c = id for the 5^3 keys c in ker phi
     assert sum(m is shared for m in B.maps) == 125
     shared[1] = (shared[1] + 1) % B.size
@@ -620,7 +648,7 @@ def corrupt_bc81(part, key: int, index: int) -> sb.BCBrace:
     if part is None:
         factor.table[key][index] = (factor.table[key][index] + 1) % 3
     else:
-        factor.act(key, 0)
+        act(factor, key, 0)
         factor.maps[key][index] = (factor.maps[key][index] + 1) % factor.size
     return brace
 
