@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from . import errors, formula
 from .braces import SkewBrace, TableBrace
 from .formula import PairSpace
-from .groups import SUBGROUPS_MAX_ORDER, ElementSet, trivial_set
+from .groups import SUBGROUPS_MAX_ORDER, ElementSet, normal_subgroups
 from .series import (
     annihilator_series,
     gamma_circ_series,
@@ -22,7 +22,7 @@ from .series import (
     smoktunowicz_series,
     socle_series,
 )
-from .substructures import _tables_only, ideal_closure, product_of_ideals, star_subgroup
+from .substructures import _tables_only, ideal_closure, star_subgroup
 
 
 @dataclass(frozen=True)
@@ -275,8 +275,11 @@ def enumerate_ideals(brace: TableBrace) -> list[ElementSet]:
     """Every ideal, sorted by (order, members), found once per brace; each
     call gets a fresh list.
 
-    An ideal is the join (product) of the principal ideals of its elements,
-    so the ideals are {1} closed under joins with the principal ideals.
+    The ideals are the normal subgroups N of (A, .), in the order of
+    `groups.normal_subgroups`, with lambda_a(x) and a o x o a-bar in N for
+    every a in `brace.generators()` and x in N. Such an N is a left ideal,
+    so a subgroup of (A, o), and the argument of `is_ideal` applies. The
+    lattice search reads (A, .) alone, so braces on one group share it.
     """
     ideals = brace._cache.get("ideals")
     if ideals is None:
@@ -284,33 +287,25 @@ def enumerate_ideals(brace: TableBrace) -> list[ElementSet]:
             raise errors.TooLargeForIdealEnumeration(
                 f"ideal enumeration capped at order {SUBGROUPS_MAX_ORDER}"
             )
-        principal = {}
-        for x in brace.elements():
-            p = ideal_closure(brace, (x,))
-            principal.setdefault(p.members, p)
-        start = trivial_set(brace.order)
-        found, queue = {start.members: start}, [start]
-        while queue:
-            i = queue.pop()
-            for p in principal.values():
-                if not p.members <= i.members:
-                    join = product_of_ideals(brace, i, p)
-                    if join.members not in found:
-                        found[join.members] = join
-                        queue.append(join)
-        ideals = tuple(sorted(found.values(), key=lambda s: (len(s), s.sorted())))
-        brace._cache["ideals"] = ideals
+        gens, maps = brace.generators(), (brace.lam, brace.conj_circ)
+        images = [[f(a, x) for a in gens for f in maps] for x in brace.elements()]
+        ideals = brace._cache["ideals"] = tuple(
+            n
+            for n in normal_subgroups(brace.dot_group)
+            if all(n.members.issuperset(images[x]) for x in n.members)
+        )
     return list(ideals)
 
 
 def check_fitting_theorem(brace: SkewBrace, i: ElementSet, j: ElementSet) -> dict:
     """For relatively nilpotent ideals of classes m and n, the product IJ
-    must satisfy the m+n-1 bound on its relative chain."""
+    must satisfy the m+n-1 bound on its relative chain. IJ is an ideal
+    holding I and J, and every such ideal holds IJ: it is their ideal closure."""
     m = is_rel_ann_nilpotent(brace, i)
     n = is_rel_ann_nilpotent(brace, j)
     if m is None or n is None:
         return {"hypothesis_met": False, "holds": True, "vacuous": True}
-    chain = relative_gamma_series(brace, product_of_ideals(brace, i, j))
+    chain = relative_gamma_series(brace, ideal_closure(brace, i.members | j.members))
     bound = m + n - 1
     holds = chain.at(bound).is_trivial
     return {

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import errors
@@ -44,6 +45,26 @@ class GroupTable:
     def is_abelian(self) -> bool:
         m = self.mul
         return all(m[a][b] == m[b][a] for a in range(self.order) for b in range(a))
+
+    @cached_property
+    def _normal_subgroups(self) -> tuple[ElementSet, ...]:
+        """`normal_subgroups`, found on first use (a racing fill is idempotent)."""
+        mul, gens = self.mul, greedy_generators(self)
+        images = [[self.conj(a, y) for a in gens] for y in self.elements()]
+        closures = {subgroup_closure(self, (x,), images).members for x in self.elements()}
+        picks = [(c, itemgetter(*c)) for c in closures if len(c) > 1]  # pick(mul[a]) = a . c
+        found, queue = {frozenset((0,))}, [frozenset((0,))]
+        while queue:
+            n = queue.pop()
+            rows = [mul[a] for a in n]
+            for c, pick in picks:
+                if not c <= n:
+                    join = frozenset(itertools.chain.from_iterable(map(pick, rows)))
+                    if join not in found:
+                        found.add(join)
+                        queue.append(join)
+        subgroups = [ElementSet(s, self.order) for s in found]
+        return tuple(sorted(subgroups, key=lambda s: (len(s), s.sorted())))
 
     @staticmethod
     def from_trusted(mul: Sequence[Sequence[int]]) -> "GroupTable":
@@ -281,6 +302,20 @@ def is_normal(g: GroupTable, h: ElementSet) -> bool:
         raise errors.NotASubgroup("normality asked of a non-subgroup")
     members = h.members
     return all(g.conj(x, a) in members for x in greedy_generators(g) for a in members)
+
+
+def normal_subgroups(g: GroupTable) -> list[ElementSet]:
+    """Every normal subgroup, sorted by (order, members), found once per
+    table; gated to small groups.
+
+    The closure of x under conjugation by generators of g is <x>^G, the least
+    normal subgroup holding x. The product of two normal subgroups is their
+    join, a normal subgroup, and N is the join of the <x>^G with x in N; so
+    {1} closed under products with the <x>^G reaches every normal subgroup.
+    """
+    if g.order > SUBGROUPS_MAX_ORDER:
+        raise errors.TooLarge(f"subgroup enumeration capped at order {SUBGROUPS_MAX_ORDER}")
+    return list(g._normal_subgroups)
 
 
 def quotient_group(g: GroupTable, n: ElementSet) -> tuple[GroupTable, tuple[int, ...]]:

@@ -184,13 +184,20 @@ def relative_gamma_series(brace: SkewBrace, ideal: ElementSet) -> SeriesChain:
     term is an ideal closure.
 
     Cached per brace on the members of I. I is checked only when its chain
-    is computed, so a non-ideal is never cached and always raises.
+    is computed, so a non-ideal is never cached and always raises. A is an
+    ideal by definition, and once the brace's ideals are listed, the check
+    is a lookup, as the list is complete.
     """
     _tables_only(brace, "relative_gamma_series")
     key = ("relative_gamma", ideal.members)
     chain = brace._cache.get(key)
     if chain is None:
-        if not is_ideal(brace, ideal):
+        ideals = brace._cache.get("ideals")
+        if ideals is not None:
+            known = ideal in ideals
+        else:
+            known = ideal == full_set(brace.order) or is_ideal(brace, ideal)
+        if not known:
             raise errors.NotAnIdeal("relative series of a non-ideal")
         chain = run_chain(
             "relative_gamma", ideal, lambda terms: _commutator(brace, terms[0], terms[-1])

@@ -12,7 +12,6 @@ from .groups import (
     ElementSet,
     GroupTable,
     _coset_table,
-    make_set,
     subgroup_closure,
 )
 
@@ -110,8 +109,16 @@ def ideal_closure(brace: SkewBrace, seed: Iterable[int] | ElementSet) -> Element
     - At the end the members form a dot subgroup holding the seed and stable
       under those maps, so an ideal by the argument of `is_ideal`; hence the
       least one.
+
+    Once `classify.enumerate_ideals` has listed the ideals, sorted by order,
+    it is the first one holding the seed: ideals are closed under
+    intersection, so the least one lies in every other.
     """
     _tables_only(brace, "ideal_closure")
+    ideals = brace._cache.get("ideals")
+    if ideals is not None:
+        seed = seed.members if isinstance(seed, ElementSet) else set(seed)
+        return next(i for i in ideals if seed <= i.members)
     images = brace._cache.get("ideal_images")
     if images is None:
         maps, gens = (brace.lam, brace.conj_dot, brace.conj_circ), brace.generators()
@@ -176,9 +183,3 @@ def quotient_brace(brace: SkewBrace, ideal: ElementSet) -> tuple[TableBrace, tup
     )
     circ_q = GroupTable.from_trusted(circ_rows)
     return TableBrace(dot_q, circ_q), proj
-
-
-def product_of_ideals(brace: SkewBrace, i: ElementSet, j: ElementSet) -> ElementSet:
-    """The setwise product IJ (equal to the subgroup generated by I and J)."""
-    members = {brace.dot(a, b) for a in i.members for b in j.members}
-    return make_set(members, brace.order)

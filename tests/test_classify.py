@@ -258,11 +258,67 @@ def table_braces(catalog, corpus8, sweep12) -> list[tuple[str, sb.TableBrace]]:
 
 
 def test_enumerate_ideals_matches_subgroup_filter(catalog, corpus8, sweep12):
-    """Joins of principal ideals give exactly the subgroups of (A, .) that
-    are ideals, in the same order."""
+    """The ideal list is exactly the subgroups of (A, .) that pass
+    `is_ideal`, in the same order."""
     for name, brace in table_braces(catalog, corpus8, sweep12):
         oracle = [s for s in sb.groups.all_subgroups(brace.dot_group) if sb.is_ideal(brace, s)]
         assert sb.enumerate_ideals(brace) == oracle, name
+
+
+def product_of_ideals(brace: sb.TableBrace, i: sb.ElementSet, j: sb.ElementSet) -> sb.ElementSet:
+    """The setwise product IJ, which for ideals is the ideal they generate."""
+    return make_set({brace.dot(a, b) for a in i.members for b in j.members}, brace.order)
+
+
+def principal_ideal_joins(brace: sb.TableBrace) -> list[sb.ElementSet]:
+    """Every ideal, sorted by (order, members), as {1} closed under joins
+    (products) with the principal ideals: an ideal is the join of the
+    principal ideals of its elements. Each principal ideal is a worklist
+    closure on a brace with an empty cache."""
+    brace = fresh(brace)
+    principal = {}
+    for x in brace.elements():
+        p = sb.ideal_closure(brace, (x,))
+        principal.setdefault(p.members, p)
+    start = make_set({0}, brace.order)
+    found, queue = {start.members: start}, [start]
+    while queue:
+        i = queue.pop()
+        for p in principal.values():
+            if not p.members <= i.members:
+                join = product_of_ideals(brace, i, p)
+                if join.members not in found:
+                    found[join.members] = join
+                    queue.append(join)
+    return sorted(found.values(), key=lambda s: (len(s), s.sorted()))
+
+
+def test_enumerate_ideals_matches_principal_ideal_joins(catalog, corpus8, sweep12):
+    """The ideal list equals the per-brace principal-ideal joins, in order,
+    on every table brace of the tests and two braces of order 32."""
+    extra = [
+        ("trivial C2^5", sb.build_trivial(sb.builtin_group("C2xC2xC2xC2xC2"))),
+        ("almost_trivial D16", sb.build_almost_trivial(sb.dihedral(16))),
+    ]
+    for name, brace in table_braces(catalog, corpus8, sweep12) + extra:
+        assert sb.enumerate_ideals(brace) == principal_ideal_joins(brace), name
+
+
+def test_listed_ideal_closures_match_the_worklist(catalog, corpus8, sweep12):
+    """Once the ideals are listed, an ideal closure is a lookup. It equals the
+    worklist closure on a brace with an empty cache for every one-element
+    seed, and for the union of every pair of listed ideals, where it is also
+    their product."""
+    for name, brace in table_braces(catalog, corpus8, sweep12):
+        ideals, cold = sb.enumerate_ideals(brace), fresh(brace)
+        for x in brace.elements():
+            assert sb.ideal_closure(brace, (x,)) == sb.ideal_closure(cold, (x,)), (name, x)
+        for i in ideals:
+            for j in ideals:
+                join = sb.ideal_closure(brace, i.members | j.members)
+                assert join == sb.ideal_closure(cold, i.members | j.members), name
+                assert join == product_of_ideals(brace, i, j), name
+        assert "ideals" not in cold._cache
 
 
 def test_warm_star_subgroups_match_fresh_braces(catalog, corpus8, sweep12):

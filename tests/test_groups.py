@@ -385,6 +385,28 @@ def test_all_subgroups_counts(groups):
     assert len(sb.groups.all_subgroups(groups["Q8"])) == 6
 
 
+def test_normal_subgroups_match_the_subgroup_filter():
+    """The normal-closure joins give exactly the subgroups that pass
+    `is_normal`, in the same (order, members) order, on every builtin group of
+    order <= 16 and the seven extension groups; a second call reads the
+    table's cache and returns a fresh list."""
+    from tests.test_enumeration import EXTENSION_GROUPS
+
+    tables = [(name, sb.builtin_group(name)) for name in SMALL_BUILTINS + ["S3", "S4"]]
+    tables += [(name, build()) for name, (build, *_) in EXTENSION_GROUPS.items()]
+    for name, g in tables:
+        oracle = [s for s in sb.groups.all_subgroups(g) if sb.is_normal(g, s)]
+        found = sb.groups.normal_subgroups(g)
+        assert found == oracle, name
+        found.clear()
+        assert sb.groups.normal_subgroups(g) == oracle, name
+
+
+def test_normal_subgroups_capped_at_subgroup_bound():
+    with pytest.raises(errors.TooLarge):
+        sb.groups.normal_subgroups(sb.cyclic(sb.groups.SUBGROUPS_MAX_ORDER + 1))
+
+
 def test_builtin_group_names():
     assert sb.builtin_group("C6").order == 6
     assert sb.builtin_group("C2xC3").order == 6
