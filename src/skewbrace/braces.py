@@ -13,7 +13,7 @@ import random
 from typing import Sequence
 
 from . import errors
-from .groups import GroupTable, Table, as_int, greedy_generators, validate_group
+from .groups import GroupTable, Table, greedy_generators, int_row, validate_group
 
 DEFAULT_SEED = 1729
 
@@ -148,7 +148,7 @@ def validate_brace(dot: GroupTable | Sequence[Sequence[int]], circ: GroupTable |
         if isinstance(table, GroupTable):
             return table
         n = len(table)
-        rows = tuple(tuple(as_int(x) for x in row) for row in table)
+        rows = tuple(map(int_row, table))
         if any(len(r) != n for r in rows):
             raise errors.ParseError(f"{label} table is not square")
         if any(rows[0][x] != x or rows[x][0] != x for x in range(n)):
@@ -201,7 +201,7 @@ def build_from_radical_ring(add: Sequence[Sequence[int]], mult: Sequence[Sequenc
     a * b = -a + (a o b) - b = ab.
     """
     n = len(add)
-    add_rows = tuple(tuple(as_int(x) for x in row) for row in add)
+    add_rows = tuple(map(int_row, add))
     if any(len(r) != n for r in add_rows):
         raise errors.ParseError("addition table is not square")
     # Relabeling would desynchronize the two tables, so pin zero at index 0.
@@ -210,10 +210,10 @@ def build_from_radical_ring(add: Sequence[Sequence[int]], mult: Sequence[Sequenc
     add_g = validate_group(add_rows)
     if not add_g.is_abelian():
         raise errors.NotARing("addition is not commutative")
-    rows = tuple(tuple(as_int(x) for x in row) for row in mult)
+    rows = tuple(map(int_row, mult))
     if len(rows) != n or any(len(r) != n for r in rows):
         raise errors.ParseError("multiplication table shape does not match addition")
-    if any(x < 0 or x >= n for row in rows for x in row):
+    if any(min(row) < 0 or max(row) >= n for row in rows):
         raise errors.ParseError("multiplication table entries outside the carrier")
     am = add_g.mul
     gens = greedy_generators(add_g)

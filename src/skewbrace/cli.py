@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from . import classify, errors, series
 from .braces import DEFAULT_SEED, SkewBrace, check_identities
@@ -34,19 +35,27 @@ def set_to_json(s: ElementSet | PairSpace) -> dict:
     and 0 <= idx(b) < p^d_b. So one pair comes before another iff its c has
     the smaller idx, or the c are equal and its b has the smaller idx, and
     idx orders vectors as their reversed digit tuples do lexicographically
-    (the last digit is the most significant). Each vector of U and of V is
-    one list, shared by every pair that holds it.
+    (the last digit is the most significant). The listing is a
+    `_PairListing`, which `_render` writes from the two factor listings.
     """
     out: dict = {"order": s.order if isinstance(s, PairSpace) else len(s)}
     if isinstance(s, PairSpace):
         out["b_basis"] = [list(v) for v in s.b.basis]
         out["c_basis"] = [list(v) for v in s.c.basis]
         if s.order <= ELEMENT_DUMP_CAP:
-            bs, cs = _index_ordered(s.b), _index_ordered(s.c)
-            out["elements"] = [[b, c] for c in cs for b in bs]
+            out["elements"] = _PairListing(_index_ordered(s.b), _index_ordered(s.c))
     else:
         out["elements"] = s.sorted()
     return out
+
+
+class _PairListing(list):
+    """The pairs [b, c] for c in cs for b in bs, a plain list to every
+    reader; it keeps bs and cs for `_render`."""
+
+    def __init__(self, bs: list[list[int]], cs: list[list[int]]):
+        super().__init__([[b, c] for c in cs for b in bs])
+        self.bs, self.cs = bs, cs
 
 
 def _index_ordered(space: Subspace) -> list[list[int]]:
@@ -129,40 +138,49 @@ def _json(value, pad: str = "\n") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`, built as one string.
 
     With an indent, `json.dump` runs the pure-Python streaming encoder and
-    writes every token on its own; here a flat list of plain ints is joined
-    in C and every other scalar goes to `json.dumps`. Keys are sorted before
-    they are converted, as `json` does it. A flat int list held in several
-    places (the vectors `set_to_json` shares between element pairs) is
-    rendered once per indent: the memo is keyed on its id, which stays its
-    own while `value` holds it, and lives for this call only.
+    writes every token on its own; here each container's items are joined in
+    C, a plain str, int, bool or None is converted by its type and any other
+    scalar goes to `json.dumps`. Keys are sorted before they are converted,
+    as `json` does it.
     """
-    return _render(value, pad, {})
+    return _render(value, pad)
 
 
-def _render(value, pad: str, memo: dict[tuple[int, str], str]) -> str:
+def _render(value, pad: str) -> str:
+    """`value` as `_json` writes it at the indent `pad`. A `_PairListing`
+    renders each vector of its factor listings once and joins them pairwise."""
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [_json_key(k) + ": " + _render(v, inner, memo) for k, v in sorted(value.items())]
+        items = [_json_key(k) + ": " + _render(v, inner) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
-            text = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
-            memo[id(value), pad] = text
-            return text
-        get = memo.get
-        parts = [get((id(v), inner)) or _render(v, inner, memo) for v in value]
+        if type(value) is _PairListing:
+            deep = inner + "  "
+            heads = ["[" + deep + _render(b, deep) + "," + deep for b in value.bs]
+            tails = [_render(c, deep) + inner + "]" for c in value.cs]
+            parts = [head + tail for tail in tails for head in heads]
+        elif set(map(type, value)) == {int}:
+            parts = map(int.__repr__, value)
+        else:
+            parts = [_render(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
-    return json.dumps(value)
+    return _SCALARS.get(type(value), json.dumps)(value)
+
+
+# What `json.dumps` writes for a scalar of exactly one of these types.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+            bool: lambda b: "true" if b else "false"}
 
 
 def _json_key(key) -> str:
     """A dict key as `json` writes it: an int, float, bool or None key as the
     quoted text of its value."""
-    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+    text = key if isinstance(key, str) else _SCALARS.get(type(key), json.dumps)(key)
+    return encode_basestring_ascii(text)
 
 
 def _emit(args: argparse.Namespace, report: dict) -> None:

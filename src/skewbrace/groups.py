@@ -101,6 +101,15 @@ def as_int(x) -> int:
     return x
 
 
+def int_row(row) -> tuple[int, ...]:
+    """A table row as a tuple of ints. A list or tuple of plain ints is
+    checked in C; any other row goes through `as_int` entry by entry, which
+    names the first entry that is not an int."""
+    if isinstance(row, (list, tuple)) and set(map(type, row)) == {int}:
+        return tuple(row)
+    return tuple(as_int(x) for x in row)
+
+
 def check_table_cap(size: int, what: str, unit: str = "cells or pairs") -> None:
     """Refuse a table or sweep of `size` units above TABLE_CAP, read per call."""
     if size > TABLE_CAP:
@@ -129,10 +138,10 @@ def validate_group(mul: Sequence[Sequence[int]]) -> GroupTable:
     for i, row in enumerate(mul):
         if not isinstance(row, (list, tuple)):
             raise errors.ParseError(f"row {i} is not a list")
-        row = tuple(as_int(x) for x in row)
+        row = int_row(row)
         if len(row) != n:
             raise errors.ParseError(f"row {i} has length {len(row)}, expected {n}")
-        if any(x < 0 or x >= n for x in row):
+        if min(row) < 0 or max(row) >= n:
             raise errors.ParseError(f"row {i} has entries outside 0..{n - 1}")
         rows.append(row)
     table: Table = tuple(rows)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import collections
+import contextlib
+import io
 import itertools
+import json
 
 import pytest
 
 import skewbrace as sb
-from skewbrace import errors
+from skewbrace import cli, errors
 from tests.conftest import identity_report_one_at_a_time, radical_z4_tables
 from tests.test_enumeration import _all_group_tables
 
@@ -312,6 +315,80 @@ def test_radical_ring_rejects_displaced_zero():
     # zero of this table sits at index 1, which would desync the tables
     with pytest.raises(errors.NotARing):
         sb.build_from_radical_ring(shifted_add, [[0] * 3 for _ in range(3)])
+
+
+def _z3_with(row, col, value):
+    table = cyclic_table(3)
+    table[row][col] = value
+    return table
+
+
+NOT_SQUARE = ("ParseError: dot table is not square", "ParseError: addition table is not square",
+              "ParseError: multiplication table shape does not match addition")
+NOT_ITERABLE = "TypeError: 'int' object is not iterable"
+OUTSIDE_MULT = "ParseError: multiplication table entries outside the carrier"
+
+
+# Each malformed table, then the error of validate_group on it, of
+# validate_brace with it as dot, of build_from_radical_ring with it as add
+# and as mult, and the exit code and stderr of `analyze` on a tables spec with
+# it as dot. One row parser serves all four; these pin what each raised
+# before it was shared, check order included.
+MALFORMED_TABLES = {
+    "bool": (_z3_with(1, 0, True), *["ParseError: expected an integer, got True"] * 4,
+             "1 parse error: expected an integer, got True"),
+    "bool_in_row_0": (_z3_with(0, 0, False), *["ParseError: expected an integer, got False"] * 4,
+                      "1 parse error: expected an integer, got False"),
+    "float": (_z3_with(1, 1, 2.0), *["ParseError: expected an integer, got 2.0"] * 4,
+              "1 parse error: expected an integer, got 2.0"),
+    "str": (_z3_with(2, 2, "1"), *["ParseError: expected an integer, got '1'"] * 4,
+            "1 parse error: expected an integer, got '1'"),
+    "short_row": ([[0, 1, 2], [1, 2], [2, 0, 1]], "ParseError: row 1 has length 2, expected 3",
+                  *NOT_SQUARE, "1 parse error: dot table is not square"),
+    "non_list_row": ([[0, 1, 2], 5, [2, 0, 1]], "ParseError: row 1 is not a list", *[NOT_ITERABLE] * 3,
+                     "1 parse error: brace spec of kind 'tables' has a malformed field: "
+                     "'int' object is not iterable"),
+    "minus_one": (_z3_with(2, 1, -1), *["ParseError: row 2 has entries outside 0..2"] * 3, OUTSIDE_MULT,
+                  "1 parse error: row 2 has entries outside 0..2"),
+    "n": (_z3_with(1, 2, 3), *["ParseError: row 1 has entries outside 0..2"] * 3, OUTSIDE_MULT,
+          "1 parse error: row 1 has entries outside 0..2"),
+    # the identity row is checked before the range and before any relabeling
+    "minus_one_in_row_0": (_z3_with(0, 2, -1), "ParseError: row 0 has entries outside 0..2",
+                           "IdentityMismatch: dot identity is not at index 0",
+                           "NotARing: not a ring: the zero element must sit at index 0", OUTSIDE_MULT,
+                           "2 validation error: dot identity is not at index 0"),
+    "identity_at_1": ([[2, 0, 1], [0, 1, 2], [1, 2, 0]], "ok",
+                      "IdentityMismatch: dot identity is not at index 0",
+                      "NotARing: not a ring: the zero element must sit at index 0",
+                      "NotARing: not a ring: left distributivity fails at (0, 0, 1)",
+                      "2 validation error: dot identity is not at index 0"),
+    "non_square": ([[0, 1, 2], [1, 2, 0]], "ParseError: row 0 has length 3, expected 2", *NOT_SQUARE,
+                   "1 parse error: dot table is not square"),
+}
+
+
+def _raised(fn) -> str:
+    try:
+        fn()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_TABLES))
+def test_malformed_tables_raise_the_same_errors_everywhere(name, tmp_path):
+    table, group, brace, ring_add, ring_mult, cli_out = MALFORMED_TABLES[name]
+    z3, zero = cyclic_table(3), [[0] * 3 for _ in range(3)]
+    assert _raised(lambda: sb.validate_group(table)) == group
+    assert _raised(lambda: sb.validate_brace(table, z3)) == brace
+    assert _raised(lambda: sb.build_from_radical_ring(table, zero)) == ring_add
+    assert _raised(lambda: sb.build_from_radical_ring(z3, table)) == ring_mult
+    path = tmp_path / "brace.json"
+    path.write_text(json.dumps({"kind": "tables", "dot": table, "circ": z3}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", str(path), "--json"])
+    assert f"{code} {err.getvalue().strip()}" == cli_out
 
 
 def test_radical_ring_star_equals_multiplication():

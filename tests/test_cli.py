@@ -536,10 +536,27 @@ JSON_SCALARS = st.one_of(
 )
 
 
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
 def _json_containers(children):
     return st.one_of(
         st.lists(children),
         st.lists(children).map(tuple),
+        # subclasses render indented, as `json` does for any list, tuple or dict
+        st.lists(children).map(_List),
+        st.lists(children).map(_Tuple),
+        st.dictionaries(st.text(), children).map(_Dict),
+        st.builds(cli._PairListing, st.lists(children, max_size=3), st.lists(children, max_size=3)),
         st.lists(st.integers()),
         st.dictionaries(st.text(), children),
         # keys of one comparable kind per dict: json sorts keys before converting them
@@ -603,6 +620,11 @@ def decode_listing(brace, term):
     return [[list(b), list(c)] for b, c in map(brace.decode, sorted(term))]
 
 
+def bc13():
+    """bc81's construction at p = 13: its listed vectors hold two-digit entries."""
+    return sb.make_bc_brace(13, 2, 2, (I2, UNI2), (I2, UNI2))
+
+
 @pytest.mark.parametrize(
     "make", [bc16, bc81, lambda: sb.make_counterexample_F(5)], ids=["bc16", "bc81", "F5"]
 )
@@ -614,6 +636,34 @@ def test_term_elements_read_off_subspaces_match_decoded_indices(make):
         for term in chain.terms:
             if len(term) <= cli.ELEMENT_DUMP_CAP:
                 assert cli.set_to_json(term)["elements"] == decode_listing(brace, term)
+                listed += 1
+    assert listed >= 10
+
+
+def _assert_listing_renders_as_plain_list(term):
+    """`_json`, text mode and `json.dumps` see a pair listing as the plain
+    list of its pairs."""
+    listing = term["elements"]
+    plain = {**term, "elements": list(listing)}
+    assert type(listing) is cli._PairListing and type(plain["elements"]) is list
+    assert cli._json(term) == json.dumps(term, indent=2, sort_keys=True) == cli._json(plain)
+    assert str(listing) == str(plain["elements"])
+    assert json.dumps(listing) == json.dumps(plain["elements"])
+
+
+@pytest.mark.parametrize(
+    "make", [bc16, bc81, lambda: sb.make_counterexample_F(5), bc13], ids=["bc16", "bc81", "F5", "bc13"]
+)
+def test_pair_listings_render_as_plain_lists(make):
+    """Every listed term of the ten chains, and the same term with either
+    factor listing cut to its zero vector."""
+    listed = 0
+    for chain in cli._all_chains(make()).values():
+        for term in map(cli.set_to_json, chain.terms):
+            if "elements" in term:
+                bs, cs = term["elements"].bs, term["elements"].cs
+                for pairs in (term["elements"], cli._PairListing(bs[:1], cs), cli._PairListing(bs, cs[:1])):
+                    _assert_listing_renders_as_plain_list({**term, "elements": pairs})
                 listed += 1
     assert listed >= 10
 
@@ -639,22 +689,23 @@ def test_series_f5_lists_no_term(tmp_path, capsys, monkeypatch):
 
 def test_json_writer_renders_shared_lists_once_per_depth(monkeypatch):
     """One list object at two depths, and a tuple and a list of the same
-    ints, render as `json.dumps` does; a list shared by pairs renders once."""
+    ints, render as `json.dumps` does; a pair listing renders each vector
+    of its two factor listings once."""
     v, t = [1, 2, 3], (1, 2, 3)
     value = {"a": v, "b": [v, [v, t]], "c": [t, v, [1, 2, 3]], "d": [[v, v], t, {"e": v}]}
     assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
     bs, cs = [[0, 0], [1, 0], [0, 1]], [[0], [2]]
-    pairs = [[b, c] for c in cs for b in bs]
+    pairs = cli._PairListing(bs, cs)
     calls = []
     original = cli._render
 
-    def counted(value, pad, memo):
+    def counted(value, pad):
         calls.append(value)
-        return original(value, pad, memo)
+        return original(value, pad)
 
     monkeypatch.setattr(cli, "_render", counted)
     assert cli._json(pairs) == json.dumps(pairs, indent=2, sort_keys=True)
-    assert len(calls) == 1 + len(pairs) + len(bs) + len(cs)
+    assert len(calls) == 1 + len(bs) + len(cs)
 
 
 def _call(argv):
