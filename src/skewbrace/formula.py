@@ -21,9 +21,10 @@ and generated subgroups are invariant-subspace closures of basis differences
 brace's maps and those canonical bases, so the chains and the inclusion
 checks share one solve each. `bc_brace` solves no kernel: it tests its
 condition on the columns of the basis differences.
-`series` runs the chain steps through `groups.run_chain` on `PairSpace` terms,
-the brace's element sets, listed only when read element by element. The
-tests check these paths against the table machinery and element sweeps.
+The set operations of `substructures`, which the series are declared over,
+call these paths on `PairSpace` terms, the brace's element sets, listed only
+when read element by element. The tests check them against the table
+machinery and element sweeps.
 
 Element operations work on indices b + p^d_b * c, split by quotient and
 remainder. Each factor (`_Component`) adds on two digit blocks through one
@@ -681,8 +682,14 @@ def _diff_span(brace: BCBrace, side: str, acting: Subspace, moved: Subspace) -> 
 
 def close_pair(brace: BCBrace, b_span: Subspace, c_span: Subspace) -> PairSpace:
     """Subgroup of (A, .) generated by the product set b_span x c_span: the
-    phi-closure of the B part under the C part, times the C part."""
-    return PairSpace(_closure(b_span, [brace.phi(v) for v in c_span.basis]), c_span)
+    phi-closure of the B part under the C part, times the C part. Memoized
+    per brace on the RREF bases of the two parts, sound as for `_fixers`."""
+    key = ("close_pair", b_span.basis, c_span.basis)
+    out = brace._cache.get(key)
+    if out is None:
+        closed = _closure(b_span, [brace.phi(v) for v in c_span.basis])
+        out = brace._cache[key] = PairSpace(closed, c_span)
+    return out
 
 
 def star_span(brace: BCBrace, x: PairSpace, y: PairSpace) -> tuple[Subspace, Subspace]:
@@ -708,35 +715,9 @@ def star_subgroup_pair(brace: BCBrace, x: PairSpace, y: PairSpace) -> PairSpace:
     return close_pair(brace, *star_span(brace, x, y))
 
 
-def _union_close(brace: BCBrace, parts: list[tuple[Subspace, Subspace]]) -> PairSpace:
-    b_total, c_total = parts[0]
-    for b_span, c_span in parts[1:]:
-        b_total = b_total.union_span(b_span)
-        c_total = c_total.union_span(c_span)
-    return close_pair(brace, b_total, c_total)
-
-
 # ---------------------------------------------------------------------------
-# Chain steps on product subspaces. `series` runs them through
-# `groups.run_chain`; a step given `terms` maps the terms so far to the next,
-# one given `prev` reads only the last term.
-
-
-def bc_gamma_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
-    """Gamma_{n+1}, generated by Gamma_n * A, A * Gamma_n and [A, Gamma_n]."""
-    full, last = terms[0], terms[-1]
-    parts = [
-        star_span(brace, last, full),
-        star_span(brace, full, last),
-        (comm_dot_span(brace, full, last), Subspace.zero(brace.p, brace.d_c)),
-    ]
-    return _union_close(brace, parts)
-
-
-def bc_smoktunowicz_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
-    """A^[n+1], generated by the union of A^[i] * A^[n+1-i]."""
-    n = len(terms)
-    return _union_close(brace, [star_span(brace, terms[i], terms[n - 1 - i]) for i in range(n)])
+# The lifted step on product subspaces, behind `substructures.lifted`. No
+# library path calls the four wrappers after it; bench/tracer.py hooks them.
 
 
 def bc_lifted_step(brace: BCBrace, prev: PairSpace, maps) -> PairSpace:
@@ -780,16 +761,6 @@ def bc_zeta_dot_step(brace: BCBrace, prev: PairSpace) -> PairSpace:
 
 def bc_zeta_circ_step(brace: BCBrace, prev: PairSpace) -> PairSpace:
     return bc_lifted_step(brace, prev, {"comm_circ"})
-
-
-def bc_gamma_dot_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
-    span = comm_dot_span(brace, terms[0], terms[-1])
-    return PairSpace(span, Subspace.zero(brace.p, brace.d_c))
-
-
-def bc_gamma_circ_step(brace: BCBrace, terms: list[PairSpace]) -> PairSpace:
-    span = comm_circ_span(brace, terms[0], terms[-1])
-    return PairSpace(Subspace.zero(brace.p, brace.d_b), span)
 
 
 # ---------------------------------------------------------------------------

@@ -1,82 +1,61 @@
 """The six series of a skew brace, the group series of its two groups, and
 the quotient-based socle variant.
 
-Every chain runs through `groups.run_chain`, and each series below only
-declares its step on both backings. Formula braces run the `formula` step on
-their element sets, `PairSpace`s interned by `BCBrace.pair_to_set`; table
-braces run the step here on `ElementSet`s. `_series` is the one place that
-memoizes on the brace and picks the backing. Descending chains stop
-when a term repeats or hits {1}; ascending chains use lifted elementwise
-predicates so no quotient is ever materialized.
+Every chain runs through `groups.run_chain`, and each series below is
+declared once, as its definition over the set operations of
+`substructures`: star subgroups, dot joins, lifted steps and commutators.
+Those pick the backing from the term type, so a formula brace's terms are
+interned `PairSpace`s and a table brace's are element sets. `_series` is the
+one place that memoizes a chain on the brace. Descending chains stop when a
+term repeats or hits {1}; ascending chains use lifted elementwise predicates
+so no quotient is ever materialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from . import errors, formula
+from . import errors
 from .braces import SkewBrace, TableBrace
-from .formula import BCBrace
-from .groups import (
-    ElementSet,
-    SeriesChain,
-    commutator_set,
-    full_set,
-    lifted_step,
-    run_chain,
-    subgroup_closure,
-    trivial_set,
+from .groups import ElementSet, SeriesChain, full_set, run_chain
+from .substructures import (
+    _commutator,
+    _tables_only,
+    commutators,
+    dot_join,
+    is_ideal,
+    lifted,
+    quotient_brace,
+    star_subgroup,
+    trivial_and_full,
 )
-from .substructures import _commutator, _tables_only, is_ideal, quotient_brace, star_subgroup
 
 
 def _series(
     brace: SkewBrace,
     kind: str,
-    pair_step,
-    set_step,
+    step,
     ascending: bool = False,
     plateau: int = 2,
     key: str | None = None,
 ) -> SeriesChain:
-    """The chain of `kind`, cached under `key` (default `<kind>_series`).
-
-    Both steps map the terms so far to the next one: `pair_step` on the
-    PairSpace terms of a formula brace, `set_step` on element sets.
-    """
-
+    """The chain of `kind` from {1} (ascending) or A, where `step` maps the
+    terms so far to the next; cached under `key` (default `<kind>_series`)."""
     key = key or f"{kind}_series"
     chain = brace._cache.get(key)
     if chain is None:
-        if isinstance(brace, BCBrace):
-            start = brace.trivial_pair() if ascending else brace.full_pair()
-            chain = run_chain(kind, start, pair_step, ascending, plateau)
-            chain = replace(chain, terms=tuple(brace.pair_to_set(t) for t in chain.terms))
-        else:
-            start = trivial_set(brace.order) if ascending else full_set(brace.order)
-            chain = run_chain(kind, start, set_step, ascending, plateau)
-        brace._cache[key] = chain
+        one, whole = trivial_and_full(brace)
+        start = one if ascending else whole
+        chain = brace._cache[key] = run_chain(kind, start, step, ascending, plateau)
     return chain
 
 
 def left_series(brace: SkewBrace) -> SeriesChain:
     """A^1 = A, A^{n+1} = A * A^n."""
-    return _series(
-        brace,
-        "left",
-        lambda terms: formula.star_subgroup_pair(brace, terms[0], terms[-1]),
-        lambda terms: star_subgroup(brace, terms[0], terms[-1]),
-    )
+    return _series(brace, "left", lambda terms: star_subgroup(brace, terms[0], terms[-1]))
 
 
 def right_series(brace: SkewBrace) -> SeriesChain:
     """A^(1) = A, A^(n+1) = A^(n) * A."""
-    return _series(
-        brace,
-        "right",
-        lambda terms: formula.star_subgroup_pair(brace, terms[-1], terms[0]),
-        lambda terms: star_subgroup(brace, terms[-1], terms[0]),
-    )
+    return _series(brace, "right", lambda terms: star_subgroup(brace, terms[-1], terms[0]))
 
 
 def smoktunowicz_series(brace: SkewBrace) -> SeriesChain:
@@ -86,20 +65,11 @@ def smoktunowicz_series(brace: SkewBrace) -> SeriesChain:
     two additional equal terms before the chain is declared stable.
     """
 
-    def set_step(terms: list[ElementSet]) -> ElementSet:
+    def step(terms: list[ElementSet]) -> ElementSet:
         n = len(terms)
-        union: set[int] = set()
-        for i in range(n):
-            union |= star_subgroup(brace, terms[i], terms[n - 1 - i]).members
-        return subgroup_closure(brace.dot_group, union)
+        return dot_join(brace, [star_subgroup(brace, terms[i], terms[n - 1 - i]) for i in range(n)])
 
-    return _series(
-        brace,
-        "smoktunowicz",
-        lambda terms: formula.bc_smoktunowicz_step(brace, terms),
-        set_step,
-        plateau=3,
-    )
+    return _series(brace, "smoktunowicz", step, plateau=3)
 
 
 def socle(brace: SkewBrace) -> ElementSet:
@@ -116,28 +86,14 @@ def socle_series(brace: SkewBrace) -> SeriesChain:
     """Soc_0 = 1 and the lifted predicate x in Soc_{n+1} iff every x*a and
     every [x, a] lands in Soc_n."""
     return _series(
-        brace,
-        "socle",
-        lambda terms: formula.bc_socle_step(brace, terms[-1]),
-        lambda terms: lifted_step(
-            brace.order, (brace.star, brace.comm_dot), terms[-1], brace.generators()
-        ),
-        ascending=True,
+        brace, "socle", lambda terms: lifted(brace, terms[-1], ("star", "comm_dot")), ascending=True
     )
 
 
 def annihilator_series(brace: SkewBrace) -> SeriesChain:
+    maps = ("star", "comm_dot", "comm_circ")
     return _series(
-        brace,
-        "annihilator",
-        lambda terms: formula.bc_annihilator_step(brace, terms[-1]),
-        lambda terms: lifted_step(
-            brace.order,
-            (brace.star, brace.comm_dot, brace.comm_circ),
-            terms[-1],
-            brace.generators(),
-        ),
-        ascending=True,
+        brace, "annihilator", lambda terms: lifted(brace, terms[-1], maps), ascending=True
     )
 
 
@@ -162,15 +118,16 @@ def socle_quotient_tower(brace: SkewBrace) -> list[TableBrace]:
 def gamma_series(brace: SkewBrace) -> SeriesChain:
     """Gamma_1 = A, Gamma_{n+1} generated by Gamma_n*A, A*Gamma_n, [A, Gamma_n]."""
 
-    def set_step(terms: list[ElementSet]) -> ElementSet:
+    def step(terms: list[ElementSet]) -> ElementSet:
         whole, last = terms[0], terms[-1]
-        gens = set(star_subgroup(brace, last, whole).members)
-        gens |= star_subgroup(brace, whole, last).members
-        # all of A: Gamma_n being normal is what `gamma_equals_gamma_prime` checks
-        gens |= {brace.comm_dot(a, x) for a in brace.elements() for x in last.members}
-        return subgroup_closure(brace.dot_group, gens)
+        parts = [
+            star_subgroup(brace, last, whole),
+            star_subgroup(brace, whole, last),
+            commutators(brace, "dot", last),
+        ]
+        return dot_join(brace, parts)
 
-    return _series(brace, "gamma", lambda terms: formula.bc_gamma_step(brace, terms), set_step)
+    return _series(brace, "gamma", step)
 
 
 def gamma_prime_series(brace: SkewBrace) -> SeriesChain:
@@ -207,51 +164,25 @@ def relative_gamma_series(brace: SkewBrace, ideal: ElementSet) -> SeriesChain:
 
 
 def zeta_dot_series(brace: SkewBrace) -> SeriesChain:
-    """Upper central series of (A, .), on either backing."""
-    return _series(
-        brace,
-        "group_upper",
-        lambda terms: formula.bc_zeta_dot_step(brace, terms[-1]),
-        lambda terms: lifted_step(
-            brace.order, (brace.dot_group.comm,), terms[-1], brace.generators()
-        ),
-        ascending=True,
-        key="zeta_dot",
-    )
+    """Upper central series of (A, .)."""
+    step = lambda terms: lifted(brace, terms[-1], ("comm_dot",))
+    return _series(brace, "group_upper", step, ascending=True, key="zeta_dot")
 
 
 def zeta_circ_series(brace: SkewBrace) -> SeriesChain:
-    return _series(
-        brace,
-        "group_upper",
-        lambda terms: formula.bc_zeta_circ_step(brace, terms[-1]),
-        lambda terms: lifted_step(
-            brace.order, (brace.circ_group.comm,), terms[-1], brace.generators()
-        ),
-        ascending=True,
-        key="zeta_circ",
-    )
+    step = lambda terms: lifted(brace, terms[-1], ("comm_circ",))
+    return _series(brace, "group_upper", step, ascending=True, key="zeta_circ")
 
 
 def gamma_dot_series(brace: SkewBrace) -> SeriesChain:
-    """Lower central series of (A, .), on either backing."""
-    return _series(
-        brace,
-        "group_lower",
-        lambda terms: formula.bc_gamma_dot_step(brace, terms),
-        lambda terms: commutator_set(brace.dot_group, brace.generators(), terms[-1]),
-        key="gamma_dot",
-    )
+    """Lower central series of (A, .)."""
+    step = lambda terms: commutators(brace, "dot", terms[-1])
+    return _series(brace, "group_lower", step, key="gamma_dot")
 
 
 def gamma_circ_series(brace: SkewBrace) -> SeriesChain:
-    return _series(
-        brace,
-        "group_lower",
-        lambda terms: formula.bc_gamma_circ_step(brace, terms),
-        lambda terms: commutator_set(brace.circ_group, brace.generators(), terms[-1]),
-        key="gamma_circ",
-    )
+    step = lambda terms: commutators(brace, "circ", terms[-1])
+    return _series(brace, "group_lower", step, key="gamma_circ")
 
 
 ALL_SERIES = {

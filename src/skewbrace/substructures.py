@@ -1,5 +1,8 @@
-"""Sub-skew braces, left ideals, ideals, closures, quotients, and the
-Huq-style commutator of ideals."""
+"""Sub-skew braces, left ideals, ideals, closures, quotients, the
+Huq-style commutator of ideals, and the set operations of the series:
+`trivial_and_full`, `star_subgroup`, `dot_join`, `lifted` and `commutators`.
+Each of these checks the term type once and returns a term of the brace's
+own type: an interned `PairSpace` of a formula brace, or an element set."""
 
 from __future__ import annotations
 
@@ -11,8 +14,12 @@ from .formula import PairSpace
 from .groups import (
     ElementSet,
     GroupTable,
+    _close,
     _coset_table,
+    full_set,
+    make_set,
     subgroup_closure,
+    trivial_set,
 )
 
 
@@ -97,6 +104,66 @@ def star_subgroup(brace: SkewBrace, x: ElementSet, y: ElementSet) -> ElementSet:
         values = {brace.star(a, b) for a in xm for b in ym}
         out = brace._cache[key] = subgroup_closure(brace.dot_group, values)
     return out
+
+
+def trivial_and_full(brace: SkewBrace) -> tuple[ElementSet, ElementSet]:
+    """{1} and A as terms of the brace's own type, made once per brace."""
+    ends = brace._cache.get("ends")
+    if ends is None:
+        if isinstance(brace, TableBrace):
+            ends = trivial_set(brace.order), full_set(brace.order)
+        else:
+            ends = brace.pair_to_set(brace.trivial_pair()), brace.pair_to_set(brace.full_pair())
+        brace._cache["ends"] = ends
+    return ends
+
+
+def dot_join(brace: SkewBrace, sets) -> ElementSet:
+    """Subgroup of (A, .) generated by the union of the subgroups `sets`.
+    For product subspaces U_i x V_i it is generated by (sum U_i) x (sum V_i),
+    as each U_i x V_i lies in it and (u, v) = (u, 0) . (0, v)."""
+    if isinstance(sets[0], PairSpace):
+        b, c = sets[0].b, sets[0].c
+        for s in sets[1:]:
+            b, c = b.union_span(s.b), c.union_span(s.c)
+        return brace.pair_to_set(formula.close_pair(brace, b, c))
+    return subgroup_closure(brace.dot_group, set().union(*(s.members for s in sets)))
+
+
+def lifted(brace: SkewBrace, prev: ElementSet, maps: tuple[str, ...]) -> ElementSet:
+    """The x with every f(x, a) in `prev`, f named in `maps` (from "star",
+    "comm_dot" and "comm_circ"), for `prev` normal in the groups they read."""
+    if isinstance(prev, PairSpace):
+        return brace.pair_to_set(formula.bc_lifted_step(brace, prev, maps))
+    fns = [getattr(brace, f) for f in maps]
+    return groups.lifted_step(brace.order, fns, prev, brace.generators())
+
+
+def commutators(brace: SkewBrace, side: str, y: ElementSet) -> ElementSet:
+    """[A, Y], generated by every [a, b] with a in A and b in Y, in (A, .)
+    (`side` "dot") or (A, o) ("circ"), for any subset Y.
+
+    On product subspaces it is a commutator span. On a table brace it is the
+    normal closure N of the [g, b] with g in `brace.generators()`, b in Y:
+    [A, Y] is normal, as x[a, b]x^-1 = [xa, b][x, b]^-1, so it holds N; and
+    [ga, b] = g[a, b]g^-1 [g, b] puts every [a, b] in N, by induction on the
+    length of a as a word in the generators. A subgroup holding the
+    conjugates of its generators by A's is normal, so the closure adds those
+    that fall outside until none does.
+    """
+    if isinstance(y, PairSpace):
+        one, whole = trivial_and_full(brace)
+        if side == "dot":
+            return brace.pair_to_set(PairSpace(formula.comm_dot_span(brace, whole, y), one.c))
+        return brace.pair_to_set(PairSpace(one.b, formula.comm_circ_span(brace, whole, y)))
+    g = brace.dot_group if side == "dot" else brace.circ_group
+    gens = brace.generators()
+    members, taken = _close(g, {g.comm(a, b) for a in gens for b in y.members})
+    while True:
+        outside = {g.conj(a, x) for a in gens for x in taken} - members
+        if not outside:
+            return make_set(members, g.order)
+        members, taken = _close(g, [*taken, *outside])
 
 
 def ideal_closure(brace: SkewBrace, seed: Iterable[int] | ElementSet) -> ElementSet:

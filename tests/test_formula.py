@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewbrace as sb
-from skewbrace import errors, formula, groups, series
+from skewbrace import errors, formula, groups, series, substructures
 from skewbrace.formula import PairSpace, span_of_units
 from skewbrace.fp import Subspace, mat_identity, mat_mul, mat_vec, unit_vec, vec_neg
 from tests.conftest import I2, UNI2, bc16, bc81, identity_report_one_at_a_time, injective_phi_spec
@@ -151,17 +151,10 @@ def test_asymmetric_dims_match_tables(make):
             assert brace.circ(a, b) == table.circ(a, b)
             assert brace.star(a, b) == table.star(a, b)
             assert brace.comm_circ(a, b) == table.comm_circ(a, b)
-    for fn in (
-        sb.left_series,
-        sb.right_series,
-        sb.smoktunowicz_series,
-        sb.socle_series,
-        sb.annihilator_series,
-        sb.gamma_series,
-    ):
+    for fn in ALL_CHAINS:
         fast, slow = fn(brace), fn(table)
-        assert [t.sorted() for t in fast.terms] == [t.sorted() for t in slow.terms]
-        assert fast.reaches_terminal == slow.reaches_terminal
+        assert [t.sorted() for t in fast.terms] == [t.sorted() for t in slow.terms], fn.__name__
+        assert fast.reaches_terminal == slow.reaches_terminal, fn.__name__
 
 
 def test_identity_actions_give_trivial_brace():
@@ -1314,16 +1307,31 @@ def test_f5_socle_series(f5):
 
 
 def pair_chains(brace, on_step=None):
-    """The six series on PairSpace terms through `groups.run_chain`, with no
-    element set built; `on_step(kind, step)` may wrap each step."""
-    full, trivial = brace.full_pair(), brace.trivial_pair()
+    """The six series on PairSpace terms, from the `substructures` set
+    operations through `groups.run_chain`; `on_step(kind, step)` may wrap
+    each step."""
+    one, whole = substructures.trivial_and_full(brace)
+
+    def star(x, y):
+        return substructures.star_subgroup(brace, x, y)
+
+    def lifted(maps):
+        return lambda t: substructures.lifted(brace, t[-1], maps)
+
+    def smoktunowicz(t):
+        return substructures.dot_join(brace, [star(t[i], t[-1 - i]) for i in range(len(t))])
+
+    def gamma(t):
+        parts = [star(t[-1], t[0]), star(t[0], t[-1]), substructures.commutators(brace, "dot", t[-1])]
+        return substructures.dot_join(brace, parts)
+
     steps = {
-        "left": (full, lambda t: formula.star_subgroup_pair(brace, t[0], t[-1]), False, 2),
-        "right": (full, lambda t: formula.star_subgroup_pair(brace, t[-1], t[0]), False, 2),
-        "smoktunowicz": (full, lambda t: formula.bc_smoktunowicz_step(brace, t), False, 3),
-        "socle": (trivial, lambda t: formula.bc_socle_step(brace, t[-1]), True, 2),
-        "annihilator": (trivial, lambda t: formula.bc_annihilator_step(brace, t[-1]), True, 2),
-        "gamma": (full, lambda t: formula.bc_gamma_step(brace, t), False, 2),
+        "left": (whole, lambda t: star(t[0], t[-1]), False, 2),
+        "right": (whole, lambda t: star(t[-1], t[0]), False, 2),
+        "smoktunowicz": (whole, smoktunowicz, False, 3),
+        "socle": (one, lifted(("star", "comm_dot")), True, 2),
+        "annihilator": (one, lifted(("star", "comm_dot", "comm_circ")), True, 2),
+        "gamma": (whole, gamma, False, 2),
     }
     wrap = on_step or (lambda kind, step: step)
     return {
@@ -1372,6 +1380,7 @@ def test_f7_same_shape():
 
     chains = pair_chains(f11, on_step)
     assert {kind: chain_shape(chain) for kind, chain in chains.items()} == f7
+    assert all(t._members is None for chain in chains.values() for t in chain.terms)
     assert len(per_step) >= 8 and max(per_step) <= 200, per_step
 
 

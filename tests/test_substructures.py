@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import skewbrace as sb
 from skewbrace import errors
-from skewbrace.groups import make_set
+from skewbrace.groups import all_subgroups, make_set
+from skewbrace.substructures import commutators
 
 
 def two_element_subgroup(g: sb.GroupTable) -> sb.ElementSet:
@@ -266,3 +269,19 @@ def test_quotient_projection_is_brace_homomorphism(catalog):
                     assert proj[brace.dot(a, b)] == q.dot(proj[a], proj[b]), name
                     assert proj[brace.circ(a, b)] == q.circ(proj[a], proj[b]), name
                     assert proj[brace.star(a, b)] == q.star(proj[a], proj[b]), name
+
+
+@pytest.mark.parametrize("side", ["dot", "circ"])
+def test_commutators_match_all_pairs_sweep(corpus8, sweep12, side):
+    """[A, Y] from the generators and a normal closure equals the closure of
+    every [a, b] with a in A and b in Y, for every subgroup Y of the group,
+    normal or not, and for seeded random subsets."""
+    rng = random.Random(side)
+    for name, brace in corpus8 + sweep12:
+        g = brace.dot_group if side == "dot" else brace.circ_group
+        ys = all_subgroups(g) + [
+            make_set(rng.sample(range(g.order), k), g.order) for k in range(1, g.order + 1, 3)
+        ]
+        for y in ys:
+            sweep = {g.comm(a, b) for a in g.elements() for b in y.members}
+            assert commutators(brace, side, y) == sb.subgroup_closure(g, sweep), (name, y.sorted())
