@@ -281,6 +281,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    """Writes the list one entry at a time, in the bytes of
+    `json.dumps(entries, sort_keys=True)` with --json and of `_json(entries)`
+    without, plus a newline. Every refusal comes from the group or the
+    search, before the first byte."""
     if args.builtin:
         order = builtin_order(args.builtin)
         if order > args.max_order:  # before any table is built
@@ -293,13 +297,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         raise errors.ParseError("enumerate needs --group FILE or --builtin NAME")
     braces = enumerate_braces(group, max_order=args.max_order)
-    out = []
-    for b in braces:
+    if args.json:
+        encode, head, sep, tail = json.JSONEncoder(sort_keys=True).encode, "[", ", ", "]"
+    else:
+        encode, head, sep, tail = functools.partial(_render, pad="\n  "), "[\n  ", ",\n  ", "\n]"
+    write = sys.stdout.write
+    for i, b in enumerate(braces):
         entry = spec_of_tables(b)
         if args.profile:
             entry["profile"] = asdict(classify.nilpotency_profile(b))
-        out.append(entry)
-    print(json.dumps(out, sort_keys=True) if args.json else _json(out))
+        write((sep if i else head) + encode(entry))
+    write(tail + "\n" if braces else "[]\n")
     return 0
 
 

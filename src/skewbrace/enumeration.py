@@ -74,6 +74,24 @@ def automorphism_group(g: GroupTable) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def _semiregular(perm: list[int]) -> bool:
+    """Whether a permutation fixes no point and has all its cycles of one length."""
+    seen = [False] * len(perm)
+    length = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        x, k = start, 0
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            k += 1
+        if k == 1 or (length and k != length):
+            return False
+        length = k
+    return True
+
+
 def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> list[TableBrace]:
     """Every brace with additive group exactly this table (labeled, no
     quotient by isomorphism), via lambda-map backtracking, sorted by circ
@@ -104,6 +122,27 @@ def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> lis
       members give distinct lambda_{x0}, and one sigma is injective, so no
       brace appears twice and every brace appears once.
 
+    Only the lambda maps a regular subgroup allows are tried. A brace on A
+    is a regular subgroup {(a, lambda_a)} of Hol(A) (Guarnieri-Vendramin):
+    - (a, lambda_a) acts on A as x -> a . lambda_a(x) = a o x, the regular
+      action of (A, o).
+    - In a regular permutation group no non-identity element fixes a point,
+      and neither does any of its nontrivial powers. So each cycle of
+      x -> a o x has the length of a's order, and for a != 0 lambda_a is a
+      candidate for a: an automorphism sigma for which x -> a . sigma(x)
+      fixes no point and has all its cycles of one length.
+    - The root skips a c that is not a candidate for x0, `free` tries only
+      the candidates for its element, and `propagate` fails a branch that
+      forces a lambda_z that is not a candidate for z.
+    - For sigma in S, sigma(x0) = x0, so the permutation of
+      (x0, sigma c sigma^-1) is sigma P sigma^-1, where P is the permutation
+      of (x0, c); the same holds at sigma(a) for the conjugated maps, as
+      sigma(a) . sigma lambda_a sigma^-1(x) = sigma(a . lambda_a(sigma^-1(x))).
+      Conjugate permutations have the same cycles, so conjugation keeps a
+      candidate a candidate, and the root split stays valid.
+    Each element's candidates are listed once, as a list for `free` and
+    the root and a set for `propagate`.
+
     Automorphisms are composed only when the search meets a pair, into a
     flat dict keyed by i * |Aut| + j.
     """
@@ -118,6 +157,11 @@ def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> lis
     identity_aut = aut_index[tuple(range(n))]
     products: dict[int, int] = {}  # i * m + j -> index of auts[i] o auts[j]
     mul = g.mul
+    # Empty for a = 0, as every sigma fixes 0; lambda_0 = id is set at the root.
+    candidates = [
+        [s for s, sigma in enumerate(auts) if _semiregular([row[v] for v in sigma])] for row in mul
+    ]
+    allowed = [set(c) for c in candidates]
 
     def propagate(lam: list[int | None], fresh: list[int]) -> bool:
         while fresh:
@@ -135,6 +179,8 @@ def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> lis
                         outer = auts[lx]
                         lz = products[key] = aut_index[tuple([outer[v] for v in auts[ly]])]
                     if lam[z] is None:
+                        if lz not in allowed[z]:
+                            return False
                         lam[z] = lz
                         fresh.append(z)
                     elif lam[z] != lz:
@@ -153,7 +199,7 @@ def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> lis
             if free is None:
                 leaves.append(lam)
                 continue
-            for choice in range(m):
+            for choice in candidates[free]:
                 trial = list(lam)
                 trial[free] = choice
                 if propagate(trial, [free]):
@@ -175,7 +221,7 @@ def enumerate_braces(g: GroupTable, max_order: int = ENUMERATE_MAX_ORDER) -> lis
     stabilizer = [s for s in range(m) if auts[s][1] == 1]
     covered = [False] * m
     maps: list[list[int]] = []
-    for c in range(m):
+    for c in candidates[1]:
         if covered[c]:
             continue
         members: dict[int, int] = {}  # sigma c sigma^-1 -> the first such sigma

@@ -82,10 +82,21 @@ class GroupTable:
 
 
 def _inverse_row(table: Table, n: int) -> tuple[int, ...]:
+    """The first y with x.y = y.x = 0, for each x. The first zero of row x
+    is found in C; when its column does not give 0 back, the row is
+    scanned, so a table that is not a group gets the same y or NoInverse(x)."""
     inv = [-1] * n
     for x in range(n):
-        for y in range(n):
-            if table[x][y] == 0 and table[y][x] == 0:
+        row = table[x]
+        try:
+            y = row.index(0)
+        except ValueError:
+            raise errors.NoInverse(x) from None
+        if table[y][x] == 0:
+            inv[x] = y
+            continue
+        for y in range(y + 1, n):
+            if row[y] == 0 and table[y][x] == 0:
                 inv[x] = y
                 break
         else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
@@ -197,6 +198,26 @@ def test_enumerate_round_trip(capsys):
     for entry in out:
         brace = sb.brace_from_spec({k: v for k, v in entry.items() if k != "profile"})
         assert [list(r) for r in brace.circ_group.mul] == entry["circ"]
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "A4"])
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--profile"], ["--json", "--profile"]])
+def test_enumerate_streams_the_bytes_of_the_whole_list(capsys, name, flags):
+    """The entries are written one at a time, in the bytes of one
+    `json.dumps(entries, sort_keys=True)` with --json and of one
+    `_json(entries)` without."""
+    entries = []
+    for brace in sb.enumerate_braces(sb.builtin_group(name)):
+        entry = sb.spec_of_tables(brace)
+        if "--profile" in flags:
+            entry["profile"] = dataclasses.asdict(sb.nilpotency_profile(brace))
+        entries.append(entry)
+    assert main(["enumerate", "--builtin", name, *flags]) == 0
+    out = capsys.readouterr().out
+    if "--json" in flags:
+        assert out == json.dumps(entries, sort_keys=True) + "\n"
+    else:
+        assert out == cli._json(entries) + "\n"
 
 
 def test_enumerate_group_file(tmp_path, capsys):

@@ -34,7 +34,10 @@ PRUNING_GROUPS = [
 ]
 
 # Labeled brace counts at order 16, measured with the unpruned search.
-ORDER16_COUNTS = {"C16": 16, "C2xC8": 160, "D8": 304, "C4xC4": 880}
+ORDER16_COUNTS = {
+    "C16": 16, "C2xC8": 160, "D8": 304, "C4xC4": 880,
+    "C2xD4": 1488, "C2xQ8": 2096, "C2xC2xC4": 3152,
+}
 
 # Isomorphism-class counts derived from the enumerator plus the automorphism
 # action; stable regression values.
@@ -495,9 +498,9 @@ def brute_force_oracle(g: GroupTable) -> list[sb.TableBrace]:
     ]
 
 
-@pytest.mark.parametrize("name", PRUNING_GROUPS + ["C16", "C2xC8", "D8"])
+@pytest.mark.parametrize("name", PRUNING_GROUPS + ["C16", "C2xC8", "D8", "Dic3"])
 def test_pruned_enumeration_matches_unpruned(name):
-    g = sb.builtin_group(name)
+    g = EXTENSION_GROUPS[name][0]() if name in EXTENSION_GROUPS else sb.builtin_group(name)
     pruned = enumerate_braces(g, max_order=16)
     assert [b.circ_group for b in pruned] == [b.circ_group for b in unpruned_enumeration(g)]
     assert all(b.dot_group == g for b in pruned)

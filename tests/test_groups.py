@@ -51,6 +51,43 @@ def test_validate_group_no_inverse():
     assert info.value.element == 1
 
 
+def scanned_inverses(table, n):
+    """Oracle for `groups._inverse_row`: the first y with x.y = y.x = 0, or
+    NoInverse(x) for the first x without one."""
+    inv = []
+    for x in range(n):
+        y = next((y for y in range(n) if table[x][y] == 0 == table[y][x]), None)
+        if y is None:
+            raise errors.NoInverse(x)
+        inv.append(y)
+    return tuple(inv)
+
+
+def test_inverse_row_skips_a_one_sided_first_zero():
+    """Row 1 has its first 0 at column 2, but 2.1 = 1; the inverse is the
+    later two-sided zero at 3, as the scan finds it."""
+    t = ((0, 1, 2, 3), (1, 2, 0, 0), (2, 1, 3, 0), (3, 0, 0, 1))
+    assert sb.groups._inverse_row(t, 4) == scanned_inverses(t, 4) == (0, 3, 3, 1)
+
+
+def test_inverse_row_matches_the_scan_on_random_tables():
+    rng = random.Random(33)
+    for _ in range(2000):
+        n = rng.randrange(1, 6)
+        t = tuple(
+            tuple(x if a == 0 else a if x == 0 else rng.choice((0, 0, rng.randrange(n))) for x in range(n))
+            for a in range(n)
+        )
+        try:
+            want = scanned_inverses(t, n)
+        except errors.NoInverse as exc:
+            with pytest.raises(errors.NoInverse) as info:
+                sb.groups._inverse_row(t, n)
+            assert info.value.element == exc.element
+        else:
+            assert sb.groups._inverse_row(t, n) == want
+
+
 def test_validate_group_no_identity():
     with pytest.raises(errors.NoIdentity):
         sb.validate_group([[1, 1], [1, 1]])
