@@ -283,8 +283,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     """Writes the list one entry at a time, in the bytes of
     `json.dumps(entries, sort_keys=True)` with --json and of `_json(entries)`
-    without, plus a newline. Every refusal comes from the group or the
-    search, before the first byte."""
+    without, plus a newline: each entry's values are encoded apart and joined
+    by sorted key, and the dot table, `group` in every entry, is encoded once.
+    Every refusal comes from the group or the search, before the first byte."""
     if args.builtin:
         order = builtin_order(args.builtin)
         if order > args.max_order:  # before any table is built
@@ -299,14 +300,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     braces = enumerate_braces(group, max_order=args.max_order)
     if args.json:
         encode, head, sep, tail = json.JSONEncoder(sort_keys=True).encode, "[", ", ", "]"
+        start, join, end = "{", ", ", "}"
     else:
-        encode, head, sep, tail = functools.partial(_render, pad="\n  "), "[\n  ", ",\n  ", "\n]"
+        encode, head, sep, tail = functools.partial(_render, pad="\n    "), "[\n  ", ",\n  ", "\n]"
+        start, join, end = "{\n    ", ",\n    ", "\n  }"
+    dot = encode([list(row) for row in group.mul])
     write = sys.stdout.write
     for i, b in enumerate(braces):
         entry = spec_of_tables(b)
         if args.profile:
             entry["profile"] = asdict(classify.nilpotency_profile(b))
-        write((sep if i else head) + encode(entry))
+        items = (_json_key(k) + ": " + (dot if k == "dot" else encode(v)) for k, v in sorted(entry.items()))
+        write((sep if i else head) + start + join.join(items) + end)
     write(tail + "\n" if braces else "[]\n")
     return 0
 

@@ -26,10 +26,13 @@ call these paths on `PairSpace` terms, the brace's element sets, listed only
 when read element by element. The tests check them against the table
 machinery and element sweeps.
 
-Element operations work on indices b + p^d_b * c, split by quotient and
-remainder. Each factor (`_Component`) adds on two digit blocks through one
-table (p x p for one digit) and applies phi_c or psi_b through index maps
-built once per distinct matrix. lambda is a homomorphism, so phi_c depends
+Element operations work on indices b + p^d_b * c, split into the two
+factors by quotient and remainder. Each factor (`_Component`) splits its
+values into two digit blocks by two lists, never dividing them, adds on the
+blocks through one table (p x p for one digit) and applies phi_c or psi_b
+through image maps built once per distinct matrix, which hold each image as
+its two blocks; per factor that is H^2 table cells, two p^d-entry split
+lists and two list slots per image. lambda is a homomorphism, so phi_c depends
 only on c modulo ker phi (psi_b on b modulo ker psi): F5's 625 acting
 indices of a factor share 5 maps, and a one-digit factor's all share its
 identity map. The first element operation builds both factors in
@@ -231,11 +234,12 @@ class BCBrace(SkewBrace):
     def _factors(self) -> tuple["_Component", ...]:
         """B and C index arithmetic, built on the first element operation once
         each table passes groups.TABLE_CAP: for a factor of dimension d, H =
-        p^ceil(d/2), the H x H add table (above the p^d negations) and 2H
-        image-map entries per action matrix, at most p^m of them for m
-        non-identity acting basis matrices of order dividing p. A `maps` list
-        is no longer than the other factor's negations, and a one-digit
-        factor's p x p table no larger than a wide one's (H >= p).
+        p^ceil(d/2), the H x H add table (above the p^d negations and the two
+        p^d-entry split lists) and 2H images per action matrix, each held in
+        two list slots, at most p^m maps for m non-identity acting basis
+        matrices of order dividing p. A `maps` list is no longer than the
+        other factor's negations, and a one-digit factor's p x p table no
+        larger than a wide one's (H >= p).
 
         It then sets `_kernels` as the instance's dot, circ, inv, bar, lam and
         star, so later calls skip the first-call methods below; they hold the
@@ -317,10 +321,12 @@ def _block_neg(p: int, w: int) -> list[int]:
 
 def _block_sums(p: int, w: int) -> list[list[int]]:
     """The p^w x p^w table of x + y digit by digit mod p, one top digit at a
-    time: (x + n s) + (y + n t) = (x + y) + n (s + t mod p) for x, y below n."""
+    time: (x + n s) + (y + n t) = (x + y) + n (s + t mod p) for x, y below n.
+    Its cells point into one list of the p^w values, its row 0."""
+    vals = list(range(p**w))
     table = [[0]]
     for n in (p**i for i in range(w)):
-        shifted = [[[v + n * s for v in row] for s in range(p)] for row in table]
+        shifted = [[[vals[v + n * s] for v in row] for s in range(p)] for row in table]
         table = [
             [v for part in rows[s:] + rows[:s] for v in part]
             for s in range(p)
@@ -332,47 +338,55 @@ def _block_sums(p: int, w: int) -> list[list[int]]:
 class _Component:
     """Index arithmetic on one factor F_p^d, x = sum x_i p^i.
 
-    It adds on two blocks of w = ceil(d/2) digits, the top one short (empty
-    for one digit) when d is odd, through one H x H table, H = p^w. It keeps
-    the images of every block value under each distinct action matrix, and
-    `maps[key]` points at the one for key's matrix, the product of the
-    acting power rows `pow_rows` that key's digits pick, built by
-    `image_map(key)` on first use. When every acting basis matrix is the
+    It splits x into two blocks of w = ceil(d/2) digits, x = lo[x] + H hi[x]
+    with H = p^w, the top block short (empty for one digit) when d is odd,
+    by two lists of p^d entries, and adds block by block through one H x H
+    `table`; all three point into one list of the H block values, so a split
+    makes no int and divides nothing. It keeps the images of every block
+    value under each distinct action matrix, and `maps[key]` points at the
+    one for key's matrix, the product of the acting power rows `pow_rows`
+    that key's digits pick, built by `image_map(key)` on first use. A map
+    holds each image as its two blocks, in four runs: for the low block
+    values x, the low blocks of their images at x and the high blocks at H +
+    x; for the high block values x, the same two runs at 2H + x and 2H + H2
+    + x, H2 = p^d / H of them. When every acting basis matrix is the
     identity (always on one digit, see `BCBrace._factors`), all keys share
-    one identity map, built with the factor. `neg` has p^d entries, one
-    block negation per digit block. `_kernels` reads `table`, `maps`, `neg`
-    and `image_map`.
+    one identity map, built with the factor. `neg` has p^d entries, one block
+    negation per digit block, so its first H negate the block values.
+    `_kernels` reads `lo`, `hi`, `table`, `maps`, `neg` and `image_map`.
     """
 
     def __init__(self, p: int, d: int, pow_rows: list[list[Mat]]):
-        from array import array  # loaded on the first element op, not on import
-
         self.size = p**d
         w = -(-d // 2)
         self.h = h = p**w
-        neg = _block_neg(p, w)
-        self.neg = [lo + h * hi for hi in neg[: self.size // h] for lo in neg]
         self.table = table = _block_sums(p, w)
+        tops = table[0][: self.size // h]  # the high block values
+        self.lo = lo = table[0] * len(tops)
+        self.hi = hi = [v for v in tops for _ in range(h)]
+        neg = _block_neg(p, w)
+        self.neg = [x + h * y for y in neg[: len(tops)] for x in neg]
         self.maps = maps = [None] * p ** len(pow_rows)
-        by_matrix: dict[Mat, array] = {}
+        by_matrix: dict[Mat, list[int]] = {}
 
-        def add(x: int, y: int) -> int:
-            return table[x % h][y % h] + h * table[x // h][y // h]
-
-        def image_map(key: int) -> array:
-            """Images of every value of each block under key's matrix, built
-            from its columns on the first key with that matrix."""
+        def image_map(key: int) -> list[int]:
+            """The four runs of key's matrix, built from its columns on the
+            first key with that matrix, one digit at a time: the image of
+            x + k e_i adds x's image and k times column i, block by block."""
             mat = _family_product(pow_rows, _digits(key, p, len(pow_rows)), p)
             if mat not in by_matrix:
                 cols = [_index(col, p) for col in zip(*mat)]
-                by_matrix[mat] = out = array("I")
+                by_matrix[mat] = out = []
                 for j in (0, w):
-                    img = [0]
+                    low, high = [0], [0]
                     for col in cols[j : j + w]:
-                        n = len(img)
-                        for _ in range(p - 1):
-                            img += [add(u, col) for u in img[-n:]]
-                    out.extend(img)
+                        s, t, lows, highs = lo[col], hi[col], [table[0]], [table[0]]
+                        for _ in range(p - 1):  # the rows adding k times the column
+                            lows.append(table[lows[-1][s]])
+                            highs.append(table[highs[-1][t]])
+                        low = [row[x] for row in lows for x in low]
+                        high = [row[x] for row in highs for x in high]
+                    out += low + high
             maps[key] = out = by_matrix[mat]
             return out
 
@@ -383,68 +397,75 @@ class _Component:
 
 def _kernels(B: _Component, C: _Component) -> dict:
     """dot, circ, inv, bar, lam and star on B x C, each one body over both
-    factors' tables, maps and negations. An action on x reads its map at
-    both blocks of x, then adds the two images; a sum adds block by block.
-    A one-digit factor runs the same body: its top block is empty, so x's
-    second read is entry H = p of the map, 0, and adds nothing."""
-    n, hb, tb, mb, nb, ib = B.size, B.h, B.table, B.maps, B.neg, B.image_map
-    hc, tc, mc, nc, ic = C.h, C.table, C.maps, C.neg, C.image_map
+    factors' split lists, tables, maps and negations. A factor value is
+    split once by its `lo` and `hi` lists and then stays in blocks: an action
+    on x reads the blocks of the images of x's two blocks from its map and
+    adds them (two table reads), a sum adds block by block, and only the
+    result is assembled. A one-digit factor runs the same body: its top
+    block is empty, so hi[x] is 0 and its image adds nothing."""
+    n, hb, tb, mb, nb, ib, lb, ub = B.size, B.h, B.table, B.maps, B.neg, B.image_map, B.lo, B.hi
+    hc, tc, mc, nc, ic, lc, uc = C.h, C.table, C.maps, C.neg, C.image_map, C.lo, C.hi
+    # where a map's runs for the high block values start (`_Component`)
+    qb, rb = 2 * hb, 2 * hb + n // hb
+    qc, rc = 2 * hc, 2 * hc + C.size // hc
 
     def dot(a: int, y: int) -> int:  # (b + phi_c(u), c + v)
         c, b = a // n, a % n
         v, u = y // n, y % n
         m = mb[c] or ib(c)
-        s, t = m[u % hb], m[hb + u // hb]
-        x = tb[s % hb][t % hb] + hb * tb[s // hb][t // hb]
-        z = tc[c % hc][v % hc] + hc * tc[c // hc][v // hc]
-        return tb[b % hb][x % hb] + hb * tb[b // hb][x // hb] + n * z
+        s, t = lb[u], ub[u]
+        return (
+            tb[lb[b]][tb[m[s]][m[qb + t]]]
+            + hb * tb[ub[b]][tb[m[hb + s]][m[rb + t]]]
+            + n * (tc[lc[c]][lc[v]] + hc * tc[uc[c]][uc[v]])
+        )
 
     def circ(a: int, y: int) -> int:  # (b + u, c + psi_b(v))
         c, b = a // n, a % n
         v, u = y // n, y % n
         m = mc[b] or ic(b)
-        s, t = m[v % hc], m[hc + v // hc]
-        z = tc[s % hc][t % hc] + hc * tc[s // hc][t // hc]
-        z = tc[c % hc][z % hc] + hc * tc[c // hc][z // hc]
-        return tb[b % hb][u % hb] + hb * tb[b // hb][u // hb] + n * z
+        s, t = lc[v], uc[v]
+        return (
+            tb[lb[b]][lb[u]]
+            + hb * tb[ub[b]][ub[u]]
+            + n * (tc[lc[c]][tc[m[s]][m[qc + t]]] + hc * tc[uc[c]][tc[m[hc + s]][m[rc + t]]])
+        )
 
-    def inv(a: int) -> int:  # (phi_{-c}(-b), -c)
+    def inv(a: int) -> int:  # (phi_{-c}(-b), -c), -b by blocks
         c, b = a // n, a % n
-        k, x = nc[c], nb[b]
+        k = nc[c]
         m = mb[k] or ib(k)
-        s, t = m[x % hb], m[hb + x // hb]
-        return tb[s % hb][t % hb] + hb * tb[s // hb][t // hb] + n * k
+        s, t = nb[lb[b]], nb[ub[b]]
+        return tb[m[s]][m[qb + t]] + hb * tb[m[hb + s]][m[rb + t]] + n * k
 
-    def bar(a: int) -> int:  # (-b, -psi_{-b}(c))
+    def bar(a: int) -> int:  # (-b, psi_{-b}(-c)), -c by blocks
         c, b = a // n, a % n
         k = nb[b]
         m = mc[k] or ic(k)
-        s, t = m[c % hc], m[hc + c // hc]
-        return k + n * nc[tc[s % hc][t % hc] + hc * tc[s // hc][t // hc]]
+        s, t = nc[lc[c]], nc[uc[c]]
+        return k + n * (tc[m[s]][m[qc + t]] + hc * tc[m[hc + s]][m[rc + t]])
 
     def lam(a: int, y: int) -> int:  # (phi_{-c}(u), psi_b(v))
         c, b = a // n, a % n
         v, u = y // n, y % n
         k = nc[c]
         m = mb[k] or ib(k)
-        s, t = m[u % hb], m[hb + u // hb]
-        x = tb[s % hb][t % hb] + hb * tb[s // hb][t // hb]
+        s, t = lb[u], ub[u]
+        x = tb[m[s]][m[qb + t]] + hb * tb[m[hb + s]][m[rb + t]]
         m = mc[b] or ic(b)
-        s, t = m[v % hc], m[hc + v // hc]
-        return x + n * (tc[s % hc][t % hc] + hc * tc[s // hc][t // hc])
+        s, t = lc[v], uc[v]
+        return x + n * (tc[m[s]][m[qc + t]] + hc * tc[m[hc + s]][m[rc + t]])
 
-    def star(a: int, y: int) -> int:  # (phi_{-c}(u) - u, psi_b(v) - v)
+    def star(a: int, y: int) -> int:  # (phi_{-c}(u) - u, psi_b(v) - v), -u by blocks
         c, b = a // n, a % n
         v, u = y // n, y % n
         k = nc[c]
         m = mb[k] or ib(k)
-        s, t = m[u % hb], m[hb + u // hb]
-        x, w = tb[s % hb][t % hb] + hb * tb[s // hb][t // hb], nb[u]
+        s, t = lb[u], ub[u]
+        x = tb[tb[m[s]][m[qb + t]]][nb[s]] + hb * tb[tb[m[hb + s]][m[rb + t]]][nb[t]]
         m = mc[b] or ic(b)
-        s, t = m[v % hc], m[hc + v // hc]
-        z, e = tc[s % hc][t % hc] + hc * tc[s // hc][t // hc], nc[v]
-        z = tc[z % hc][e % hc] + hc * tc[z // hc][e // hc]
-        return tb[x % hb][w % hb] + hb * tb[x // hb][w // hb] + n * z
+        s, t = lc[v], uc[v]
+        return x + n * (tc[tc[m[s]][m[qc + t]]][nc[s]] + hc * tc[tc[m[hc + s]][m[rc + t]]][nc[t]])
 
     return {"dot": dot, "circ": circ, "inv": inv, "bar": bar, "lam": lam, "star": star}
 

@@ -200,19 +200,25 @@ def test_enumerate_round_trip(capsys):
         assert [list(r) for r in brace.circ_group.mul] == entry["circ"]
 
 
-@pytest.mark.parametrize("name", ["S3", "Q8", "A4"])
+@pytest.mark.parametrize("name", ["S3", "Q8", "A4", "file"])
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--profile"], ["--json", "--profile"]])
-def test_enumerate_streams_the_bytes_of_the_whole_list(capsys, name, flags):
+def test_enumerate_streams_the_bytes_of_the_whole_list(tmp_path, capsys, name, flags):
     """The entries are written one at a time, in the bytes of one
     `json.dumps(entries, sort_keys=True)` with --json and of one
-    `_json(entries)` without."""
+    `_json(entries)` without. "file" is C4 relabeled, read by --group."""
+    if name == "file":
+        sigma = (0, 2, 1, 3)
+        mul = [[sigma[(sigma[a] + sigma[b]) % 4] for b in range(4)] for a in range(4)]
+        group, source = sb.validate_group(mul), ["--group", write_spec(tmp_path, {"mul": mul}, name="group.json")]
+    else:
+        group, source = sb.builtin_group(name), ["--builtin", name]
     entries = []
-    for brace in sb.enumerate_braces(sb.builtin_group(name)):
+    for brace in sb.enumerate_braces(group):
         entry = sb.spec_of_tables(brace)
         if "--profile" in flags:
             entry["profile"] = dataclasses.asdict(sb.nilpotency_profile(brace))
         entries.append(entry)
-    assert main(["enumerate", "--builtin", name, *flags]) == 0
+    assert main(["enumerate", *source, *flags]) == 0
     out = capsys.readouterr().out
     if "--json" in flags:
         assert out == json.dumps(entries, sort_keys=True) + "\n"

@@ -378,14 +378,17 @@ def vec_add(u, v, p: int):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_factor_tables_match_digit_tuples(p):
-    """A factor's negations and its block add table, built by index
-    arithmetic, equal the digit-tuple forms, odd d (short top block) included."""
+    """A factor's negations, its block add table and its split lists, built
+    by index arithmetic, equal the digit-tuple forms and divmod, odd d (short
+    top block) included; the split lists point into the H block values."""
     for d in range(1, 6):
         factor = formula._Component(p, d, [formula._power_row(mat_identity(d), p)])
         negs = [formula._index(vec_neg(formula._digits(x, p, d), p), p) for x in range(p**d)]
         assert factor.neg == negs, d
         block = [formula._digits(x, p, -(-d // 2)) for x in range(p ** -(-d // 2))]
         assert factor.table == [[formula._index(vec_add(x, y, p), p) for y in block] for x in block], d
+        assert [divmod(x, factor.h) for x in range(p**d)] == list(zip(factor.hi, factor.lo)), d
+        assert len({id(v) for v in factor.lo + factor.hi}) <= factor.h, d
 
 
 def test_element_tables_are_lazy_and_capped(monkeypatch):
@@ -419,11 +422,13 @@ def test_element_tables_are_lazy_and_capped(monkeypatch):
         assert (brace._elem == ()) == (brace.d_b == brace.d_c == 1)
         for part in brace._elem:
             # the acting indices with one matrix share one map, so a one-digit
-            # factor (every action on it the identity) holds a single map
+            # factor (every action on it the identity) holds a single map; a
+            # map holds each image as two blocks, so it counts half its slots
             built = {id(m): m for m in part.maps if m is not None}.values()
-            sizes = [sum(map(len, part.table)), len(part.neg), len(part.maps)]
-            assert max(sizes + [len(m) for m in built]) <= groups.TABLE_CAP
-            assert sum(map(len, built)) <= groups.TABLE_CAP
+            images = [len(m) // 2 for m in built]
+            sizes = [sum(map(len, part.table)), len(part.neg), len(part.maps), len(part.lo), len(part.hi)]
+            assert max(sizes + images) <= groups.TABLE_CAP
+            assert sum(images) <= groups.TABLE_CAP
 
 
 def test_element_tables_are_refused_above_table_cap(monkeypatch):
@@ -527,14 +532,21 @@ def kernel_off_units():
     return sb.make_bc_brace(3, 2, 2, (UNI2, UNI2), (I2, I2))
 
 
+def image_slots(part, x: int) -> tuple[int, int]:
+    """The map slots of the low and high block of the image of x, a block
+    value: x < H is a low block (two runs of H), else x - H a high one."""
+    h = part.h
+    return (x, h + x) if x < h else (h + x, part.size // h + h + x)
+
+
 def act(part, key: int, x: int) -> int:
     """x's image under acting index `key`'s matrix in factor `part`, read from
-    its map (built on first use) at both blocks of x and added as the
-    kernels do."""
+    its map (built on first use) as the blocks of the images of x's two
+    blocks and added block by block, as the kernels do."""
     h, table = part.h, part.table
     m = part.maps[key] or part.image_map(key)
-    y, z = m[x % h], m[h + x // h]
-    return table[y % h][z % h] + h * table[y // h][z // h]
+    (s, t), (u, v) = image_slots(part, x % h), image_slots(part, h + x // h)
+    return table[m[s]][m[u]] + h * table[m[t]][m[v]]
 
 
 @pytest.mark.parametrize("make", [bc16, bc81, kernel_off_units])
@@ -634,15 +646,17 @@ def test_formula_identity_report_matches_one_at_a_time(f5, name, seed):
 
 
 def corrupt_bc81(part, key: int, index: int) -> sb.BCBrace:
-    """bc81 with one wrong entry: of B's add table (part None), or of the
-    image map of acting key `key` in factor `part`."""
+    """bc81 with one wrong entry: of B's add table (part None), or one image
+    in the map of acting key `key` in factor `part`, raised by 1 mod 9: the
+    image of `index` for a low block value, of (index - 3) * 3 for a high one."""
     brace = bc81()
     factor = brace._factors()[0 if part is None else part]
     if part is None:
         factor.table[key][index] = (factor.table[key][index] + 1) % 3
     else:
         act(factor, key, 0)
-        factor.maps[key][index] = (factor.maps[key][index] + 1) % factor.size
+        m, (s, t) = factor.maps[key], image_slots(factor, index)
+        m[t], m[s] = divmod((m[s] + factor.h * m[t] + 1) % factor.size, factor.h)
     return brace
 
 
