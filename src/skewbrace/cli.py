@@ -300,10 +300,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     braces = enumerate_braces(group, max_order=args.max_order)
     if args.json:
         encode, head, sep, tail = json.JSONEncoder(sort_keys=True).encode, "[", ", ", "]"
-        start, join, end = "{", ", ", "}"
+        start, between, end = "{", ", ", "}"
     else:
         encode, head, sep, tail = functools.partial(_render, pad="\n    "), "[\n  ", ",\n  ", "\n]"
-        start, join, end = "{\n    ", ",\n    ", "\n  }"
+        start, between, end = "{\n    ", ",\n    ", "\n  }"
     dot = encode([list(row) for row in group.mul])
     write = sys.stdout.write
     for i, b in enumerate(braces):
@@ -311,7 +311,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if args.profile:
             entry["profile"] = asdict(classify.nilpotency_profile(b))
         items = (_json_key(k) + ": " + (dot if k == "dot" else encode(v)) for k, v in sorted(entry.items()))
-        write((sep if i else head) + start + join.join(items) + end)
+        write((sep if i else head) + start + between.join(items) + end)
     write(tail + "\n" if braces else "[]\n")
     return 0
 
