@@ -1,15 +1,18 @@
 """Command-line front end: analyze, verify, enumerate, series, counterexample.
 
-Exit codes: 0 success, 1 parse or usage error, 2 validation or assertion
-failure, 3 resource limit. JSON is the single interchange format; text output
-renders the same report object.
+Exit codes: 0 success, 1 parse or usage error (a spec file not readable as
+UTF-8 JSON too), 2 validation or assertion failure, 3 resource limit (a
+bound, memory, or a failed write of the output). JSON is the single
+interchange format; text output renders the same report object.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
@@ -77,7 +80,7 @@ def _load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
         raise errors.ParseError(f"cannot read brace spec {path}: {exc}") from exc
 
 
@@ -436,7 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a failed write raises here, not at exit
+        return code
     except errors.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -445,6 +450,12 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except MemoryError:
         print("resource limit: out of memory", file=sys.stderr)
+        return 3
+    except OSError as exc:  # from writing the output: `_load_spec` converts its own
+        with contextlib.suppress(OSError):  # no descriptor under a StringIO stdout
+            fd = sys.stdout.fileno()  # point it at devnull, for the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        print(f"resource limit: cannot write output: {exc}", file=sys.stderr)
         return 3
     except errors.AlgebraError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

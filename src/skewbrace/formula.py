@@ -26,28 +26,24 @@ call these paths on `PairSpace` terms, the brace's element sets, listed only
 when read element by element. The tests check them against the table
 machinery and element sweeps.
 
-Element operations work on indices b + p^d_b * c, split into the two
-factors by quotient and remainder. Each factor (`_Component`) splits its
-values into two digit blocks by two lists, never dividing them, adds on the
-blocks through one table (p x p for one digit) and applies phi_c or psi_b
-through image maps built once per distinct matrix, which hold each image as
-its two blocks; per factor that is H^2 table cells, two p^d-entry split
-lists and two list slots per image. lambda is a homomorphism, so phi_c depends
-only on c modulo ker phi (psi_b on b modulo ker psi): F5's 625 acting
-indices of a factor share 5 maps, and a one-digit factor's all share its
-identity map. The first element operation builds both factors in
-`BCBrace._factors` once each table passes groups.TABLE_CAP (set-level paths
-build none) and puts six kernels (`_kernels`: dot, circ, inv, bar, lam,
-star) in the brace's instance dict, each one body over both factors' tables
-with no further call once the maps it reads are built. A (1, 1) brace is
-the trivial brace on F_p^2 and gets closed forms instead (`_trivial_kernels`),
-with no table at any p. The tuple forms of the products live only in the
-tests; `vstar` stays.
+A brace holds each action as its basis matrices; phi_c and psi_b are
+products of their powers, taken by squaring (`fp.mat_pow`). Element
+operations work on indices b + p^d_b * c, split into the two factors by
+quotient and remainder. Each factor (`_Component`) splits its values into
+two digit blocks by two lists, adds on the blocks through one table and
+applies phi_c or psi_b through image maps, one per distinct matrix: lambda
+is a homomorphism, so F5's 625 acting indices of a factor share 5 maps. The
+first element operation builds both factors (`BCBrace._factors`, within
+groups.TABLE_CAP; set-level paths build none) and puts six kernels
+(`_kernels`) in the brace's instance dict. A (1, 1) brace is the trivial
+brace on F_p^2 and gets closed forms (`_trivial_kernels`), with no table at
+any p. The tuple forms of the products live only in the tests; `vstar` stays.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -61,6 +57,7 @@ from .fp import (
     mat_identity,
     mat_is_invertible,
     mat_mul,
+    mat_pow,
     mat_sub,
     mat_vec,
     unit_vec,
@@ -168,23 +165,18 @@ class BCBrace(SkewBrace):
 
     backing = "formula"
 
-    def __init__(self, p: int, phi_pows: list[list[Mat]], psi_pows: list[list[Mat]]):
-        """Built by `bc_brace` from the power rows [id, m, ..., m^(p-1)] of
-        each basis matrix m, which its order check computes."""
+    def __init__(self, p: int, phi_basis: tuple[Mat, ...], psi_basis: tuple[Mat, ...]):
+        """Built by `bc_brace`, which checks the basis matrices phi_{e_i}, psi_{e_i}."""
         super().__init__()
         self.p = p
-        self.d_b = len(psi_pows)
-        self.d_c = len(phi_pows)
-        self.phi_basis = tuple(row[1] for row in phi_pows)
-        self.psi_basis = tuple(row[1] for row in psi_pows)
+        self.d_b, self.d_c = len(psi_basis), len(phi_basis)
+        self.phi_basis, self.psi_basis = phi_basis, psi_basis
         self.order = p ** (self.d_b + self.d_c)
         self._phi: dict[Vec, Mat] = {}
         self._psi: dict[Vec, Mat] = {}
         self._dphi: dict[Vec, Mat] = {}
         self._dpsi: dict[Vec, Mat] = {}
-        self._ident_b = mat_identity(self.d_b)
-        self._ident_c = mat_identity(self.d_c)
-        self._phi_pows, self._psi_pows = phi_pows, psi_pows
+        self._ident_b, self._ident_c = mat_identity(self.d_b), mat_identity(self.d_c)
         self._sets: dict[tuple, PairSpace] = {}
         self._elem: tuple[_Component, ...] | None = None
 
@@ -193,15 +185,13 @@ class BCBrace(SkewBrace):
     def phi(self, c: Vec) -> Mat:
         m = self._phi.get(c)
         if m is None:
-            m = _family_product(self._phi_pows, c, self.p)
-            self._phi[c] = m
+            m = self._phi[c] = _family_product(self.phi_basis, c, self.p)
         return m
 
     def psi(self, b: Vec) -> Mat:
         m = self._psi.get(b)
         if m is None:
-            m = _family_product(self._psi_pows, b, self.p)
-            self._psi[b] = m
+            m = self._psi[b] = _family_product(self.psi_basis, b, self.p)
         return m
 
     def dphi(self, c: Vec) -> Mat:
@@ -234,29 +224,24 @@ class BCBrace(SkewBrace):
     def _factors(self) -> tuple["_Component", ...]:
         """B and C index arithmetic, built on the first element operation once
         each table passes groups.TABLE_CAP: for a factor of dimension d, H =
-        p^ceil(d/2), the H x H add table (above the p^d negations and the two
-        p^d-entry split lists) and 2H images per action matrix, each held in
-        two list slots, at most p^m maps for m non-identity acting basis
-        matrices of order dividing p. A `maps` list is no longer than the
-        other factor's negations, and a one-digit factor's p x p table no
-        larger than a wide one's (H >= p).
-
-        It then sets `_kernels` as the instance's dot, circ, inv, bar, lam and
-        star, so later calls skip the first-call methods below; they hold the
-        factors, not the brace. A (1, 1) brace has no factors: bc_brace forces
-        each 1 x 1 basis matrix [[a]] to a^p = a = 1, so it is the trivial
-        brace on F_p^2 and gets the closed forms of `_trivial_kernels`."""
+        p^ceil(d/2), the H x H add table (no smaller than the p^d negations
+        and split lists) and 2H images per map, at most p^m maps for m
+        non-identity acting basis matrices of order dividing p. It then puts
+        `_kernels` in the instance dict, so later calls skip the first-call
+        methods below; the kernels hold the factors, not the brace. A (1, 1)
+        brace has no factors: bc_brace forces each 1 x 1 basis matrix [[a]]
+        to a = a^p = 1, so it is trivial on F_p^2 (`_trivial_kernels`)."""
         if self._elem is None:
             p, d_b, d_c = self.p, self.d_b, self.d_c
             if d_b == d_c == 1:
                 vars(self).update(_trivial_kernels(p))
                 self._elem = ()
                 return self._elem
-            for d, pow_rows in ((d_b, self._phi_pows), (d_c, self._psi_pows)):
-                h, m = p ** -(-d // 2), sum(row[1] != row[0] for row in pow_rows)
+            for d, basis in ((d_b, self.phi_basis), (d_c, self.psi_basis)):
+                h, m = p ** -(-d // 2), sum(x != mat_identity(d) for x in basis)
                 groups.check_table_cap(h * h, f"a {h} x {h} factor add table")
                 groups.check_table_cap(2 * h * p**m, f"the image maps of {p}^{m} action matrices")
-            self._elem = (_Component(p, d_b, self._phi_pows), _Component(p, d_c, self._psi_pows))
+            self._elem = (_Component(p, d_b, self.phi_basis), _Component(p, d_c, self.psi_basis))
             vars(self).update(_kernels(*self._elem))
         return self._elem
 
@@ -283,20 +268,12 @@ class BCBrace(SkewBrace):
         return self._sets.setdefault((pair.b.basis, pair.c.basis), pair)
 
 
-def _power_row(m: Mat, p: int) -> list[Mat]:
-    pows = [mat_identity(len(m))]
-    for _ in range(1, p):
-        pows.append(mat_mul(pows[-1], m, p))
-    return pows
-
-
-def _family_product(pow_rows: list[list[Mat]], coeffs: Vec, p: int) -> Mat:
-    """The product of the factors pow_rows[i][coeffs[i]] that are not the
-    identity, which starts every power row."""
-    out = ident = pow_rows[0][0]
-    for row, t in zip(pow_rows, coeffs):
-        if row[t % p] != ident:
-            out = row[t % p] if out is ident else mat_mul(out, row[t % p], p)
+def _family_product(basis: tuple[Mat, ...], coeffs: Vec, p: int) -> Mat:
+    """The product of the powers basis[i]^coeffs[i] of the non-identity basis matrices."""
+    out = ident = mat_identity(len(basis[0]))
+    for m, t in zip(basis, coeffs):
+        if t % p and m != ident:
+            out = mat_mul(out, mat_pow(m, t % p, p), p)
     return out
 
 
@@ -342,21 +319,20 @@ class _Component:
     with H = p^w, the top block short (empty for one digit) when d is odd,
     by two lists of p^d entries, and adds block by block through one H x H
     `table`; all three point into one list of the H block values, so a split
-    makes no int and divides nothing. It keeps the images of every block
-    value under each distinct action matrix, and `maps[key]` points at the
-    one for key's matrix, the product of the acting power rows `pow_rows`
-    that key's digits pick, built by `image_map(key)` on first use. A map
-    holds each image as its two blocks, in four runs: for the low block
-    values x, the low blocks of their images at x and the high blocks at H +
-    x; for the high block values x, the same two runs at 2H + x and 2H + H2
-    + x, H2 = p^d / H of them. When every acting basis matrix is the
-    identity (always on one digit, see `BCBrace._factors`), all keys share
-    one identity map, built with the factor. `neg` has p^d entries, one block
+    makes no int and divides nothing. `maps[key]` is the map of key's
+    matrix, the product of the powers of the acting `basis` that key's
+    digits pick, built by `image_map(key)` on first use and shared by the
+    keys with that matrix. A map holds each image as its two blocks, in four
+    runs: for the low block values x, the low blocks of their images at x
+    and the high blocks at H + x; for the high block values x, the same two
+    runs at 2H + x and 2H + H2 + x, H2 = p^d / H of them. When every acting
+    basis matrix is the identity (always on one digit), all keys share one
+    identity map, built with the factor. `neg` has p^d entries, one block
     negation per digit block, so its first H negate the block values.
     `_kernels` reads `lo`, `hi`, `table`, `maps`, `neg` and `image_map`.
     """
 
-    def __init__(self, p: int, d: int, pow_rows: list[list[Mat]]):
+    def __init__(self, p: int, d: int, basis: tuple[Mat, ...]):
         self.size = p**d
         w = -(-d // 2)
         self.h = h = p**w
@@ -366,32 +342,37 @@ class _Component:
         self.hi = hi = [v for v in tops for _ in range(h)]
         neg = _block_neg(p, w)
         self.neg = [x + h * y for y in neg[: len(tops)] for x in neg]
-        self.maps = maps = [None] * p ** len(pow_rows)
+        self.maps = maps = [None] * p ** len(basis)
+        moving = [i for i, m in enumerate(basis) if m != mat_identity(d)]
         by_matrix: dict[Mat, list[int]] = {}
 
         def image_map(key: int) -> list[int]:
-            """The four runs of key's matrix, built from its columns on the
-            first key with that matrix, one digit at a time: the image of
-            x + k e_i adds x's image and k times column i, block by block."""
-            mat = _family_product(pow_rows, _digits(key, p, len(pow_rows)), p)
-            if mat not in by_matrix:
-                cols = [_index(col, p) for col in zip(*mat)]
-                by_matrix[mat] = out = []
-                for j in (0, w):
-                    low, high = [0], [0]
-                    for col in cols[j : j + w]:
-                        s, t, lows, highs = lo[col], hi[col], [table[0]], [table[0]]
-                        for _ in range(p - 1):  # the rows adding k times the column
-                            lows.append(table[lows[-1][s]])
-                            highs.append(table[highs[-1][t]])
-                        low = [row[x] for row in lows for x in low]
-                        high = [row[x] for row in highs for x in high]
-                    out += low + high
-            maps[key] = out = by_matrix[mat]
+            """The four runs of key's matrix: that of `rep`, the key with key's
+            digits at the non-identity basis matrices and 0 elsewhere, found
+            by the matrix or else built from its columns one digit at a time
+            (the image of x + k e_i adds x's image and k times column i)."""
+            rep = sum(key // p**i % p * p**i for i in moving)
+            if maps[rep] is None:
+                mat = _family_product(basis, _digits(rep, p, len(basis)), p)
+                if mat not in by_matrix:
+                    cols = [_index(col, p) for col in zip(*mat)]
+                    by_matrix[mat] = out = []
+                    for j in (0, w):
+                        low, high = [0], [0]
+                        for col in cols[j : j + w]:
+                            s, t, lows, highs = lo[col], hi[col], [table[0]], [table[0]]
+                            for _ in range(p - 1):  # the rows adding k times the column
+                                lows.append(table[lows[-1][s]])
+                                highs.append(table[highs[-1][t]])
+                            low = [row[x] for row in lows for x in low]
+                            high = [row[x] for row in highs for x in high]
+                        out += low + high
+                maps[rep] = by_matrix[mat]
+            maps[key] = out = maps[rep]
             return out
 
         self.image_map = image_map
-        if all(row[1] == row[0] for row in pow_rows):
+        if not moving:
             maps[:] = [image_map(0)] * len(maps)
 
 
@@ -487,15 +468,16 @@ def _trivial_kernels(p: int) -> dict:
 def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     """Validate the structural preconditions and build the brace.
 
-    Checks, in order (a huge p is refused before its primality test): the p
-    powers of each basis matrix within TABLE_CAP cells, p prime, matrices
-    square and invertible with order dividing p (without which the
-    digit-defined actions are not homomorphisms and the products are not
-    associative), each family pairwise commuting, and Im(psi_b - id) <= ker(phi)
-    on the basis of B (which makes it hold for every b); `_factors` bounds the rest.
-    The last is tested column by column, phi(col) = id for each column of
-    psi_{e_i} - id: phi is a homomorphism, so ker(phi) is a subgroup of C and
-    holds the span of those columns, the image, exactly when it holds each.
+    Checks, in order: within TABLE_CAP, the basis matrices' cells times the
+    bit_length(p) squarings of their order check and the isqrt(p) trial
+    divisions of the primality test (so a huge p is refused untested); p
+    prime; per family, each matrix square, then invertible with order dividing
+    p (without which the actions are not homomorphisms and the products not
+    associative), as the identity is, then its distinct non-identity matrices
+    commuting; Im(psi_b - id) <= ker(phi) on the basis of B (so for every b).
+    `_factors` bounds the rest. The last is tested by phi(col) = id on each
+    column of psi_{e_i} - id: phi is a homomorphism, so the subgroup ker(phi)
+    of C holds the span of those columns, the image, iff it holds each.
 
     These make the result a skew brace for every element, so the sampled
     checks (`validate_formula_brace`, `check_identities`) test the element
@@ -522,7 +504,8 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     = (a o y) . a^-1 . (a o z) is the brace relation.
     """
     d_c, d_b = len(phi_basis), len(psi_basis)
-    groups.check_table_cap(p * d_b * d_c * (d_b + d_c), "the basis matrices' power rows")
+    groups.check_table_cap(d_b * d_c * (d_b + d_c) * p.bit_length(), "the basis order check", "cell squarings")
+    groups.check_table_cap(math.isqrt(max(p, 0)), "the primality test of p", "trial divisions")
     if not is_prime(p):
         raise errors.BadPrime(f"{p} is not prime")
     phi_basis, psi_basis = (
@@ -531,27 +514,22 @@ def bc_brace(p: int, phi_basis, psi_basis) -> BCBrace:
     )
     if d_b < 1 or d_c < 1:
         raise errors.BadParameters("both factors need dimension >= 1")
-    families = (("phi", phi_basis, d_b, "d_b"), ("psi", psi_basis, d_c, "d_c"))
-    pows: dict[str, list[list[Mat]]] = {"phi": [], "psi": []}
-    for name, family, dim, label in families:
+    for name, family, dim, label in (("phi", phi_basis, d_b, "d_b"), ("psi", psi_basis, d_c, "d_c")):
         for m in family:
             if len(m) != dim or any(len(row) != dim for row in m):
                 raise errors.ParseError(f"{name} matrices must be {label} x {label}")
-            if not mat_is_invertible(m, p):
+            if m != mat_identity(dim) and not mat_is_invertible(m, p):
                 raise errors.NotInvertible(f"a {name} basis matrix is singular")
-            row = _power_row(m, p)
-            if mat_mul(row[-1], m, p) != row[0]:
+            if m != mat_identity(dim) and mat_pow(m, p, p) != mat_identity(dim):
                 raise errors.BadParameters(
                     f"a {name} basis matrix has order not dividing p, so the action "
                     "is not a homomorphism from the exponent-p group"
                 )
-            pows[name].append(row)
-    for name, family, _, _ in families:
-        for a, b in itertools.combinations(family, 2):
+        for a, b in itertools.combinations(set(family) - {mat_identity(dim)}, 2):
             if mat_mul(a, b, p) != mat_mul(b, a, p):
                 raise errors.NonCommutingFamily(f"{name} basis matrices do not commute")
 
-    brace = BCBrace(p, pows["phi"], pows["psi"])
+    brace = BCBrace(p, phi_basis, psi_basis)
     for i in range(d_b):
         if any(brace.phi(col) != brace._ident_b for col in zip(*brace.dpsi(unit_vec(d_b, i)))):
             raise errors.ConditionViolated(i, "Im(psi_b - id) escapes ker(phi)")

@@ -54,6 +54,17 @@ def mat_mul(a: Mat, b: Mat, p: int) -> Mat:
     return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in a)
 
 
+def mat_pow(m: Mat, t: int, p: int) -> Mat:
+    """m^t for t >= 0 by repeated squaring: bit_length(t) squarings."""
+    out = mat_identity(len(m))
+    while t:
+        if t & 1:
+            out = mat_mul(out, m, p)
+        t >>= 1
+        m = mat_mul(m, m, p)
+    return out
+
+
 def mat_sub(a: Mat, b: Mat, p: int) -> Mat:
     return tuple(tuple((x - y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -226,6 +229,73 @@ def test_enumerate_streams_the_bytes_of_the_whole_list(tmp_path, capsys, name, f
         assert out == cli._json(entries) + "\n"
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["enumerate", "--group"]])
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not_utf8", "nested"]
+)
+def test_undecodable_or_deep_spec_file_is_parse_error(tmp_path, capsys, command, content):
+    """A spec file that is not UTF-8, or nests deeper than the JSON decoder
+    recurses, is a parse error (exit 1), not a traceback."""
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    assert main([*command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "parse error: cannot read brace spec" in err and "Traceback" not in err
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write raises `error`; like a StringIO it has no
+    file descriptor."""
+
+    def __init__(self, error: OSError):
+        super().__init__()
+        self.error = error
+
+    def write(self, text: str) -> int:
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error", [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left")]
+)
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--builtin", "C2xC2", "--json"], ["counterexample", "5", "--json"]]
+)
+def test_failed_write_is_resource_limit(monkeypatch, capsys, argv, error):
+    """A write of the output that fails (a closed pipe, a full disk) ends in
+    one resource-limit line and exit 3, with no traceback."""
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"resource limit: cannot write output: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, reads",
+    [(["enumerate", "--builtin", "C2xC2xC2", "--json"], 50), (["counterexample", "5", "--json"], 0)],
+    ids=["head", "gone"],
+)
+def test_closed_pipe_exits_3_without_traceback(argv, reads):
+    """A reader that closes the pipe after 50 bytes (`| head -c 50`, of
+    ~100 KB, more than the pipe holds) or before the first: the process
+    exits 3 with one resource-limit line and prints nothing at exit, where
+    Python flushes a buffered stdout (no PYTHONUNBUFFERED) again."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    read_end, write_end = os.pipe()
+    if not reads:
+        os.close(read_end)
+    command = [sys.executable, "-m", "skewbrace", *argv]
+    proc = subprocess.Popen(command, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    if reads:
+        with os.fdopen(read_end, "rb") as reader:
+            assert reader.read(reads).startswith(b"[{")
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 3
+    assert err == "resource limit: cannot write output: [Errno 32] Broken pipe\n"
+
+
 def test_enumerate_group_file(tmp_path, capsys):
     path = write_spec(tmp_path, [[0, 1], [1, 0]], name="group.json")
     code, out = run_json(capsys, ["enumerate", "--group", path, "--json"])
@@ -388,11 +458,13 @@ def test_oversized_element_set_is_refused(monkeypatch, f5):
     assert len(term.members) == 5**8 and term.sorted()[-1] == 5**8 - 1
 
 
-@pytest.mark.parametrize("p", [11, 13, 17, 31, 101])
+@pytest.mark.parametrize("p", [11, 13, 17, 31, 101, 7817, 999_999_999_989])
 def test_counterexample_is_computed(capsys, p):
     """The order-p^8 counterexample is checked on subspaces alone; no term
     is listed and no element table built, so TABLE_CAP is not reached,
-    though every carrier's listing and p = 101's add tables exceed it."""
+    though every carrier's listing and p = 101's add tables exceed it. A
+    basis matrix's powers are taken by squaring, so every prime up to 10^12
+    (the trial-division bound of the primality test) is checked."""
     code, report = run_json(capsys, ["counterexample", str(p), "--json"])
     assert code == 0
     assert report["all_confirmed"] and report["order"] == p**8
@@ -441,8 +513,8 @@ def test_counterexample_validates_before_the_set_level_check(monkeypatch, capsys
 
 @pytest.mark.parametrize("p, code", [(4, 2), (6, 2), (10**14, 3), (10**14 + 31, 3)])
 def test_counterexample_p_is_bounded_before_primality(monkeypatch, tmp_path, capsys, p, code):
-    """A huge p, prime or not, is refused at the power-row bound without a
-    primality test (trial division to sqrt(10^14) takes about a second);
+    """A huge p, prime or not, is refused at the trial-division bound without
+    a primality test (trial division to sqrt(10^14) takes about a second);
     a small composite p is still a bad prime."""
     tested = []
     for module in (sb.catalog, formula):
@@ -468,14 +540,15 @@ def test_term_orders_above_sys_maxsize_are_reported(tmp_path, capsys):
     [
         {"kind": "trivial", "group": "C1500"},
         {"kind": "almost_trivial", "group": "C1001"},
-        {"kind": "bc", "p": 1_000_003, "d_b": 1, "d_c": 1, "phi": [[[1]]], "psi": [[[1]]]},
+        {"kind": "bc", "p": 10**13 + 37, "d_b": 1, "d_c": 1, "phi": [[[1]]], "psi": [[[1]]]},
         {"kind": "pq", "p": 1009, "q": 2, "k": 1008, "variant": "i"},
     ],
 )
 def test_spec_tables_above_table_cap_exit_3_before_building(tmp_path, capsys, spec):
-    """A builtin name's n x n table (C1500: 2.25 M cells), a prime's power
-    rows (2 M cells) and the two pq tables of order 2018 (4.1 M cells each)
-    are refused at TABLE_CAP before they are built."""
+    """A builtin name's n x n table (C1500: 2.25 M cells), the 3.2 M trial
+    divisions of a primality test at p = 10^13 + 37 and the two pq tables
+    of order 2018 (4.1 M cells each) are refused at TABLE_CAP before they
+    are built or run."""
     path = write_spec(tmp_path, spec)
     tracemalloc.start()
     code = main(["series", path, "--kind", "group_lower_dot", "--json"])
@@ -485,6 +558,16 @@ def test_spec_tables_above_table_cap_exit_3_before_building(tmp_path, capsys, sp
     assert peak < 1_000_000  # C1500's table would take ~90 MB
     err = capsys.readouterr().err
     assert "TABLE_CAP" in err and "Traceback" not in err
+
+
+def test_large_prime_one_by_one_spec_runs(tmp_path, capsys):
+    """A (1, 1) spec at p = 1,000,003 keeps no table, so it is built: its
+    dot group F_p^2 is abelian."""
+    p = 1_000_003
+    path = write_spec(tmp_path, {"kind": "bc", "p": p, "d_b": 1, "d_c": 1, "phi": [[[1]]], "psi": [[[1]]]})
+    code, report = run_json(capsys, ["series", path, "--kind", "group_lower_dot", "--json"])
+    assert code == 0
+    assert [t["order"] for t in report["group_lower_dot"]["terms"]] == [p**2, 1]
 
 
 def test_builtin_spec_group_at_table_cap_is_built(tmp_path, capsys):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewbrace as sb
-from skewbrace import errors, formula, groups, series, substructures
+from skewbrace import errors, formula, fp, groups, series, substructures
 from skewbrace.formula import PairSpace, span_of_units
 from skewbrace.fp import Subspace, mat_identity, mat_mul, mat_vec, unit_vec, vec_neg
 from tests.conftest import I2, UNI2, bc16, bc81, identity_report_one_at_a_time, injective_phi_spec
@@ -60,6 +60,15 @@ def test_construction_rejects_condition_violation():
         sb.make_bc_brace(2, 2, 2, phi, psi)
 
 
+def p_fold_product(m, p):
+    """m multiplied by itself p times, the oracle of bc_brace's order check
+    (m^p by squaring)."""
+    out = m
+    for _ in range(p - 1):
+        out = mat_mul(out, m, p)
+    return out
+
+
 def unipotent_family(rng, p, dim, count):
     """`count` commuting dim x dim matrices: all the identity, or each
     id + s N + t N^2 for one random strictly upper-triangular N, with N
@@ -77,7 +86,7 @@ def unipotent_family(rng, p, dim, count):
                 tuple((ident[i][j] + s * big_n[i][j] + t * n_sq[i][j]) % p for j in range(dim))
                 for i in range(dim)
             ))
-        if all(mat_mul(formula._power_row(m, p)[-1], m, p) == ident for m in family):
+        if all(p_fold_product(m, p) == ident for m in family):
             return tuple(family)
 
 
@@ -93,7 +102,7 @@ def test_condition_column_check_matches_kernel_solve():
     for _ in range(2000):
         p, d_b, d_c = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(1, 3)
         phi, psi = unipotent_family(rng, p, d_b, d_c), unipotent_family(rng, p, d_c, d_b)
-        unchecked = formula.BCBrace(p, *([formula._power_row(m, p) for m in fam] for fam in (phi, psi)))
+        unchecked = formula.BCBrace(p, phi, psi)
         kernel = ker_phi(unchecked)
         escapes = [
             i for i in range(d_b)
@@ -107,6 +116,55 @@ def test_condition_column_check_matches_kernel_solve():
         else:
             assert formula.bc_brace(p, phi, psi).order == unchecked.order
     assert len(refused) >= 100 and set(refused) == {0, 1, 2}, refused
+
+
+def test_order_check_matches_p_fold_product():
+    """`bc_brace` tests a basis matrix's order by m^p = id, m^p by squaring:
+    on seeded invertible matrices, random or unitriangular, p in {2, 3, 5,
+    7}, it refuses exactly those whose p-fold product is not the identity."""
+    rng = random.Random(sb.DEFAULT_SEED + 35)
+    verdicts = []
+    for _ in range(400):
+        p, d = rng.choice((2, 3, 5, 7)), rng.randint(1, 4)
+        unitriangular = rng.random() < 0.5
+        m = tuple(
+            tuple(int(i == j) if unitriangular and j <= i else rng.randrange(p) for j in range(d))
+            for i in range(d)
+        )
+        if not fp.mat_is_invertible(m, p):
+            continue
+        divides = p_fold_product(m, p) == mat_identity(d)
+        verdicts.append(divides)
+        one = ((1,),)
+        if divides:
+            assert formula.bc_brace(p, (m,), (one,) * d).phi_basis == (m,)
+        else:
+            with pytest.raises(errors.BadParameters, match="order not dividing p"):
+                formula.bc_brace(p, (m,), (one,) * d)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 50
+
+
+@pytest.mark.parametrize(
+    "make, value, bound",
+    [
+        # F5: 4 x 4 cells of eight basis matrices, times bit_length(5) = 3 squarings
+        (lambda: sb.make_counterexample_F(5), 4 * 4 * 8 * 3, "order check"),
+        # isqrt(1,000,003) = 1000 trial divisions, above the 2 * 20 of the order check
+        (lambda: sb.make_bc_brace(1_000_003, 1, 1, [((1,),)], [((1,),)]), 1000, "primality test"),
+    ],
+    ids=["order_check", "trial_divisions"],
+)
+def test_construction_bounds_refuse_below_their_value(monkeypatch, make, value, bound):
+    """Each bound of `bc_brace` refuses at TABLE_CAP = value - 1, before
+    the primality test runs, and the brace is built at value."""
+    tested = []
+    monkeypatch.setattr(formula, "is_prime", lambda n: tested.append(n) or fp.is_prime(n))
+    monkeypatch.setattr(groups, "TABLE_CAP", value - 1)
+    with pytest.raises(errors.TooLarge, match=f"{bound}.* {value} .*TABLE_CAP = {value - 1}"):
+        make()
+    assert tested == []
+    monkeypatch.setattr(groups, "TABLE_CAP", value)
+    assert make().order > 1 and len(tested) == 1
 
 
 def test_wrong_matrix_counts():
@@ -382,7 +440,7 @@ def test_factor_tables_match_digit_tuples(p):
     by index arithmetic, equal the digit-tuple forms and divmod, odd d (short
     top block) included; the split lists point into the H block values."""
     for d in range(1, 6):
-        factor = formula._Component(p, d, [formula._power_row(mat_identity(d), p)])
+        factor = formula._Component(p, d, (mat_identity(d),))
         negs = [formula._index(vec_neg(formula._digits(x, p, d), p), p) for x in range(p**d)]
         assert factor.neg == negs, d
         block = [formula._digits(x, p, -(-d // 2)) for x in range(p ** -(-d // 2))]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from skewbrace.fp import Subspace, mat_mul
+from skewbrace.fp import Subspace, mat_identity, mat_is_invertible, mat_mul, mat_pow
 
 
 def span(p: int, dim: int, vecs) -> set[tuple[int, ...]]:
@@ -73,3 +73,22 @@ def test_mat_mul_matches_triple_loop():
                     for t in range(k):
                         naive[i][j] = (naive[i][j] + a[i][t] * b[t][j]) % p
             assert mat_mul(a, b, p) == tuple(map(tuple, naive))
+
+
+def test_mat_pow_matches_repeated_products():
+    """m^t by squaring equals the product of t copies of m (the identity at
+    t = 0) on seeded random invertible matrices, t from 0 to 3p."""
+    rng = random.Random(19)
+    tested = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(8):
+            n = rng.randrange(1, 5)
+            m = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+            if not mat_is_invertible(m, p):
+                continue
+            tested += 1
+            power = mat_identity(n)
+            for t in range(3 * p + 1):
+                assert mat_pow(m, t, p) == power, (p, m, t)
+                power = mat_mul(power, m, p)
+    assert tested >= 12, tested
