@@ -38,7 +38,7 @@ from .classify import (
     nilpotency_profile,
     verify_counterexample_F,
 )
-from .enumeration import automorphism_group, enumerate_braces
+from .enumeration import automorphism_group, enumerate_braces, isomorphism_classes
 from .formula import BCBrace, materialize_table_brace, validate_formula_brace
 from .groups import (
     ElementSet,

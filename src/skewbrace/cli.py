@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from . import classify, errors, series
 from .braces import DEFAULT_SEED, SkewBrace, check_identities
 from .catalog import brace_from_spec, spec_of_tables
-from .enumeration import ENUMERATE_MAX_ORDER, enumerate_braces
+from .enumeration import ENUMERATE_MAX_ORDER, enumerate_braces, isomorphism_classes
 from .formula import BCBrace, PairSpace, validate_formula_brace
 from .fp import Subspace
 from .groups import ElementSet, SeriesChain, builtin_group, builtin_order, validate_group
@@ -288,7 +288,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     `json.dumps(entries, sort_keys=True)` with --json and of `_json(entries)`
     without, plus a newline: each entry's values are encoded apart and joined
     by sorted key, and the dot table, `group` in every entry, is encoded once.
-    Every refusal comes from the group or the search, before the first byte."""
+    A profile is an isomorphism invariant, so with --profile it is computed
+    and encoded once per isomorphism class, at the class's first brace, and
+    its text reused by the rest of the class. Every refusal comes from the
+    group or the search, before the first byte."""
     if args.builtin:
         order = builtin_order(args.builtin)
         if order > args.max_order:  # before any table is built
@@ -308,12 +311,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         encode, head, sep, tail = functools.partial(_render, pad="\n    "), "[\n  ", ",\n  ", "\n]"
         start, between, end = "{\n    ", ",\n    ", "\n  }"
     dot = encode([list(row) for row in group.mul])
+    classes = isomorphism_classes(group, braces) if args.profile else []
+    profiles: dict[int, str] = {}  # a class's first brace -> its profile's text
     write = sys.stdout.write
     for i, b in enumerate(braces):
-        entry = spec_of_tables(b)
+        texts = {k: encode(v) for k, v in spec_of_tables(b).items() if k != "dot"}
+        texts["dot"] = dot
         if args.profile:
-            entry["profile"] = asdict(classify.nilpotency_profile(b))
-        items = (_json_key(k) + ": " + (dot if k == "dot" else encode(v)) for k, v in sorted(entry.items()))
+            if classes[i] == i:
+                profiles[i] = encode(asdict(classify.nilpotency_profile(b)))
+            texts["profile"] = profiles[classes[i]]
+        items = (_json_key(k) + ": " + text for k, text in sorted(texts.items()))
         write((sep if i else head) + start + between.join(items) + end)
     write(tail + "\n" if braces else "[]\n")
     return 0

@@ -253,8 +253,9 @@ class SeriesChain:
         return self.stabilized_at if self.reaches_terminal else None
 
 
-def _close(g: GroupTable, seeds: Iterable[int], images=()) -> tuple[set[int], list[int]]:
-    """The one closure worklist: the members reached and the seeds taken.
+def _close(mul: Sequence[Sequence[int]], seeds: Iterable[int], images=()) -> tuple[set[int], list[int]]:
+    """The one closure worklist over a group's table `mul`, whose identity
+    is 0: the members reached and the seeds taken.
 
     Seeds are taken in order, skipping those already reached. Taking x grows
     the members M by the old members times x, then the new members times
@@ -263,7 +264,6 @@ def _close(g: GroupTable, seeds: Iterable[int], images=()) -> tuple[set[int], li
     becomes a member. The members are what right products by the taken
     elements reach from 0, which on a group is the subgroup they generate.
     """
-    mul = g.mul
     members = {0}
     taken: list[int] = []
     pending = list(seeds)[::-1]
@@ -293,7 +293,7 @@ def _close(g: GroupTable, seeds: Iterable[int], images=()) -> tuple[set[int], li
 def subgroup_closure(g: GroupTable, gens: Iterable[int] | ElementSet, images=()) -> ElementSet:
     """Smallest subgroup containing the generators (and, with `images`, the
     images of its members), by `_close`."""
-    return make_set(_close(g, gens, images)[0], g.order)
+    return make_set(_close(g.mul, gens, images)[0], g.order)
 
 
 def greedy_generators(
@@ -303,7 +303,7 @@ def greedy_generators(
     closure of those before it; for a subgroup's sorted members, they then
     generate the subgroup. Redundant `gens` are kept."""
     gens = list(gens)
-    _, taken = _close(g, [*gens, *(g.elements() if pool is None else pool)])
+    _, taken = _close(g.mul, [*gens, *(g.elements() if pool is None else pool)])
     return gens + [x for x in taken if x not in gens]
 
 

@@ -158,12 +158,12 @@ def commutators(brace: SkewBrace, side: str, y: ElementSet) -> ElementSet:
         return brace.pair_to_set(PairSpace(one.b, formula.comm_circ_span(brace, whole, y)))
     g = brace.dot_group if side == "dot" else brace.circ_group
     gens = brace.generators()
-    members, taken = _close(g, {g.comm(a, b) for a in gens for b in y.members})
+    members, taken = _close(g.mul, {g.comm(a, b) for a in gens for b in y.members})
     while True:
         outside = {g.conj(a, x) for a in gens for x in taken} - members
         if not outside:
             return make_set(members, g.order)
-        members, taken = _close(g, [*taken, *outside])
+        members, taken = _close(g.mul, [*taken, *outside])
 
 
 def ideal_closure(brace: SkewBrace, seed: Iterable[int] | ElementSet) -> ElementSet:

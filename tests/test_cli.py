@@ -203,30 +203,46 @@ def test_enumerate_round_trip(capsys):
         assert [list(r) for r in brace.circ_group.mul] == entry["circ"]
 
 
-@pytest.mark.parametrize("name", ["S3", "Q8", "A4", "file"])
+def expected_entries(group: sb.GroupTable, profile: bool) -> list[dict]:
+    """The entries `enumerate` prints, each brace profiled on its own."""
+    entries = []
+    for brace in sb.enumerate_braces(group, max_order=group.order):
+        entry = sb.spec_of_tables(brace)
+        if profile:
+            entry["profile"] = dataclasses.asdict(sb.nilpotency_profile(brace))
+        entries.append(entry)
+    return entries
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "A4", "D4", "D6", "C2xC2xC2", "file"])
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--profile"], ["--json", "--profile"]])
 def test_enumerate_streams_the_bytes_of_the_whole_list(tmp_path, capsys, name, flags):
     """The entries are written one at a time, in the bytes of one
     `json.dumps(entries, sort_keys=True)` with --json and of one
-    `_json(entries)` without. "file" is C4 relabeled, read by --group."""
+    `_json(entries)` without. "file" is C4 relabeled, read by --group. The
+    CLI profiles one brace per isomorphism class; the expected bytes come
+    from profiling every brace (C2xC2xC2 has 232 braces in 8 classes)."""
     if name == "file":
         sigma = (0, 2, 1, 3)
         mul = [[sigma[(sigma[a] + sigma[b]) % 4] for b in range(4)] for a in range(4)]
         group, source = sb.validate_group(mul), ["--group", write_spec(tmp_path, {"mul": mul}, name="group.json")]
     else:
         group, source = sb.builtin_group(name), ["--builtin", name]
-    entries = []
-    for brace in sb.enumerate_braces(group):
-        entry = sb.spec_of_tables(brace)
-        if "--profile" in flags:
-            entry["profile"] = dataclasses.asdict(sb.nilpotency_profile(brace))
-        entries.append(entry)
+    entries = expected_entries(group, "--profile" in flags)
     assert main(["enumerate", *source, *flags]) == 0
     out = capsys.readouterr().out
     if "--json" in flags:
         assert out == json.dumps(entries, sort_keys=True) + "\n"
     else:
         assert out == cli._json(entries) + "\n"
+
+
+def test_enumerate_profile_bytes_at_order_16(capsys):
+    """C2xD4's 1,488 braces fall into 227 classes; the profiled listing has
+    the bytes of profiling every brace."""
+    entries = expected_entries(sb.builtin_group("C2xD4"), profile=True)
+    assert main(["enumerate", "--builtin", "C2xD4", "--max-order", "16", "--json", "--profile"]) == 0
+    assert capsys.readouterr().out == json.dumps(entries, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["enumerate", "--group"]])

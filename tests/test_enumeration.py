@@ -1,4 +1,5 @@
-"""Automorphism listing, the lambda-map enumerator, and its brute oracle."""
+"""Automorphism listing, the lambda-map enumerator, its brute oracle, and
+the isomorphism classes."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import pytest
 
 import skewbrace as sb
 from skewbrace import errors
-from skewbrace.enumeration import automorphism_group, enumerate_braces
+from skewbrace.enumeration import automorphism_group, enumerate_braces, isomorphism_classes
 from skewbrace.groups import GroupTable
 
 # Labeled brace counts per additive table, frozen from the oracle runs.
@@ -37,6 +38,14 @@ PRUNING_GROUPS = [
 ORDER16_COUNTS = {
     "C16": 16, "C2xC8": 160, "D8": 304, "C4xC4": 880,
     "C2xD4": 1488, "C2xQ8": 2096, "C2xC2xC4": 3152,
+}
+
+# Isomorphism-class counts at order 16, from `isomorphism_classes`. With the
+# six extension groups of order 16 they give all of Guarnieri-Vendramin's
+# 1,605 but C2^4's 39, which CI checks (it is too slow for Tier-1).
+ORDER16_CLASS_COUNTS = {
+    "C16": 8, "C2xC8": 66, "D8": 80, "C4xC4": 83,
+    "C2xD4": 227, "C2xQ8": 118, "C2xC2xC4": 161,
 }
 
 # Isomorphism-class counts derived from the enumerator plus the automorphism
@@ -183,7 +192,8 @@ def test_enumerated_braces_all_validate(groups, corpus8, sweep12):
 
 def test_enumerated_braces_are_freed_without_gc(groups):
     """No reference cycle pins the enumerated braces, analysed or not: with
-    the collector off, they die with the list."""
+    the collector off, they die with the list. Listing automorphisms and
+    finding the isomorphism classes leave no cyclic garbage either."""
     gc.collect()
     gc.disable()
     try:
@@ -196,6 +206,7 @@ def test_enumerated_braces_are_freed_without_gc(groups):
         assert [r() for r in refs] == [None] * len(refs)
         gc.collect()
         automorphism_group(groups["D4"])
+        isomorphism_classes(groups["D4"], enumerate_braces(groups["D4"]))
         assert gc.collect() == 0  # no cyclic garbage was left behind
     finally:
         gc.enable()
@@ -337,17 +348,68 @@ def test_extension_groups_have_their_invariants(name):
     assert len(automorphism_group(g)) == aut_order
 
 
+def class_count(g: sb.GroupTable) -> int:
+    return len(set(isomorphism_classes(g, enumerate_braces(g, max_order=g.order))))
+
+
 def test_published_class_counts_of_orders_12_and_16():
     """Guarnieri-Vendramin count 38 skew braces of order 12 and 1,605 of
     order 16, up to isomorphism. Dic3 completes order 12 with the four
     builtin groups; the six extension groups of order 16 give the 823 that
-    the eight builtin groups (782 classes) leave."""
+    the eight builtin groups (782 classes) leave, and the seven builtins
+    below C2^4 give 743 of those 782. `isomorphism_classes` agrees with the
+    relabeling oracle on the extension groups."""
     got = {name: iso_class_count(entry[0]()) for name, entry in EXTENSION_GROUPS.items()}
     assert got == {name: entry[4] for name, entry in EXTENSION_GROUPS.items()}
+    assert got == {name: class_count(entry[0]()) for name, entry in EXTENSION_GROUPS.items()}
     order12 = ["C12", "C2xC6", "A4", "D6"]
     assert [iso_class_count(sb.builtin_group(name)) for name in order12] == [5, 5, 8, 10]
     assert got["Dic3"] + 5 + 5 + 8 + 10 == 38
     assert sum(got.values()) - got["Dic3"] == 823 == 1605 - 782
+    assert 823 + sum(ORDER16_CLASS_COUNTS.values()) == 1605 - 39
+
+
+@pytest.mark.parametrize("name", PRUNING_GROUPS + ["Dic3"])
+def test_isomorphism_classes_match_relabeling(name):
+    """The classes number as the relabeled circ tables do, and each brace
+    points at the first brace of its class."""
+    g = EXTENSION_GROUPS[name][0]() if name in EXTENSION_GROUPS else sb.builtin_group(name)
+    classes = isomorphism_classes(g, enumerate_braces(g))
+    assert all(classes[first] == first <= i for i, first in enumerate(classes))
+    assert len(set(classes)) == iso_class_count(g)
+
+
+@pytest.mark.parametrize("name", ["Q8", "A4", "D6", "C2xC2xC2"])
+def test_isomorphism_classes_obey_orbit_stabilizer(name):
+    """Each class has |Aut(A)| / |Stab(B)| members, with Stab(B) counted by
+    relabeling B's circ table with every automorphism."""
+    g = sb.builtin_group(name)
+    n = g.order
+    auts = automorphism_group(g)
+    braces = enumerate_braces(g)
+    classes = isomorphism_classes(g, braces)
+    for first in set(classes):
+        t = braces[first].circ_group.mul
+        stabilizer = 0
+        for s in auts:
+            inv = [0] * n
+            for x, image in enumerate(s):
+                inv[image] = x
+            stabilizer += all(s[t[inv[a]][inv[b]]] == t[a][b] for a in range(n) for b in range(n))
+        assert classes.count(first) * stabilizer == len(auts), (name, first)
+
+
+def test_isomorphism_classes_refuse_a_list_not_closed_under_aut():
+    """A brace missing from its class, or a brace on another group, is an
+    AlgebraError with a message, not a KeyError."""
+    g = sb.builtin_group("S3")
+    braces = enumerate_braces(g)
+    classes = isomorphism_classes(g, braces)
+    lone = next(i for i in range(len(braces)) if classes.count(classes[i]) > 1)
+    with pytest.raises(errors.AlgebraError, match="not closed under Aut"):
+        isomorphism_classes(g, braces[:lone] + braces[lone + 1:])
+    with pytest.raises(errors.AlgebraError, match="additive group"):
+        isomorphism_classes(g, enumerate_braces(sb.cyclic(6)))
 
 
 def test_iso_class_counts_small(groups):
@@ -527,3 +589,8 @@ def test_enumeration_closed_under_automorphisms(groups):
 @pytest.mark.parametrize("name,count", sorted(ORDER16_COUNTS.items()))
 def test_order16_labeled_counts(name, count):
     assert len(enumerate_braces(sb.builtin_group(name), max_order=16)) == count
+
+
+@pytest.mark.parametrize("name,count", sorted(ORDER16_CLASS_COUNTS.items()))
+def test_order16_class_counts(name, count):
+    assert class_count(sb.builtin_group(name)) == count
